@@ -45,8 +45,10 @@ from .padic import (
 )
 from .ratpoly import (
     IntPoly,
+    InvariantError,
     PrimitivePair,
     RatPoly,
+    clear_denominators,
     cyclotomic,
     parse_rational,
     pnorm,

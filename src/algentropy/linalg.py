@@ -1,10 +1,11 @@
 """Exact linear algebra over Q.
 
 Matrices are immutable tuples of Fraction rows.  The characteristic
-polynomial is computed by the Faddeev-LeVerrier recurrence, which is
-division-light and exact over rationals; the companion matrix convention
-(ones on the subdiagonal, negated coefficients in the last column) makes
-char_poly(companion(f)) == f a round-trip identity.
+polynomial is computed by reduction to upper Hessenberg form and the
+Hessenberg recurrence, O(n^3) exact operations over Q; the companion matrix
+convention (ones on the subdiagonal, negated coefficients in the last
+column) is already Hessenberg, and makes char_poly(companion(f)) == f a
+round-trip identity.
 """
 
 from __future__ import annotations
@@ -106,21 +107,55 @@ class RationalMatrix:
 def char_poly(M: RationalMatrix) -> RatPoly:
     """Monic characteristic polynomial det(X*I - M), exactly.
 
-    Faddeev-LeVerrier: M_1 = M, c_k = -tr(M_k)/k, M_{k+1} = M(M_k + c_k I).
+    Hessenberg method (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.2.9): reduce M to upper Hessenberg H by exact similarity
+    transforms, swapping a row and column when a pivot is zero, then run
+    p_m = (X - h_mm) p_(m-1) - sum_i h_im (prod_(j=i+1..m) h_(j,j-1)) p_(i-1)
+    over the leading principal minors p_m of X*I - H.
     """
     n = M.n
-    if n == 0:
-        return RatPoly([1])
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    Mk = M
-    ident = RationalMatrix.identity(n)
-    for k in range(1, n + 1):
-        ck = -Mk.trace() / k
-        coeffs[n - k] = ck
-        if k < n:
-            Mk = M * (Mk + ident * ck)
-    return RatPoly(coeffs)
+    H = [list(row) for row in M.rows]
+    for m in range(1, n - 1):
+        pivot = next((i for i in range(m, n) if H[i][m - 1] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != m:
+            H[m], H[pivot] = H[pivot], H[m]
+            for row in H:
+                row[m], row[pivot] = row[pivot], row[m]
+        inv = 1 / H[m][m - 1]
+        for i in range(m + 1, n):
+            u = H[i][m - 1] * inv
+            if u == 0:
+                continue
+            # row_i -= u * row_m, then column_m += u * column_i (similarity)
+            row_i, row_m = H[i], H[m]
+            row_i[m - 1] = Fraction(0)
+            for k in range(m, n):
+                if row_m[k]:
+                    row_i[k] -= u * row_m[k]
+            for row in H:
+                if row[i]:
+                    row[m] += u * row[i]
+    # polys[m] = det(X*I - H[:m, :m]) as ascending coefficients
+    polys = [[Fraction(1)]]
+    for m in range(1, n + 1):
+        prev = polys[m - 1]
+        h = H[m - 1][m - 1]
+        p = [Fraction(0)] + prev
+        for k, c in enumerate(prev):
+            p[k] -= h * c
+        t = Fraction(1)
+        for i in range(m - 1, 0, -1):
+            t *= H[i][i - 1]
+            if t == 0:
+                break
+            c = t * H[i - 1][m - 1]
+            if c:
+                for k, e in enumerate(polys[i - 1]):
+                    p[k] -= c * e
+        polys.append(p)
+    return RatPoly(polys[n])
 
 
 def companion(f: RatPoly) -> RationalMatrix:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .numtheory import totient
-from .ratpoly import IntPoly, cyclotomic, poly_gcd
+from .ratpoly import IntPoly, InvariantError, clear_denominators, cyclotomic, poly_gcd
 from .roots import (
     CertificationError,
     ComplexRootSet,
@@ -49,24 +49,13 @@ def split_unit_circle(P: IntPoly) -> tuple[IntPoly, IntPoly]:
     """
     if P.coeffs[0] == 0:
         raise ValueError("constant term must be nonzero (factor out X first)")
-    if P.degree == 0:
-        return IntPoly([1]), P.primitive_part()
     g = poly_gcd(P, P.reciprocal())
     if g.degree == 0:
-        candidate = IntPoly([1])
-        cofactor = P.primitive_part()
-    else:
-        den = 1
-        for c in g.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        candidate = IntPoly([int(c * den) for c in g.coeffs]).primitive_part()
-        q, r = P.to_rational().divmod(g)
-        assert r.is_zero
-        den = 1
-        for c in q.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        cofactor = IntPoly([int(c * den) for c in q.coeffs]).primitive_part()
-    return candidate, cofactor
+        return IntPoly([1]), P.primitive_part()
+    cofactor, r = P.to_rational().divmod(g)
+    if not r.is_zero:
+        raise InvariantError(f"gcd {g} of P and its reciprocal does not divide P = {P}")
+    return clear_denominators(g), clear_denominators(cofactor)
 
 
 def _cyclotomic_index_bound(degree: int) -> int:
@@ -83,8 +72,8 @@ def extract_cyclotomic(P: IntPoly) -> tuple[dict[int, int], IntPoly]:
         if totient(n) <= rest.degree:
             phi = cyclotomic(n)
             while True:
-                q = rest.try_divide(phi)
-                if q is None:
+                q, r = rest.divmod_monic(phi)
+                if not r.is_zero:
                     break
                 factors[n] = factors.get(n, 0) + 1
                 rest = q

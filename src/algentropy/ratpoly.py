@@ -24,6 +24,14 @@ Rational = Union[int, Fraction]
 INF = math.inf
 
 
+class InvariantError(ArithmeticError):
+    """An internal exact identity failed: a defect in the library, not bad input.
+
+    Deliberately not a ValueError, so it is never reported as an input
+    error.  Raised instead of ``assert`` so that ``python -O`` keeps the check.
+    """
+
+
 def vp(x: Rational, p: int):
     """p-adic valuation of a rational: |x|_p = p**(-vp(x)), vp(0) = +inf.
 
@@ -190,19 +198,28 @@ class IntPoly:
                     rem[i + j] -= c * b
         return IntPoly(quot), IntPoly(rem[: max(1, g.degree)])
 
-    def try_divide(self, g: "IntPoly") -> "IntPoly | None":
-        """Exact quotient self/g over Z, or None if g does not divide self."""
+    def pseudo_remainder(self, g: "IntPoly") -> "IntPoly":
+        """Remainder of lead(g)^k * self by g over Z, for some k >= 0.
+
+        Each reduction step scales the running remainder by lead(g) only when
+        its top coefficient is nonzero, so the result is the classical
+        pseudo-remainder up to a power of lead(g); callers that take the
+        primitive part see no difference.
+        """
         if g.is_zero:
-            return None
-        q, r = self.to_rational().divmod(g.to_rational())
-        if not r.is_zero:
-            return None
-        out = []
-        for c in q.coeffs:
-            if c.denominator != 1:
-                return None
-            out.append(c.numerator)
-        return IntPoly(out)
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        dg, lg = g.degree, g.lead
+        for top in range(len(rem) - 1, dg - 1, -1):
+            c = rem[top]
+            if c:
+                shift = top - dg
+                rem = [lg * x for x in rem[:top]]
+                for j in range(dg):
+                    rem[shift + j] -= c * g.coeffs[j]
+            else:
+                rem.pop()
+        return IntPoly(rem)
 
     def evaluate(self, x):
         """Horner evaluation; works for any ring element (Fraction, mpc, ...)."""
@@ -330,27 +347,47 @@ class PrimitivePair:
     primitive: IntPoly
 
 
+def clear_denominators(f: RatPoly) -> IntPoly:
+    """The primitive integer polynomial with positive lead proportional to f.
+
+    For monic f the multiplier is the lcm of the coefficient denominators,
+    which is also the lead of the result: some coefficient carries the full
+    power of each prime of that lcm in its denominator, so no prime divides
+    every cleared coefficient.
+    """
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    return IntPoly([c.numerator * (den // c.denominator) for c in f.coeffs]).primitive_part()
+
+
 def primitivize(f: RatPoly) -> PrimitivePair:
     """Clear denominators of a monic rational polynomial minimally."""
     if not f.is_monic:
         raise ValueError("primitivize requires a monic polynomial")
-    s = 1
-    for c in f.coeffs:
-        s = s * c.denominator // math.gcd(s, c.denominator)
-    primitive = IntPoly([int(c * s) for c in f.coeffs])
-    return PrimitivePair(monic=f, s=s, primitive=primitive)
+    primitive = clear_denominators(f)
+    return PrimitivePair(monic=f, s=primitive.lead, primitive=primitive)
 
 
 def poly_gcd(f, g) -> RatPoly:
-    """Monic gcd over Q of two polynomials (IntPoly or RatPoly)."""
-    a = f.to_rational() if isinstance(f, IntPoly) else RatPoly(f.coeffs)
-    b = g.to_rational() if isinstance(g, IntPoly) else RatPoly(g.coeffs)
+    """Monic gcd over Q of two polynomials (IntPoly or RatPoly).
+
+    Primitive polynomial remainder sequence: both arguments are cleared to
+    primitive integer polynomials and Euclid runs on pseudo-remainders over
+    Z, each reduced to its primitive part.  By Gauss's lemma the last
+    nonzero term is the gcd over Q up to a constant.  Dividing out each
+    content keeps the integers near the size of the inputs, where Euclid
+    over Fraction coefficients lets numerators and denominators grow.
+    """
+    a = f.primitive_part() if isinstance(f, IntPoly) else clear_denominators(f)
+    b = g.primitive_part() if isinstance(g, IntPoly) else clear_denominators(g)
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
+    if a.degree < b.degree:
+        a, b = b, a
     while not b.is_zero:
-        _, r = a.divmod(b)
-        a, b = b, r
-    return a.monic()
+        if b.degree == 0:
+            return RatPoly([1])
+        a, b = b, a.pseudo_remainder(b).primitive_part()
+    return a.to_rational().monic()
 
 
 def squarefree_decomposition(P: IntPoly) -> list[tuple[IntPoly, int]]:
@@ -373,22 +410,15 @@ def squarefree_decomposition(P: IntPoly) -> list[tuple[IntPoly, int]]:
     while w.degree > 0:
         y = h - w.derivative()
         if y.is_zero:
-            out.append((_primitive_of(w), i))
+            out.append((clear_denominators(w), i))
             break
         a = poly_gcd(w, y)
         if a.degree > 0:
-            out.append((_primitive_of(a), i))
+            out.append((clear_denominators(a), i))
         w, _ = w.divmod(a)
         h, _ = y.divmod(a)
         i += 1
     return out
-
-
-def _primitive_of(f: RatPoly) -> IntPoly:
-    den = 1
-    for c in f.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return IntPoly([int(c * den) for c in f.coeffs]).primitive_part()
 
 
 _cyclotomic_cache: dict[int, IntPoly] = {}
@@ -406,7 +436,10 @@ def cyclotomic(n: int) -> IntPoly:
         if d == n:
             continue
         q, r = poly.divmod_monic(cyclotomic(d))
-        assert r.is_zero
+        if not r.is_zero:
+            raise InvariantError(
+                f"cyclotomic({d}) does not divide X^{n} - 1 after the smaller factors"
+            )
         poly = q
     _cyclotomic_cache[n] = poly
     return poly

@@ -1,15 +1,51 @@
-"""Independent high-precision oracles used to freeze expected test values.
+"""Independent oracles used to freeze expected test values.
 
 The root oracle diagonalizes the companion matrix with mpmath's QR-based
 eig at high working precision -- a completely different algorithm from the
-package's simultaneous-iteration engine, so agreement is meaningful.
+package's simultaneous-iteration engine, so agreement is meaningful.  The
+exact-core oracles are the slow textbook algorithms the package replaced:
+Faddeev-LeVerrier for the characteristic polynomial and Euclid over
+Fraction coefficients for the gcd.
 """
 
 from fractions import Fraction
 
 from mpmath import mp
 
-from algentropy.ratpoly import IntPoly
+from algentropy.linalg import RationalMatrix
+from algentropy.ratpoly import IntPoly, RatPoly
+
+
+def faddeev_char_poly(M: RationalMatrix) -> RatPoly:
+    """Monic det(X*I - M) by Faddeev-LeVerrier, O(n^4) exact operations.
+
+    M_1 = M, c_k = -tr(M_k)/k, M_(k+1) = M(M_k + c_k I).
+    """
+    n = M.n
+    if n == 0:
+        return RatPoly([1])
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    Mk = M
+    ident = RationalMatrix.identity(n)
+    for k in range(1, n + 1):
+        ck = -Mk.trace() / k
+        coeffs[n - k] = ck
+        if k < n:
+            Mk = M * (Mk + ident * ck)
+    return RatPoly(coeffs)
+
+
+def fraction_euclid_gcd(f, g) -> RatPoly:
+    """Monic gcd over Q by Euclid on Fraction coefficients."""
+    a = f.to_rational() if isinstance(f, IntPoly) else RatPoly(f.coeffs)
+    b = g.to_rational() if isinstance(g, IntPoly) else RatPoly(g.coeffs)
+    if a.is_zero and b.is_zero:
+        raise ValueError("gcd(0, 0) is undefined")
+    while not b.is_zero:
+        _, r = a.divmod(b)
+        a, b = b, r
+    return a.monic()
 
 
 def eig_moduli(coeffs, dps: int = 60):

@@ -289,13 +289,15 @@ def test_criterion_7_invariance_suite(capsys):
 
 
 def test_criterion_8_kronecker_equivalence(capsys):
+    start = time.perf_counter()
     suite = run_suite("kronecker", seed=8, count=100)
+    seconds = time.perf_counter() - start
     _criterion(
         capsys,
         8,
-        suite.ok and len(suite.checks) == 100,
+        suite.ok and len(suite.checks) == 100 and seconds < 3.0,
         f"{suite.passed}/{len(suite.checks)} cyclotomic products and "
-        f"non-examples agree in both directions",
+        f"non-examples agree in both directions, {seconds:.2f}s < 3s",
     )
 
 

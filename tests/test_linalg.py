@@ -15,6 +15,8 @@ from algentropy.linalg import (
 )
 from algentropy.ratpoly import RatPoly
 
+from oracles import faddeev_char_poly
+
 
 def _random_matrix(rng, n, bound=9):
     return RationalMatrix(
@@ -23,6 +25,40 @@ def _random_matrix(rng, n, bound=9):
             for _ in range(n)
         ]
     )
+
+
+def _sparse_matrix(rng, n, density):
+    """Random rational matrix with most entries zero, so Hessenberg pivots vanish."""
+    return RationalMatrix(
+        [
+            [
+                Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < density else 0
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+    )
+
+
+def _block_triangular(rng, n):
+    """[[A, B], [0, C]]: the Hessenberg form keeps a zero subdiagonal entry."""
+    k = rng.randint(1, n - 1)
+    return RationalMatrix(
+        [
+            [
+                0 if i >= k and j < k else Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    )
+
+
+def _permuted(rng, M):
+    """M conjugated by a random permutation, which moves its zeros onto pivots."""
+    perm = list(range(M.n))
+    rng.shuffle(perm)
+    return RationalMatrix([[M[perm[i], perm[j]] for j in range(M.n)] for i in range(M.n)])
 
 
 def _random_monic(rng, deg):
@@ -35,6 +71,26 @@ def test_char_poly_examples():
     assert char_poly(RationalMatrix([[1, 1], [0, 1]])) == RatPoly([1, -2, 1])
     assert char_poly(RationalMatrix([[0, -1], [1, 0]])) == RatPoly([1, 0, 1])
     assert char_poly(RationalMatrix([["3/2"]])) == RatPoly([Fraction(-3, 2), 1])
+    assert char_poly(RationalMatrix([])) == RatPoly([1])
+    # zero pivot in the first column: rows and columns 1 and 2 swap
+    assert char_poly(RationalMatrix([[0, 0, 1], [0, 0, 1], [1, 0, 0]])) == RatPoly([0, -1, 0, 1])
+    assert char_poly(RationalMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])) == RatPoly([-1, 0, 0, 1])
+    # triangular: every subdiagonal entry is zero
+    triangular = RationalMatrix([[1, 2, 3], [0, 4, 5], [0, 0, 6]])
+    assert char_poly(triangular) == RatPoly([-24, 34, -11, 1])
+    assert char_poly(RationalMatrix([[0] * 4] * 4)) == RatPoly([0, 0, 0, 0, 1])
+
+
+def test_char_poly_matches_faddeev_oracle():
+    rng = random.Random(14)
+    for n in range(1, 11):
+        sparse = _sparse_matrix(rng, n, 0.3)
+        cases = [_random_matrix(rng, n), sparse, _permuted(rng, sparse)]
+        if n >= 2:
+            block = _block_triangular(rng, n)
+            cases += [block, _permuted(rng, block)]
+        for M in cases:
+            assert char_poly(M) == faddeev_char_poly(M), M
 
 
 def test_char_poly_det_trace():

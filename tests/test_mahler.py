@@ -4,13 +4,14 @@ import random
 import pytest
 from mpmath import mp, mpc
 
+from algentropy import mahler
 from algentropy.mahler import (
     extract_cyclotomic,
     is_cyclotomic_product,
     mahler_measure,
     split_unit_circle,
 )
-from algentropy.ratpoly import IntPoly, cyclotomic
+from algentropy.ratpoly import IntPoly, InvariantError, RatPoly, cyclotomic
 from algentropy.roots import find_roots
 
 from oracles import mahler_oracle
@@ -109,8 +110,18 @@ def test_split_unit_circle_examples():
     assert candidate.coeffs == (1,) and cofactor.coeffs == (-2, 1)
     candidate, cofactor = split_unit_circle(IntPoly([5, -6, 5]))
     assert candidate.coeffs == (5, -6, 5) and cofactor.coeffs == (1,)
+    candidate, cofactor = split_unit_circle(IntPoly([5, -6, 5]) * IntPoly([-4, 6]))
+    assert candidate.coeffs == (5, -6, 5) and cofactor.coeffs == (-2, 3)
+    candidate, cofactor = split_unit_circle(IntPoly([-3]))
+    assert candidate.coeffs == (1,) and cofactor.coeffs == (1,)
     with pytest.raises(ValueError):
         split_unit_circle(IntPoly([0, 1]))
+
+
+def test_split_unit_circle_division_check_raises(monkeypatch):
+    monkeypatch.setattr(mahler, "poly_gcd", lambda f, g: RatPoly([-5, 1]))
+    with pytest.raises(InvariantError):
+        split_unit_circle(IntPoly([5, -6, 5]))
 
 
 def test_split_product_reconstructs():
@@ -186,6 +197,11 @@ def test_extract_cyclotomic():
     factors, rest = extract_cyclotomic(poly)
     assert factors == {3: 1, 8: 1}
     assert rest.coeffs == (-2, 1)
+    # non-monic rest: the monic integer division still finds every factor
+    poly = cyclotomic(1) * cyclotomic(1) * cyclotomic(6) * IntPoly([-3, 2]) * IntPoly([1, 3])
+    factors, rest = extract_cyclotomic(poly)
+    assert factors == {1: 2, 6: 1}
+    assert rest.coeffs == (-3, -7, 6)
 
 
 def test_is_cyclotomic_product():

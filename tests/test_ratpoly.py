@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from algentropy import ratpoly
 from algentropy.ratpoly import (
     IntPoly,
+    InvariantError,
     RatPoly,
+    clear_denominators,
     cyclotomic,
     parse_rational,
     pnorm,
@@ -15,6 +18,8 @@ from algentropy.ratpoly import (
     squarefree_decomposition,
     vp,
 )
+
+from oracles import fraction_euclid_gcd
 
 
 def test_vp_examples():
@@ -88,6 +93,44 @@ def test_poly_gcd_examples():
     f = IntPoly([2, 5, 3])
     assert poly_gcd(f, f) == f.to_rational().monic()
     assert poly_gcd(IntPoly([1, 0, 1]), IntPoly([-1, 0, 1])).degree == 0
+    # the remainder sequence ends in a nonzero constant: coprime, gcd 1
+    assert poly_gcd(IntPoly([1, 1, 0, 1]), IntPoly([-1, 2])) == RatPoly([1])
+    assert poly_gcd(IntPoly([3]), f) == RatPoly([1])
+    # zero arguments, contents and rational inputs
+    assert poly_gcd(f * 6, IntPoly([0])) == f.to_rational().monic()
+    assert poly_gcd(IntPoly([0]), RatPoly([Fraction(1, 2), Fraction(5, 3)])) == RatPoly(
+        [Fraction(3, 10), 1]
+    )
+    assert poly_gcd(IntPoly([0]), IntPoly([7])) == RatPoly([1])
+    with pytest.raises(ValueError):
+        poly_gcd(IntPoly([0]), RatPoly([0]))
+
+
+def _random_int_poly(rng, deg, bound):
+    lead = rng.choice([-1, 1]) * rng.randint(1, bound)
+    return IntPoly([rng.randint(-bound, bound) for _ in range(deg)] + [lead])
+
+
+def test_poly_gcd_matches_fraction_euclid_oracle():
+    rng = random.Random(31)
+    for _ in range(150):
+        common = _random_int_poly(rng, rng.randint(0, 4), 6) * rng.randint(1, 12)
+        f = common * _random_int_poly(rng, rng.randint(0, 5), 9) * rng.randint(1, 12)
+        g = common * _random_int_poly(rng, rng.randint(0, 5), 9)
+        u = _random_int_poly(rng, rng.randint(1, 6), 9)
+        v = _random_int_poly(rng, rng.randint(1, 6), 9)
+        pairs = [
+            (f, g),
+            (g, f),
+            (f, IntPoly([0])),
+            (IntPoly([0]), g),
+            # almost always coprime: the remainder sequence drops to a constant
+            (u, v),
+            (f.to_rational() * Fraction(rng.randint(1, 9), rng.randint(1, 9)), g),
+        ]
+        for a, b in pairs:
+            assert poly_gcd(a, b) == fraction_euclid_gcd(a, b), (a, b)
+        assert poly_gcd(f, g).degree >= common.degree
 
 
 def test_poly_gcd_divides_both():
@@ -111,6 +154,13 @@ def test_primitivize_examples():
     assert pair.s == 6 and pair.primitive.coeffs == (1, -5, 6)
     with pytest.raises(ValueError):
         primitivize(RatPoly([1, 2]))
+
+
+def test_clear_denominators():
+    assert clear_denominators(RatPoly([Fraction(1, 6), Fraction(-5, 6), 1])).coeffs == (1, -5, 6)
+    assert clear_denominators(RatPoly([Fraction(-4, 3), Fraction(-2, 9)])).coeffs == (6, 1)
+    assert clear_denominators(RatPoly([6, 4])).coeffs == (3, 2)
+    assert clear_denominators(RatPoly([0])).coeffs == (0,)
 
 
 def test_primitivize_minimality():
@@ -152,6 +202,16 @@ def test_cyclotomic_polynomials():
     assert cyclotomic(6).coeffs == (1, -1, 1)
     assert cyclotomic(105).degree == 48  # first index with coefficient +/-2
     assert 2 in {abs(c) for c in cyclotomic(105).coeffs}
+
+
+def test_cyclotomic_division_check_raises(monkeypatch):
+    # a wrong divisor list makes X^4 - 1 fail to divide by Phi_3
+    real_divisors = ratpoly.divisors
+    monkeypatch.setattr(ratpoly, "_cyclotomic_cache", {})
+    monkeypatch.setattr(ratpoly, "divisors", lambda n: [1, 2, 3, 4] if n == 4 else real_divisors(n))
+    with pytest.raises(InvariantError):
+        cyclotomic(4)
+    assert not issubclass(InvariantError, ValueError)
 
 
 def test_parse_rational():
