@@ -16,6 +16,7 @@ from .entropy import (
     is_zero_entropy,
     ks_entropy,
     place_decomposition,
+    polynomial_entropy,
 )
 from .linalg import (
     RationalMatrix,

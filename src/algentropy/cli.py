@@ -7,23 +7,23 @@ overflow doubles quickly; floats are serialized at full double precision;
 polynomial coefficients are ascending by degree everywhere.
 
 Exit codes: 0 success, 2 input error, 3 certification failure (partial
-report emitted), 4 verification failure.
+report emitted), 4 verification failure, 5 internal error (a library
+invariant failed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .entropy import algebraic_entropy
+from .entropy import algebraic_entropy, polynomial_entropy
 from .linalg import RationalMatrix
-from .mahler import is_cyclotomic_product, mahler_measure
-from .padic import newton_polygon, place_contribution, relevant_primes, verify_place_identity
-from .ratpoly import IntPoly, parse_rational
+from .mahler import mahler_measure
+from .padic import newton_polygon, place_contribution, verify_place_identity
+from .ratpoly import IntPoly, InvariantError, parse_rational
 from .roots import CertificationError
 from .trajectory import (
     DEFAULT_BUDGET,
@@ -47,7 +47,6 @@ class InputSpec:
     budget: int = DEFAULT_BUDGET
     precision: int = 128
     tolerance: float = 1e-12
-    seed: int = 0
     partitions: int = 1
 
 
@@ -103,7 +102,6 @@ def parse_spec(doc: dict) -> InputSpec:
         ("budget", int),
         ("precision", int),
         ("tolerance", float),
-        ("seed", int),
         ("partitions", int),
     ):
         if field in doc:
@@ -111,6 +109,10 @@ def parse_spec(doc: dict) -> InputSpec:
                 setattr(spec, field, caster(doc[field]))
             except (TypeError, ValueError) as exc:
                 raise InputError(f"bad option {field!r}: {doc[field]!r}") from exc
+    if not 0 < spec.tolerance < float("inf"):
+        raise InputError(f"tolerance must be finite and > 0, got {spec.tolerance!r}")
+    if spec.precision < 1:
+        raise InputError(f"precision must be >= 1, got {spec.precision}")
     return spec
 
 
@@ -126,7 +128,6 @@ def serialize_spec(spec: InputSpec) -> dict:
         budget=spec.budget,
         precision=spec.precision,
         tolerance=spec.tolerance,
-        seed=spec.seed,
         partitions=spec.partitions,
     )
     return doc
@@ -160,7 +161,6 @@ def _spec_from_args(args, need: str) -> InputSpec:
         ("budget", args.budget),
         ("precision", args.precision),
         ("tolerance", args.tolerance),
-        ("seed", args.seed),
         ("partitions", args.partitions),
     ):
         if flag is not None:
@@ -177,11 +177,13 @@ def _emit(doc: dict, pretty: bool) -> None:
     print(json.dumps(doc, indent=2 if pretty else None))
 
 
-def _entropy_doc_from_matrix(spec: InputSpec) -> dict:
-    report = algebraic_entropy(
-        spec.matrix, tolerance=spec.tolerance, precision=spec.precision
-    )
-    return {
+def _cmd_entropy(args) -> int:
+    spec = _spec_from_args(args, need="any")
+    if spec.matrix is not None:
+        report = algebraic_entropy(spec.matrix, tolerance=spec.tolerance, precision=spec.precision)
+    else:
+        report = polynomial_entropy(spec.poly, tolerance=spec.tolerance, precision=spec.precision)
+    doc = {
         "entropy": report.total,
         "log_s": report.log_s,
         "archimedean": report.archimedean,
@@ -193,34 +195,6 @@ def _entropy_doc_from_matrix(spec: InputSpec) -> dict:
         "zero_entropy_exact": report.zero_entropy_exact,
         "certified": report.certified,
     }
-
-
-def _entropy_doc_from_poly(spec: InputSpec) -> dict:
-    poly = spec.poly.primitive_part()
-    s = abs(poly.lead)
-    finite = []
-    for p in relevant_primes(poly):
-        mass = newton_polygon(poly, p).positive_mass()
-        finite.append({"p": p, "v_s": int(mass), "contribution": float(mass) * math.log(p)})
-    measured = mahler_measure(poly, tolerance=spec.tolerance, precision=spec.precision)
-    return {
-        "entropy": measured.archimedean + sum(f["contribution"] for f in finite),
-        "log_s": math.log(s),
-        "archimedean": measured.archimedean,
-        "finite_places": finite,
-        "s": str(s),
-        "char_poly_primitive": [str(c) for c in poly.coeffs],
-        "zero_entropy_exact": s == 1 and is_cyclotomic_product(poly),
-        "certified": measured.certified,
-    }
-
-
-def _cmd_entropy(args) -> int:
-    spec = _spec_from_args(args, need="any")
-    if spec.matrix is not None:
-        doc = _entropy_doc_from_matrix(spec)
-    else:
-        doc = _entropy_doc_from_poly(spec)
     _emit(doc, args.pretty)
     return 0
 
@@ -259,7 +233,7 @@ def _cmd_polygon(args) -> int:
     primitive = poly.primitive_part()
     identity = verify_place_identity(primitive)
     primes = []
-    for p in relevant_primes(primitive):
+    for p, v_s, *_ in identity.per_prime:
         polygon = newton_polygon(primitive, p)
         contrib = place_contribution(polygon)
         primes.append(
@@ -271,7 +245,7 @@ def _cmd_polygon(args) -> int:
                 ],
                 "contribution_exact": str(contrib.exact),
                 "contribution": contrib.value,
-                "v_s": [v for q, v, *_ in identity.per_prime if q == p][0],
+                "v_s": v_s,
             }
         )
     doc = {
@@ -326,6 +300,11 @@ def _cmd_trajectory(args) -> int:
 def _cmd_classify(args) -> int:
     spec = _spec_from_args(args, need="matrix")
     payload = _trajectory_payload(spec)
+    if len(payload["counts"]) < 6:
+        raise InputError(
+            f"classify needs at least 6 computed levels, got {len(payload['counts'])}: "
+            "raise --max-n or --budget"
+        )
     doc = {
         "classification": payload["classification"],
         "formula_entropy": payload["formula_entropy"],
@@ -345,6 +324,8 @@ def _cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.count is not None and args.count < 0:
+        raise InputError(f"--count must be >= 0, got {args.count}")
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     failures = 0
     for name in names:
@@ -366,20 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_input=True):
-        if with_input:
-            p.add_argument("--input", help="JSON input document")
-            p.add_argument("--matrix", help="inline matrix JSON, e.g. '[[\"3/2\"]]'")
-            p.add_argument("--poly", help="inline ascending integer coefficients, e.g. '[1,-5,6]'")
-            p.add_argument("--m", type=int, default=None, help="grid density (0 = admissible)")
-            p.add_argument("--max-n", type=int, default=None, help="trajectory levels")
-            p.add_argument("--budget", type=int, default=None, help="stored-point budget")
-            p.add_argument("--partitions", type=int, default=None, help="parallel partitions")
-            p.add_argument("--precision", type=int, default=None, help="root precision bits")
-            p.add_argument("--tolerance", type=float, default=None, help="measure tolerance")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed")
-        p.add_argument("--pretty", action="store_true", help="indent the JSON output")
-
     for name, fn in (
         ("entropy", _cmd_entropy),
         ("mahler", _cmd_mahler),
@@ -388,13 +355,22 @@ def build_parser() -> argparse.ArgumentParser:
         ("classify", _cmd_classify),
     ):
         p = sub.add_parser(name)
-        add_common(p)
+        p.add_argument("--input", help="JSON input document")
+        p.add_argument("--matrix", help="inline matrix JSON, e.g. '[[\"3/2\"]]'")
+        p.add_argument("--poly", help="inline ascending integer coefficients, e.g. '[1,-5,6]'")
+        p.add_argument("--m", type=int, default=None, help="grid density (0 = admissible)")
+        p.add_argument("--max-n", type=int, default=None, help="trajectory levels")
+        p.add_argument("--budget", type=int, default=None, help="stored-point budget")
+        p.add_argument("--partitions", type=int, default=None, help="parallel partitions")
+        p.add_argument("--precision", type=int, default=None, help="root precision bits")
+        p.add_argument("--tolerance", type=float, default=None, help="measure tolerance")
+        p.add_argument("--pretty", action="store_true", help="indent the JSON output")
         p.set_defaults(func=fn)
 
     v = sub.add_parser("verify")
     v.add_argument("--suite", required=True, help="suite name or 'all'")
     v.add_argument("--count", type=int, default=None, help="number of random checks")
-    add_common(v, with_input=False)
+    v.add_argument("--seed", type=int, default=None, help="RNG seed")
     v.set_defaults(func=_cmd_verify)
     return parser
 
@@ -410,6 +386,9 @@ def main(argv=None) -> int:
         partial = {"error": str(exc), "certified": False}
         print(json.dumps(partial, indent=2 if getattr(args, "pretty", False) else None))
         return 3
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 5
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -1,10 +1,12 @@
 """Algebraic entropy of endomorphisms of Q^N with per-place decomposition.
 
-The total is assembled as (archimedean part from certified complex roots) +
-(finite part from Newton polygons), where the finite side is exact integer
-arithmetic: the contribution at a prime p dividing the clearing integer s
-is vp(s) * log p.  The only floating point in the headline number is the
-archimedean sum and the final log multiplications.
+One core, `polynomial_entropy`, serves matrix and polynomial input: a
+matrix enters through its cleared characteristic polynomial.  The total is
+(archimedean part from certified complex roots) + (finite part from Newton
+polygons), where the finite side is exact integer arithmetic: the
+contribution at a prime p dividing the clearing integer s is vp(s) * log p.
+The only floating point in the headline number is the archimedean sum and
+the final log multiplications.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 
 from .linalg import RationalMatrix, char_poly
 from .mahler import is_cyclotomic_product, mahler_measure
-from .padic import newton_polygon, relevant_primes
-from .ratpoly import IntPoly, RatPoly, primitivize, vp
+from .padic import verify_place_identity
+from .ratpoly import IntPoly, InvariantError, RatPoly, primitivize
 from .roots import ComplexRootSet
 
 INFINITE_PLACE = math.inf
@@ -58,37 +60,38 @@ def algebraic_entropy(
             zero_entropy_exact=True,
             certified=True,
         )
-    monic = char_poly(M)
-    pair = primitivize(monic)
-    P, s = pair.primitive, pair.s
+    P = primitivize(char_poly(M)).primitive
+    return polynomial_entropy(P, tolerance=tolerance, precision=precision)
 
-    finite = []
-    finite_sum = 0.0
-    for p in relevant_primes(P):
-        v = vp(s, p)
-        mass = newton_polygon(P, p).positive_mass()
-        assert mass == v, f"polygon mass {mass} != v_{p}(s) = {v}"
-        contribution = v * math.log(p)
-        finite.append((p, v, contribution))
-        finite_sum += contribution
 
+def polynomial_entropy(
+    P: IntPoly, tolerance: float = 1e-12, precision: int = 64
+) -> EntropyReport:
+    """Entropy report for an integer polynomial of degree >= 1, taken as
+    its primitive part: s times the monic polynomial, s its positive lead."""
+    if P.degree < 1:
+        raise ValueError("polynomial must have degree >= 1")
+    P = P.primitive_part()
+    identity = verify_place_identity(P)
+    if not identity.all_ok:
+        raise InvariantError(f"Newton polygon masses do not match v_p(s) for {P}")
+    finite = tuple((p, v, v * math.log(p)) for p, v, *_ in identity.per_prime)
     measured = mahler_measure(P, tolerance=tolerance, precision=precision)
-    arch = measured.archimedean
-    total = arch + finite_sum
+    total = measured.archimedean + sum(c for *_, c in finite)
     # redundant cross-check against the all-floating-point route
-    assert abs(total - measured.value) <= 1e-9 * max(1.0, abs(total))
-
-    zero = s == 1 and is_cyclotomic_product(P)
+    if abs(total - measured.value) > 1e-9 * max(1.0, abs(total)):
+        raise InvariantError(f"place sum {total} != Mahler measure {measured.value}")
+    s = identity.s
     return EntropyReport(
         total=total,
         log_s=math.log(s),
-        archimedean=arch,
-        finite_places=tuple(finite),
-        char_poly_monic=monic,
+        archimedean=measured.archimedean,
+        finite_places=finite,
+        char_poly_monic=P.to_rational().monic(),
         char_poly_primitive=P,
         s=s,
         roots=measured.roots,
-        zero_entropy_exact=zero,
+        zero_entropy_exact=(s == 1 and is_cyclotomic_product(P)),
         certified=measured.certified,
     )
 
@@ -99,7 +102,8 @@ def ks_entropy(M: RationalMatrix, tolerance: float = 1e-12) -> float:
     if not M.is_integer():
         raise ValueError("ks_entropy requires integer matrix entries")
     report = algebraic_entropy(M, tolerance=tolerance)
-    assert report.s == 1 and not report.finite_places
+    if report.s != 1:
+        raise InvariantError(f"integer matrix cleared with s = {report.s}")
     return report.total
 
 

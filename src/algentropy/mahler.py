@@ -28,14 +28,7 @@ from mpmath import mp, mpf
 
 from .numtheory import totient
 from .ratpoly import IntPoly, InvariantError, clear_denominators, cyclotomic, poly_gcd
-from .roots import (
-    CertificationError,
-    ComplexRootSet,
-    RootInterval,
-    _CertRoot,
-    solve_with_multiplicity,
-    to_interval,
-)
+from .roots import ComplexRootSet, RootInterval, _CertRoot, _sorted_roots, climb, to_interval
 
 _PRECISION_CAP = 4096
 
@@ -154,7 +147,8 @@ def mahler_measure(
         intervals.extend(numeric)
 
     result_roots = ComplexRootSet(tuple(intervals), working_precision=prec_used)
-    assert result_roots.total_multiplicity == P.degree
+    if result_roots.total_multiplicity != P.degree:
+        raise InvariantError(f"{result_roots.total_multiplicity} roots for degree {P.degree}")
     return MahlerResult(
         value=log_lead + arch,
         certified=(assumed == 0),
@@ -171,37 +165,12 @@ def _refine_measure(candidate, cofactor, total_deg, tolerance, precision, max_pr
     Returns (archimedean sum, assumed count, root intervals, precision).
     """
     assume_cap = tolerance / (2.0 * max(total_deg, 1))
-    prec = max(64, precision)
-    warm_cand = warm_cof = None
-    cand_roots = cof_roots = None
-    while True:
-        with mp.workprec(prec + 16):
-            if candidate.degree >= 1:
-                cand_roots, warm_cand = solve_with_multiplicity(candidate, prec, warm_cand)
-            else:
-                cand_roots = []
-            if cofactor.degree >= 1:
-                cof_roots, warm_cof = solve_with_multiplicity(cofactor, prec, warm_cof)
-            else:
-                cof_roots = []
-            if cand_roots is not None and cof_roots is not None:
-                status = _assess(cand_roots, cof_roots, assume_cap, tolerance)
-                if status is not None:
-                    arch, assumed, numeric = status
-                    return arch, assumed, numeric, prec
-        if prec >= max_precision:
-            if cand_roots is None or cof_roots is None:
-                raise CertificationError(
-                    f"root iteration did not certify within {max_precision} bits"
-                )
-            # final pass: roots still straddling the circle at the cap are
-            # assumed on it and flagged, never silently resolved
-            with mp.workprec(prec + 16):
-                arch, assumed, numeric = _assess(
-                    cand_roots, cof_roots, assume_cap, tolerance, at_cap=True
-                )
-            return arch, assumed, numeric, prec
-        prec = min(2 * prec, max_precision)
+
+    def settle(root_lists, prec, at_cap):
+        status = _assess(*root_lists, assume_cap, tolerance, at_cap=at_cap)
+        return None if status is None else (*status, prec)
+
+    return climb([candidate, cofactor], max(64, precision), max_precision, settle)
 
 
 def _assess(cand_roots, cof_roots, assume_cap, tolerance, at_cap=False):
@@ -244,10 +213,6 @@ def _assess(cand_roots, cof_roots, assume_cap, tolerance, at_cap=False):
         total += root.multiplicity * (llo + lhi) / 2
     if width > tolerance / 2 and not at_cap:
         return None
-    intervals = [to_interval(r) for r in sorted(plain + outside, key=_root_key)]
-    intervals += [to_interval(r, assumed=True) for r in sorted(assumed, key=_root_key)]
+    intervals = [to_interval(r) for r in _sorted_roots(plain + outside)]
+    intervals += [to_interval(r, assumed=True) for r in _sorted_roots(assumed)]
     return float(total), sum(r.multiplicity for r in assumed), intervals
-
-
-def _root_key(root: _CertRoot):
-    return (float(root.z.real), float(root.z.imag))

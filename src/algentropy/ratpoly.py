@@ -390,6 +390,13 @@ def poly_gcd(f, g) -> RatPoly:
     return a.to_rational().monic()
 
 
+def _exact_quotient(f: RatPoly, g: RatPoly) -> RatPoly:
+    q, r = f.divmod(g)
+    if not r.is_zero:
+        raise InvariantError(f"gcd factor {g} does not divide {f}")
+    return q
+
+
 def squarefree_decomposition(P: IntPoly) -> list[tuple[IntPoly, int]]:
     """Yun's algorithm: P = +/- content * prod A_i^i with A_i squarefree.
 
@@ -403,11 +410,13 @@ def squarefree_decomposition(P: IntPoly) -> list[tuple[IntPoly, int]]:
     f = P.to_rational().monic()
     df = f.derivative()
     g = poly_gcd(f, df)
-    w, _ = f.divmod(g)
-    h, _ = df.divmod(g)
+    w = _exact_quotient(f, g)
+    h = _exact_quotient(df, g)
     out: list[tuple[IntPoly, int]] = []
     i = 1
     while w.degree > 0:
+        if i > P.degree:
+            raise InvariantError(f"multiplicity {i} exceeds the degree of {P}")
         y = h - w.derivative()
         if y.is_zero:
             out.append((clear_denominators(w), i))
@@ -415,8 +424,8 @@ def squarefree_decomposition(P: IntPoly) -> list[tuple[IntPoly, int]]:
         a = poly_gcd(w, y)
         if a.degree > 0:
             out.append((clear_denominators(a), i))
-        w, _ = w.divmod(a)
-        h, _ = y.divmod(a)
+        w = _exact_quotient(w, a)
+        h = _exact_quotient(y, a)
         i += 1
     return out
 

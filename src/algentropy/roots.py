@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from .ratpoly import IntPoly, squarefree_decomposition
+from .ratpoly import IntPoly, InvariantError, squarefree_decomposition
 
 
 class CertificationError(ArithmeticError):
@@ -246,6 +246,32 @@ def to_interval(root: _CertRoot, assumed: bool = False) -> RootInterval:
     )
 
 
+def climb(polys, start_bits: int, max_bits: int, settle):
+    """The precision ladder: solve every polynomial per rung, warm-started,
+    doubling the bits from `start_bits` to `max_bits`, until
+    `settle(root_lists, prec, at_cap)` returns something other than None.
+    A rung at the cap whose roots do not certify raises CertificationError.
+    """
+    prec = start_bits
+    warm = [None] * len(polys)
+    while True:
+        at_cap = prec >= max_bits
+        with mp.workprec(prec + 16):
+            root_lists = []
+            for i, P in enumerate(polys):
+                roots = []
+                if P.degree >= 1:
+                    roots, warm[i] = solve_with_multiplicity(P, prec, warm[i])
+                root_lists.append(roots)
+            if all(roots is not None for roots in root_lists):
+                result = settle(root_lists, prec, at_cap)
+                if result is not None:
+                    return result
+        if at_cap:
+            raise CertificationError(f"root iteration did not certify within {max_bits} bits")
+        prec = min(2 * prec, max_bits)
+
+
 def find_roots(P: IntPoly, precision: int = 128, max_precision: int = 4096) -> ComplexRootSet:
     """All roots of P with certified modulus intervals.
 
@@ -262,30 +288,26 @@ def find_roots(P: IntPoly, precision: int = 128, max_precision: int = 4096) -> C
     if stripped.degree == 0:
         return ComplexRootSet(tuple(intervals), working_precision=precision)
     target = mpf(2) ** (-precision)
-    prec = max(64, precision + 16)
-    warm = None
-    while True:
-        with mp.workprec(prec + 16):
-            roots, warm = solve_with_multiplicity(stripped, prec, warm)
-            if roots is not None and all(
-                r.r <= target * max(abs(r.z), mpf(1)) for r in roots
-            ):
-                intervals.extend(to_interval(r) for r in _sorted_roots(roots))
-                result = ComplexRootSet(tuple(intervals), working_precision=prec)
-                assert result.total_multiplicity == P.degree
-                return result
-        if prec >= max_precision:
-            partial = None
-            if roots is not None:
-                partial = ComplexRootSet(
-                    tuple(intervals) + tuple(to_interval(r) for r in _sorted_roots(roots)),
-                    working_precision=prec,
-                )
+
+    def settle(root_lists, prec, at_cap):
+        (roots,) = root_lists
+        done = all(r.r <= target * max(abs(r.z), mpf(1)) for r in roots)
+        if not (done or at_cap):
+            return None
+        found = ComplexRootSet(
+            tuple(intervals) + tuple(to_interval(r) for r in _sorted_roots(roots)),
+            working_precision=prec,
+        )
+        if not done:
             raise CertificationError(
                 f"roots not certified to 2^-{precision} within {max_precision} bits",
-                partial=partial,
+                partial=found,
             )
-        prec = min(2 * prec, max_precision)
+        if found.total_multiplicity != P.degree:
+            raise InvariantError(f"{found.total_multiplicity} roots for degree {P.degree}")
+        return found
+
+    return climb([stripped], max(64, precision + 16), max_precision, settle)
 
 
 def _sorted_roots(roots):

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algentropy import cli
+from algentropy.linalg import companion
+from algentropy.ratpoly import IntPoly, InvariantError
 from algentropy.roots import CertificationError
 
 
@@ -123,7 +129,6 @@ def test_spec_roundtrip():
         "budget": 1000,
         "precision": 256,
         "tolerance": 1e-10,
-        "seed": 5,
         "partitions": 2,
     }
     spec = cli.parse_spec(doc)
@@ -143,6 +148,14 @@ def test_input_errors_exit_2(capsys):
         ("entropy", "--poly", "[0.5,1]"),  # float coefficient
         ("trajectory", "--poly", "[1,2]"),  # needs a matrix
         ("mahler", "--matrix", '[["2"]]'),  # needs a polynomial
+        ("mahler", "--poly", "[-3,2]", "--tolerance", "0"),
+        ("mahler", "--poly", "[-3,2]", "--tolerance", "-1"),
+        ("mahler", "--poly", "[-3,2]", "--tolerance", "inf"),
+        ("mahler", "--poly", "[-3,2]", "--tolerance", "nan"),
+        ("entropy", "--poly", "[-3,2]", "--precision", "0"),
+        ("entropy", "--matrix", '[["2"]]', "--precision", "-5"),
+        ("verify", "--suite", "oracle", "--count", "-1"),
+        ("classify", "--matrix", '[["2"]]', "--m", "1", "--max-n", "5"),
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)
@@ -166,6 +179,39 @@ def test_certification_failure_exit_3(capsys, monkeypatch):
     assert code == 3
     doc = json.loads(out)
     assert doc["certified"] is False and "error" in doc
+
+
+def test_invariant_failure_exit_5(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InvariantError("forced for the exit-code contract")
+
+    monkeypatch.setattr(cli, "polynomial_entropy", broken)
+    code, out, err = run_cli(capsys, "entropy", "--poly", "[-3,2]")
+    assert code == 5 and out == ""
+    assert err.startswith("internal error: forced")
+
+
+def test_seed_only_on_verify(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["entropy", "--poly", "[-3,2]", "--seed", "1"])
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--suite", "oracle", "--pretty"])
+    capsys.readouterr()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(-12, 12), min_size=1, max_size=8), st.integers(1, 12))
+def test_entropy_poly_matches_companion_matrix(lower, lead):
+    f = IntPoly(lower + [lead]).primitive_part()
+    monic = f.to_rational().monic()
+    by_poly = io.StringIO()
+    by_matrix = io.StringIO()
+    with contextlib.redirect_stdout(by_poly):
+        assert cli.main(["entropy", "--poly", json.dumps(list(f.coeffs))]) == 0
+    rows = [[str(e) for e in row] for row in companion(monic).rows]
+    with contextlib.redirect_stdout(by_matrix):
+        assert cli.main(["entropy", "--matrix", json.dumps(rows)]) == 0
+    assert by_poly.getvalue() == by_matrix.getvalue()
 
 
 def test_verify_command(capsys):

@@ -1,15 +1,21 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import algentropy
 from algentropy.entropy import (
     INFINITE_PLACE,
     algebraic_entropy,
     is_zero_entropy,
     ks_entropy,
     place_decomposition,
+    polynomial_entropy,
 )
 from algentropy.linalg import (
     RationalMatrix,
@@ -18,7 +24,7 @@ from algentropy.linalg import (
     companion,
     inverse,
 )
-from algentropy.ratpoly import RatPoly
+from algentropy.ratpoly import IntPoly, RatPoly
 
 from oracles import mahler_oracle
 
@@ -181,3 +187,48 @@ def test_zero_entropy_iff_certified_zero_total():
 def test_zero_dimensional_matrix():
     r = algebraic_entropy(RationalMatrix([]))
     assert r.total == 0.0 and r.s == 1 and r.zero_entropy_exact and r.certified
+
+
+def test_polynomial_entropy_examples():
+    r = polynomial_entropy(IntPoly([-1, 5, -6]))  # -(6X^2 - 5X + 1)
+    assert r.char_poly_primitive == IntPoly([1, -5, 6]) and r.s == 6
+    assert r.char_poly_monic == RatPoly([Fraction(1, 6), Fraction(-5, 6), 1])
+    assert [(p, v) for p, v, _ in r.finite_places] == [(2, 1), (3, 1)]
+    assert abs(r.total - math.log(6)) < 1e-12 and r.archimedean == 0.0
+    assert r == algebraic_entropy(RationalMatrix([[0, "-1/6"], [1, "5/6"]]))
+    assert polynomial_entropy(IntPoly([2, 0, 2])).zero_entropy_exact  # content 2
+    with pytest.raises(ValueError):
+        polynomial_entropy(IntPoly([5]))
+
+
+_SKEWED_POLYGON = """
+import dataclasses
+from fractions import Fraction
+from algentropy import entropy, padic
+from algentropy.ratpoly import IntPoly, InvariantError
+
+real_newton_polygon = padic.newton_polygon
+
+def skewed(P, p):
+    polygon = real_newton_polygon(P, p)
+    extra = padic.Segment(Fraction(1), 1)
+    return dataclasses.replace(polygon, segments=polygon.segments + (extra,))
+
+padic.newton_polygon = skewed
+assert False, "python -O strips this"
+try:
+    entropy.polynomial_entropy(IntPoly([1, -5, 6]))
+except InvariantError as exc:
+    print("InvariantError:", exc)
+"""
+
+
+def test_polygon_mass_check_survives_python_O():
+    src = str(Path(algentropy.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", _SKEWED_POLYGON],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("InvariantError: Newton polygon masses")

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algentropy.linalg import (
     RationalMatrix,
@@ -108,6 +110,17 @@ def test_companion_roundtrip():
     for _ in range(60):
         f = _random_monic(rng, rng.randint(1, 8))
         assert char_poly(companion(f)) == f
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.fractions(min_value=-50, max_value=50, max_denominator=30), min_size=1, max_size=8
+    )
+)
+def test_char_poly_of_companion_property(lower):
+    g = RatPoly(lower + [1])
+    assert char_poly(companion(g)) == g
 
 
 def test_companion_examples():

@@ -195,6 +195,27 @@ def test_squarefree_decomposition_roundtrip():
         assert rebuilt.primitive_part() == product.primitive_part()
 
 
+def test_squarefree_decomposition_wrong_gcd_raises(monkeypatch):
+    # (X - 1)^2 (X + 2): a gcd that does not divide fails at the first division
+    poly = IntPoly([-1, 1]) * IntPoly([-1, 1]) * IntPoly([2, 1])
+    monkeypatch.setattr(ratpoly, "poly_gcd", lambda f, g: RatPoly([3, 1]))
+    with pytest.raises(InvariantError):
+        squarefree_decomposition(poly)
+    # a constant "gcd" divides everything but never peels the repeated
+    # factor; the multiplicity bound stops the loop instead of spinning
+    real_gcd = poly_gcd
+    calls = []
+
+    def first_call_only(f, g):
+        calls.append(1)
+        return real_gcd(f, g) if len(calls) == 1 else RatPoly([1])
+
+    monkeypatch.setattr(ratpoly, "poly_gcd", first_call_only)
+    with pytest.raises(InvariantError):
+        squarefree_decomposition(poly)
+    assert len(calls) <= poly.degree + 1
+
+
 def test_cyclotomic_polynomials():
     assert cyclotomic(1).coeffs == (-1, 1)
     assert cyclotomic(2).coeffs == (1, 1)
