@@ -22,7 +22,7 @@ from fractions import Fraction
 from .entropy import algebraic_entropy, polynomial_entropy
 from .linalg import RationalMatrix
 from .mahler import mahler_measure
-from .padic import newton_polygon, place_contribution, verify_place_identity
+from .padic import place_contribution, verify_place_identity
 from .ratpoly import IntPoly, InvariantError, parse_rational
 from .roots import CertificationError
 from .trajectory import (
@@ -113,6 +113,8 @@ def parse_spec(doc: dict) -> InputSpec:
         raise InputError(f"tolerance must be finite and > 0, got {spec.tolerance!r}")
     if spec.precision < 1:
         raise InputError(f"precision must be >= 1, got {spec.precision}")
+    if spec.m < 0:
+        raise InputError(f"m must be >= 0 (0 = admissible), got {spec.m}")
     return spec
 
 
@@ -233,8 +235,7 @@ def _cmd_polygon(args) -> int:
     primitive = poly.primitive_part()
     identity = verify_place_identity(primitive)
     primes = []
-    for p, v_s, *_ in identity.per_prime:
-        polygon = newton_polygon(primitive, p)
+    for (p, v_s, *_), polygon in zip(identity.per_prime, identity.polygons):
         contrib = place_contribution(polygon)
         primes.append(
             {
@@ -261,7 +262,7 @@ def _cmd_polygon(args) -> int:
 
 
 def _trajectory_payload(spec: InputSpec) -> dict:
-    m = spec.m if spec.m > 0 else admissible_m(spec.matrix)
+    m = spec.m or admissible_m(spec.matrix)
     run = trajectory_counts(
         spec.matrix,
         m,

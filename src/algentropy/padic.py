@@ -63,6 +63,7 @@ class PlaceIdentityReport:
 
     s: int
     per_prime: tuple[tuple[int, int, Fraction, bool], ...]  # (p, vp(s), mass, ok)
+    polygons: tuple[NewtonPolygon, ...]  # one per row of per_prime, same order
     reconstruction_ok: bool  # prod p**vp(s) == s exactly
     log_gap: float  # |log s - sum vp(s) log p| in floating point
 
@@ -118,6 +119,7 @@ def relevant_primes(P: IntPoly) -> list[int]:
 def verify_place_identity(P: IntPoly) -> PlaceIdentityReport:
     """Check, prime by prime, that the polygon mass equals vp(lead) exactly.
 
+    Keeps the polygons it builds, so callers need not build them again.
     Also reconstructs |lead| as the product of p**vp(lead) over its prime
     divisors and reports the floating-point gap of the log identity.
     """
@@ -125,17 +127,21 @@ def verify_place_identity(P: IntPoly) -> PlaceIdentityReport:
         raise ValueError("polynomial must be primitive (content 1)")
     s = abs(P.lead)
     rows = []
+    polygons = []
     product = 1
     log_sum = 0.0
     for p in relevant_primes(P):
         v = vp(s, p)
-        mass = newton_polygon(P, p).positive_mass()
+        polygon = newton_polygon(P, p)
+        mass = polygon.positive_mass()
         rows.append((p, v, mass, mass == v))
+        polygons.append(polygon)
         product *= p**v
         log_sum += v * math.log(p)
     return PlaceIdentityReport(
         s=s,
         per_prime=tuple(rows),
+        polygons=tuple(polygons),
         reconstruction_ok=(product == s),
         log_gap=abs(math.log(s) - log_sum),
     )

@@ -1,17 +1,25 @@
 """Certified complex roots of integer polynomials.
 
-The engine is Aberth-Ehrlich simultaneous iteration in mpmath arbitrary
-precision, started deterministically (no RNG) on a circle of radius given
-by the Fujiwara coefficient bound.  After convergence each approximation z
-gets an a-posteriori inclusion radius from the classical bound
+The engine is Aberth-Ehrlich simultaneous iteration, started
+deterministically (no RNG) on a circle of radius given by the Fujiwara
+coefficient bound.  Float first, as in MPSolve: without a warm start the
+iteration runs in numpy complex128 (vectorised Jacobi sweeps), and mpmath
+arbitrary precision only polishes the converged iterate, in a couple of
+sweeps.  When the float run is unusable -- a coefficient or an evaluation
+that overflows a double, no convergence, coinciding iterates -- the mpmath
+iteration starts from the circle itself.  After convergence each
+approximation z gets an a-posteriori inclusion radius from the classical
+bound
 
     min_i |z - root_i|  <=  deg * |P(z) / P'(z)|,
 
 inflated slightly to absorb evaluation rounding at the working precision.
 When the discs are pairwise disjoint, each contains exactly one root of the
 (square-free) polynomial, so the modulus of the true root lies in
-[|z| - r, |z| + r].  Multiple roots are peeled off beforehand by Yun's
-square-free decomposition, which is exact.
+[|z| - r, |z| + r].  These radii, computed in mpmath, are the only
+certificate: a float iterate is never trusted by itself.  Multiple roots
+are peeled off beforehand by Yun's square-free decomposition, which is
+exact.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 from mpmath import mp, mpc, mpf
 
 from .ratpoly import IntPoly, InvariantError, squarefree_decomposition
@@ -109,6 +118,43 @@ def _initial_guesses(coeffs, n: int):
     return guesses
 
 
+def _float_aberth(coeffs, guesses):
+    """Aberth-Ehrlich in complex128 from `guesses`: Jacobi sweeps, O(n^2) each.
+
+    Returns the converged iterate (a complex128 array), or None when it is not
+    usable as a start: a coefficient or guess that is not a finite double, a
+    sweep that leaves the finite doubles (Horner overflow), no convergence
+    within 60 + 8n sweeps, or two iterates that coincide.
+    """
+    n = len(guesses)
+    try:
+        p = np.array([float(c) for c in reversed(coeffs)])
+    except OverflowError:
+        return None
+    dp = p[:-1] * np.arange(n, 0, -1)
+    z = np.array([complex(g) for g in guesses])
+    if not np.all(np.isfinite(z)):
+        return None
+    with np.errstate(all="ignore"):
+        for _ in range(60 + 8 * n):
+            newton = np.polyval(p, z) / np.polyval(dp, z)
+            inv = z[:, None] - z[None, :]
+            np.fill_diagonal(inv, 1)
+            inv = 1 / inv
+            np.fill_diagonal(inv, 0)
+            step = newton / (1 - newton * inv.sum(axis=1))
+            z = z - step
+            if not np.all(np.isfinite(z)):
+                return None
+            if np.max(np.abs(step) / np.maximum(np.abs(z), 1)) < 1e-14:
+                break
+        else:
+            return None
+    if np.unique(z).size < n:
+        return None
+    return z
+
+
 def _aberth_pass(coeffs, zs, prec: int):
     """Iterate Aberth-Ehrlich at the given precision (serial updates).
 
@@ -192,7 +238,14 @@ def _certify(coeffs, zs, prec: int):
 
 
 def _solve_squarefree(coeffs, prec: int, warm=None):
-    """One precision level: iterate then certify.  Returns [(z, r)] or None."""
+    """One precision level: iterate then certify.  Returns [(z, r)] or None.
+
+    A rung without a warm start first converges in complex128 from the
+    Fujiwara circle (`_float_aberth`) and hands that iterate to the mpmath
+    pass, which polishes it in a couple of sweeps; when the float run is
+    unusable the mpmath pass starts from the circle itself.  Either way
+    `_certify` alone decides whether the rung certified.
+    """
     n = len(coeffs) - 1
     if n == 1:
         # exact rational root -b/a: certify with a zero-width disc
@@ -202,7 +255,13 @@ def _solve_squarefree(coeffs, prec: int, warm=None):
             r = abs(z) * mpf(2) ** (-prec + 4) + mpf(2) ** (-prec + 4)
             return [(z, r)]
     with mp.workprec(prec + 16):
-        zs = [mpc(w) for w in warm] if warm else _initial_guesses(coeffs, n)
+        if warm:
+            zs = [mpc(w) for w in warm]
+        else:
+            zs = _initial_guesses(coeffs, n)
+            start = _float_aberth(coeffs, zs)
+            if start is not None:
+                zs = [mpc(w) for w in start]
         zs = _aberth_pass(coeffs, zs, prec)
         return _certify(coeffs, zs, prec)
 

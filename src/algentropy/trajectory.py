@@ -29,7 +29,7 @@ import numpy as np
 
 from .linalg import RationalMatrix, operator_norm
 from .numtheory import prime_divisors
-from .ratpoly import vp
+from .ratpoly import InvariantError, vp
 
 DEFAULT_BUDGET = 20_000_000
 _INT64_LIMIT = 1 << 62
@@ -296,7 +296,8 @@ def trajectory_counts(
     support = prime_support(M, m)
     # containment: stored points live at scale m * d^(n-1), so coordinate
     # denominators only ever involve the support primes
-    assert set(prime_divisors(m * d)) <= support.primes
+    if not set(prime_divisors(m * d)) <= support.primes:
+        raise InvariantError(f"primes of m*d = {m * d} outside the support {support.sorted()}")
 
     counts = [grid_size]
     grid0 = [tuple(c) for c in itertools.product(range(-m, m + 1), repeat=dim)]
@@ -324,13 +325,13 @@ def trajectory_counts(
         counts.append(len(state))
 
     for a, b in zip(counts, counts[1:]):
-        assert b >= a, "trajectory counts must be nondecreasing"
+        if b < a:
+            raise InvariantError(f"trajectory counts must be nondecreasing: {a} then {b}")
     levels = len(counts)
     for a in range(1, levels + 1):
         for b in range(a, levels - a + 1):
-            assert counts[a + b - 1] <= counts[a - 1] * counts[b - 1], (
-                "log tau must be subadditive"
-            )
+            if counts[a + b - 1] > counts[a - 1] * counts[b - 1]:
+                raise InvariantError(f"log tau must be subadditive: tau({a + b}) > tau({a}) tau({b})")
 
     h_cum = tuple(math.log(t) / n for n, t in enumerate(counts, start=1))
     h_inc = tuple(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algentropy import cli
+from algentropy import cli, padic
 from algentropy.linalg import companion
 from algentropy.ratpoly import IntPoly, InvariantError
 from algentropy.roots import CertificationError
@@ -65,6 +65,31 @@ def test_polygon_command(capsys):
         {"slope": "1", "length": 1},
     ]
     assert doc["identity"]["pass"] is True
+
+
+POLYGON_1_M5_6 = (
+    '{"poly": ["1", "-5", "6"], "content": "1", "primitive": ["1", "-5", "6"], "s": "6", '
+    '"primes": [{"p": 2, "points": [[0, 0], [1, 0], [2, 1]], "segments": [{"slope": "0", '
+    '"length": 1}, {"slope": "1", "length": 1}], "contribution_exact": "1", '
+    '"contribution": 0.6931471805599453, "v_s": 1}, {"p": 3, "points": [[0, 0], [1, 0], '
+    '[2, 1]], "segments": [{"slope": "0", "length": 1}, {"slope": "1", "length": 1}], '
+    '"contribution_exact": "1", "contribution": 1.0986122886681098, "v_s": 1}], '
+    '"identity": {"pass": true, "log_gap": 0.0}}\n'
+)
+
+
+def test_polygon_builds_each_polygon_once(capsys, monkeypatch):
+    calls = []
+    real = padic.newton_polygon
+
+    def counting(P, p):
+        calls.append(p)
+        return real(P, p)
+
+    monkeypatch.setattr(padic, "newton_polygon", counting)
+    code, out, _ = run_cli(capsys, "polygon", "--poly", "[1,-5,6]")
+    assert code == 0 and calls == [2, 3]
+    assert out == POLYGON_1_M5_6
 
 
 def test_trajectory_command(capsys):
@@ -140,7 +165,9 @@ def test_spec_roundtrip():
     assert rendered["poly"] == ["1", "-5", "6"]
 
 
-def test_input_errors_exit_2(capsys):
+def test_input_errors_exit_2(capsys, tmp_path):
+    negative_m = tmp_path / "negative_m.json"
+    negative_m.write_text(json.dumps({"matrix": [["2"]], "m": -2}))
     cases = [
         ("entropy", "--matrix", '[["1/0"]]'),
         ("entropy", "--matrix", '[["1","2"]]'),  # not square
@@ -156,6 +183,9 @@ def test_input_errors_exit_2(capsys):
         ("entropy", "--matrix", '[["2"]]', "--precision", "-5"),
         ("verify", "--suite", "oracle", "--count", "-1"),
         ("classify", "--matrix", '[["2"]]', "--m", "1", "--max-n", "5"),
+        ("trajectory", "--matrix", '[["2"]]', "--m", "-2"),  # only 0 means admissible
+        ("classify", "--matrix", '[["2"]]', "--m", "-1", "--max-n", "8"),
+        ("trajectory", "--input", str(negative_m)),
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)

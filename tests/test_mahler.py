@@ -1,10 +1,11 @@
 import math
 import random
+import time
 
 import pytest
 from mpmath import mp, mpc
 
-from algentropy import mahler
+from algentropy import mahler, roots
 from algentropy.mahler import (
     extract_cyclotomic,
     is_cyclotomic_product,
@@ -14,7 +15,7 @@ from algentropy.mahler import (
 from algentropy.ratpoly import IntPoly, InvariantError, RatPoly, cyclotomic
 from algentropy.roots import find_roots
 
-from oracles import mahler_oracle
+from oracles import eig_moduli, mahler_oracle
 
 LEHMER = IntPoly([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
 
@@ -48,8 +49,6 @@ def test_find_roots_lehmer_against_oracle():
     assert len(outside) == 1 and len(inside) == 1 and len(straddling) == 8
     assert outside[0].mod_lo <= LEHMER_TOP_MODULUS <= outside[0].mod_hi
     assert inside[0].mod_lo <= LEHMER_BOTTOM_MODULUS <= inside[0].mod_hi
-    from oracles import eig_moduli
-
     oracle_mods = eig_moduli(LEHMER.coeffs)
     by_center = sorted(rs.roots, key=lambda r: (r.mod_lo + r.mod_hi) / 2)
     for r, m in zip(by_center, sorted(float(x) for x in oracle_mods)):
@@ -256,3 +255,57 @@ def test_kronecker_equivalence_small():
         r = mahler_measure(poly)
         monic = abs(poly.strip_x()[0].lead) == 1
         assert claimed == (monic and r.certified and abs(r.value) <= 1e-12)
+
+
+def _spy_float_starts(monkeypatch):
+    """Record what every float-start call returned (None = fallback)."""
+    starts = []
+    real = roots._float_aberth
+
+    def spy(coeffs, guesses):
+        result = real(coeffs, guesses)
+        starts.append(result)
+        return result
+
+    monkeypatch.setattr(roots, "_float_aberth", spy)
+    return starts
+
+
+def test_float_start_falls_back_when_doubles_overflow(monkeypatch):
+    starts = _spy_float_starts(monkeypatch)
+    # 10**400 does not convert to a double
+    r = mahler_measure(IntPoly([3, 0, 10**400, 1]))
+    assert r.certified and r.value == pytest.approx(400 * math.log(10), rel=1e-15)
+    assert starts and all(s is None for s in starts)
+    # every coefficient fits a double, but Horner at |z| ~ 1e200 overflows
+    starts.clear()
+    poly = IntPoly([-(10**200), 1]) * IntPoly([2, 1, 1])
+    r = mahler_measure(poly)
+    assert r.certified
+    assert r.value == pytest.approx(200 * math.log(10) + math.log(2), rel=1e-15)
+    assert starts and all(s is None for s in starts)
+
+
+def test_float_start_random_against_eig_oracle(monkeypatch):
+    starts = _spy_float_starts(monkeypatch)
+    rng = random.Random(2024)
+    for deg, lead in ((16, 1), (19, 7), (22, 1), (24, -5)):
+        poly = IntPoly([rng.randint(-9, 9) for _ in range(deg)] + [lead])
+        rs = find_roots(poly, precision=64)
+        assert rs.total_multiplicity == deg
+        by_center = sorted(rs.roots, key=lambda r: (r.mod_lo + r.mod_hi) / 2)
+        for r, m in zip(by_center, eig_moduli(poly.coeffs, dps=60)):
+            assert r.mod_lo <= float(m) <= r.mod_hi
+    # the random inputs take the float start, not the fallback
+    assert starts and all(s is not None for s in starts)
+
+
+def test_degree_80_certifies_quickly():
+    rng = random.Random(80)
+    poly = IntPoly([rng.randint(-9, 9) for _ in range(80)] + [1])
+    start = time.perf_counter()
+    r = mahler_measure(poly)
+    seconds = time.perf_counter() - start
+    print(f"degree 80 random monic: {seconds:.2f} s")
+    assert r.certified and r.roots.total_multiplicity == 80
+    assert seconds < 10.0

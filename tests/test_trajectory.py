@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import algentropy
 from algentropy.entropy import algebraic_entropy
 from algentropy.linalg import RationalMatrix
 from algentropy.ratpoly import vp
@@ -210,3 +215,34 @@ def test_validation_errors():
 
 def test_inconclusive_constant():
     assert INCONCLUSIVE == "Inconclusive"
+
+
+_SHRINKING_LEVEL = """
+from algentropy import trajectory
+from algentropy.linalg import RationalMatrix
+from algentropy.ratpoly import InvariantError
+
+real_expand = trajectory._PackedState.expand
+
+def shrinking(self, *args):
+    state, reason = real_expand(self, *args)
+    return (None if state is None else trajectory._PackedState(state.coords[:1])), reason
+
+trajectory._PackedState.expand = shrinking
+assert False, "python -O strips this"
+try:
+    trajectory.trajectory_counts(RationalMatrix([[2]]), 1, 4)
+except InvariantError as exc:
+    print("InvariantError:", exc)
+"""
+
+
+def test_monotone_count_check_survives_python_O():
+    src = str(Path(algentropy.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", _SHRINKING_LEVEL],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("InvariantError: trajectory counts must be nondecreasing")
