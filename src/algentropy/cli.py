@@ -59,17 +59,18 @@ def _parse_entry(value) -> Fraction:
         raise InputError(f"bad rational entry {value!r}: {exc}") from exc
 
 
-def _parse_int_coeff(value) -> int:
+def _parse_int(value, what: str) -> int:
+    """An int, or the int a string spells; a bool or a float is an input error."""
     if isinstance(value, bool) or isinstance(value, float):
-        raise InputError(f"polynomial coefficients must be integers, got {value!r}")
+        raise InputError(f"{what} must be an integer, got {value!r}")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
         try:
             return int(value.strip())
         except ValueError as exc:
-            raise InputError(f"bad integer coefficient {value!r}") from exc
-    raise InputError(f"bad integer coefficient {value!r}")
+            raise InputError(f"bad {what}: {value!r}") from exc
+    raise InputError(f"bad {what}: {value!r}")
 
 
 def parse_spec(doc: dict) -> InputSpec:
@@ -92,23 +93,21 @@ def parse_spec(doc: dict) -> InputSpec:
         coeffs = doc["poly"]
         if not isinstance(coeffs, list) or not coeffs:
             raise InputError("'poly' must be a non-empty coefficient array")
-        parsed = [_parse_int_coeff(c) for c in coeffs]
+        parsed = [_parse_int(c, "polynomial coefficient") for c in coeffs]
         if parsed[-1] == 0:
             raise InputError("leading (last) polynomial coefficient must be nonzero")
         spec.poly = IntPoly(parsed)
-    for field, caster in (
-        ("m", int),
-        ("n_max", int),
-        ("budget", int),
-        ("precision", int),
-        ("tolerance", float),
-        ("partitions", int),
-    ):
+    for field in ("m", "n_max", "budget", "precision", "partitions"):
         if field in doc:
-            try:
-                setattr(spec, field, caster(doc[field]))
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"bad option {field!r}: {doc[field]!r}") from exc
+            setattr(spec, field, _parse_int(doc[field], f"option {field!r}"))
+    if "tolerance" in doc:
+        value = doc["tolerance"]
+        if isinstance(value, bool):
+            raise InputError(f"bad option 'tolerance': {value!r}")
+        try:
+            spec.tolerance = float(value)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"bad option 'tolerance': {value!r}") from exc
     if not 0 < spec.tolerance < float("inf"):
         raise InputError(f"tolerance must be finite and > 0, got {spec.tolerance!r}")
     if spec.precision < 1:
@@ -362,7 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, default=None, help="grid density (0 = admissible)")
         p.add_argument("--max-n", type=int, default=None, help="trajectory levels")
         p.add_argument("--budget", type=int, default=None, help="stored-point budget")
-        p.add_argument("--partitions", type=int, default=None, help="parallel partitions")
+        p.add_argument(
+            "--partitions",
+            type=int,
+            default=None,
+            help="key-residue partitions, run serially (the counts do not depend on them)",
+        )
         p.add_argument("--precision", type=int, default=None, help="root precision bits")
         p.add_argument("--tolerance", type=float, default=None, help="measure tolerance")
         p.add_argument("--pretty", action="store_true", help="indent the JSON output")

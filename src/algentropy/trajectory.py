@@ -2,20 +2,27 @@
 
 Counts tau(n) = |E + phi(E) + ... + phi^(n-1)(E)| exactly for the grid
 E = {(c_1, ..., c_N) : c_i in {0, +/-1/m, ..., +/-m/m}}.  Vectors at level n
-are stored as integer tuples at the fixed scale m * d^(n-1), where d is the
+are integer points at the fixed scale m * d^(n-1), where d is the
 lcm of the matrix-entry denominators: dedup is then pure integer equality,
 and moving to the next level multiplies stored points by d and adds the
 scaled image of the grid, tracked exactly through integer powers of d*M.
 
 The scaled image of the grid is itself a product of arithmetic progressions
 along the N image axes, so one level expands axis by axis with doubling
-(span 1, 2, 4, ... up to 2m), costing about N * log2(m) sorted-set unions
-instead of (2m+1)^N sumset passes.  The hot path packs coordinates into
-int64 keys (per-level affine packing) and dedups with numpy; when a level
-would not fit in int64 the state falls back to exact big-int tuples.  Both
-paths compute the same sets, and partitioned expansion (candidates split by
-key residue, merged by union) yields counts independent of the partition
-count by construction.
+(span 1, 2, 4, ... up to 2m), costing about N * log2(m) set unions instead
+of (2m+1)^N sumset passes.  Points are stored as mixed-radix keys in the
+level's per-axis box, and the box is carried from level to level: it is
+exact (the minimum of a Minkowski sum of products is the sum of the
+minima), so nothing is reduced over the points to find it.  Moving a level
+to the next box rewrites each key by one increasing affine-plus-carries map
+(`_Level.rekey`), and a doubling step is a shift of every key.  While the
+box has fewer than 2^62 keys they are a sorted int64 array, and each step
+is a linear-time union of two sorted runs (one stable timsort of the
+concatenation, then adjacent-unique keys); past that the same keys are
+Python ints in a set.  Both backends compute the same sets, so the counts
+are exact either way.  `partitions` splits the keys into residue classes
+mod P that run serially, one after another in this process; a shift moves
+whole classes onto classes, and the counts do not depend on P.
 """
 
 from __future__ import annotations
@@ -115,16 +122,64 @@ def admissible_m(M: RationalMatrix) -> int:
     return m
 
 
-def _merge_sorted(acc: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    """Union of two sorted unique int64 arrays, keeping the result sorted."""
-    pos = np.searchsorted(acc, batch)
-    member = np.zeros(batch.size, dtype=bool)
-    inside = pos < acc.size
-    member[inside] = acc[pos[inside]] == batch[inside]
-    novel = batch[~member]
-    if novel.size == 0:
-        return acc
-    return np.insert(acc, pos[~member], novel)
+def _weights(bases) -> list[int]:
+    """Mixed-radix place values: weights[-1] = 1, weights[j] = weights[j+1] * bases[j+1].
+
+    A point x of the box lo..hi (bases = hi - lo + 1) has the key
+    sum_j (x_j - lo_j) * weights[j]: a bijection onto range(prod(bases))
+    that orders keys as the points are ordered lexicographically.
+    """
+    w = [1]
+    for b in reversed(bases[1:]):
+        w.append(w[-1] * b)
+    return w[::-1]
+
+
+class _Level:
+    """The move from one level's keys to the next's, shared by both backends.
+
+    lo/hi bound the next level exactly: the minimum of a Minkowski sum is the
+    sum of the minima, so d*lo - m*sum_i |v_i| is attained on each axis, and
+    size is the number of keys in that box.  `rekey` maps the key of a stored
+    point x to the key, in the new box, of d*x - m*(v_1 + ... + v_N); the
+    map is increasing, so sorted keys stay sorted.  deltas[i] is the key
+    shift of one unit along the axis v_i (axes that are 0 are left out).
+    """
+
+    def __init__(self, lo, hi, d: int, axes, m: int):
+        dim = len(lo)
+        reach = [m * sum(abs(v[j]) for v in axes) for j in range(dim)]
+        self.lo = tuple(d * l - r for l, r in zip(lo, reach))
+        self.hi = tuple(d * h + r for h, r in zip(hi, reach))
+        old_b = [h - l + 1 for l, h in zip(lo, hi)]
+        new_b = [h - l + 1 for l, h in zip(self.lo, self.hi)]
+        old_w, new_w = _weights(old_b), _weights(new_b)
+        self.size = math.prod(new_b)
+        self.scale = d
+        # digit j of the new key is d * (digit j of the old key) + a constant,
+        # so the new key is d * (the old digits read in the new weights) +
+        # offset.  With the prefixes P_j = k // old_w[j], digit j is
+        # P_j - old_b[j] * P_(j-1), and the old digits read in the new weights
+        # come to k plus, for each j < dim - 1, P_j * new_w[j+1] * (new_b[j+1]
+        # - old_b[j+1]).
+        self.carries = [
+            (old_w[j], d * new_w[j + 1] * (new_b[j + 1] - old_b[j + 1]))
+            for j in range(dim - 1)
+            if new_b[j + 1] != old_b[j + 1]
+        ]
+        self.offset = sum(
+            (d * lo[j] - m * sum(v[j] for v in axes) - self.lo[j]) * new_w[j]
+            for j in range(dim)
+        )
+        shifts = (sum(v[j] * new_w[j] for j in range(dim)) for v in axes)
+        self.deltas = [delta for delta in shifts if delta]
+
+    def rekey(self, keys):
+        """Elementwise on int64 arrays and on Python ints alike."""
+        out = keys * self.scale + self.offset
+        for w, c in self.carries:
+            out = out + (keys // w) * c
+        return out
 
 
 def _doubling_steps(span: int):
@@ -136,124 +191,99 @@ def _doubling_steps(span: int):
         s += step
 
 
-class _PackedState:
-    """Point set as an int64 coordinate array; dedup via packed keys."""
+def _sorted_unique(buf: np.ndarray) -> np.ndarray:
+    """The distinct keys of an int64 buffer made of sorted runs, sorted.
 
-    def __init__(self, coords: np.ndarray):
-        self.coords = coords
+    The stable sort is timsort, which merges presorted runs in linear time.
+    """
+    buf.sort(kind="stable")
+    keep = np.empty(buf.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(buf[1:], buf[:-1], out=keep[1:])
+    return buf[keep]
+
+
+def _shift_union(parts: list, shift: int) -> None:
+    """parts[p] |= parts[(p - shift) % P] + shift for every residue class p.
+
+    parts[p] holds the sorted keys congruent to p mod P = len(parts); adding
+    the shift moves a whole class q onto the class (q + shift) % P, so each
+    new part is the union of two sorted runs.  Both runs are copied into one
+    buffer and dropped before the sort, so an old part is freed as soon as
+    both its copies are made, which keeps peak memory down.
+    """
+    size = len(parts)
+    sources = [parts[(p - shift) % size] for p in range(size)]
+    for p in range(size):
+        n = parts[p].size
+        buf = np.empty(n + sources[p].size, dtype=np.int64)
+        buf[:n] = parts[p]
+        np.add(sources[p], shift, out=buf[n:])
+        parts[p] = sources[p] = None
+        parts[p] = _sorted_unique(buf)
+
+
+class _PackedState:
+    """Point set as its sorted int64 keys in the exact box lo..hi."""
+
+    def __init__(self, keys: np.ndarray, lo: tuple, hi: tuple):
+        self.keys = keys
+        self.lo = lo
+        self.hi = hi
 
     def __len__(self) -> int:
-        return self.coords.shape[0]
+        return self.keys.size
 
     def expand(self, d: int, axes, m: int, budget: int, partitions: int):
-        X = self.coords
-        dim = X.shape[1]
-        lo_t = [int(v) for v in X.min(axis=0)]
-        hi_t = [int(v) for v in X.max(axis=0)]
-        # working coordinate range: rescaled points plus per-axis progression
-        # coefficients shifted to 0..2m (translated back to -m..m at the end)
-        lo = [
-            d * lo_t[j] + sum(min(0, 2 * m * v[j]) for v in axes) for j in range(dim)
-        ]
-        hi = [
-            d * hi_t[j] + sum(max(0, 2 * m * v[j]) for v in axes) for j in range(dim)
-        ]
-        base = [h - l + 1 for l, h in zip(lo, hi)]
-        if math.prod(base) >= _INT64_LIMIT or max(
-            max(abs(l), abs(h)) for l, h in zip(lo, hi)
-        ) >= _INT64_LIMIT:
+        level = _Level(self.lo, self.hi, d, axes, m)
+        if level.size >= _INT64_LIMIT:
             return None, "overflow"
-        weights = [1] * dim
-        for j in range(dim - 2, -1, -1):
-            weights[j] = weights[j + 1] * base[j + 1]
-        d64 = np.int64(d)
-        keys = X[:, 0] * d64
-        for j in range(1, dim):
-            keys = keys * np.int64(base[j]) + X[:, j] * d64
-        keys = keys - np.int64(sum(l * w for l, w in zip(lo, weights)))
-        keys.sort()
-        parts: list = [None] * partitions
+        keys = level.rekey(self.keys)
         if partitions == 1:
-            parts[0] = keys
+            parts = [keys]
         else:
             residue = keys % partitions
-            for p in range(partitions):
-                parts[p] = keys[residue == p]
-        for v in axes:
-            delta = sum(v[j] * weights[j] for j in range(dim))
-            if delta == 0:
-                continue
+            parts = [keys[residue == p] for p in range(partitions)]
+            del residue
+        del keys
+        for delta in level.deltas:
             for step in _doubling_steps(2 * m):
-                shift = np.int64(step * delta)
-                shifted = [
-                    None if a is None or a.size == 0 else a + shift for a in parts
-                ]
-                for block in shifted:
-                    if block is None:
-                        continue
-                    if partitions == 1:
-                        pieces = ((0, block),)
-                    else:
-                        residue = block % partitions
-                        pieces = tuple(
-                            (p, block[residue == p]) for p in range(partitions)
-                        )
-                    for p, piece in pieces:
-                        if piece.size == 0:
-                            continue
-                        parts[p] = (
-                            piece.copy()
-                            if parts[p] is None
-                            else _merge_sorted(parts[p], piece)
-                        )
-                running = sum(a.size for a in parts if a is not None)
-                if running > budget:
+                _shift_union(parts, step * delta)
+                if sum(a.size for a in parts) > budget:
                     return None, "budget"
-        # unpack with the -m translate folded into the offsets
-        t0 = [-m * sum(v[j] for v in axes) for j in range(dim)]
-        lo2 = [l + t for l, t in zip(lo, t0)]
-        total = sum(a.size for a in parts if a is not None)
-        out = np.empty((total, dim), dtype=np.int64)
-        pos = 0
-        for a in parts:
-            if a is None or a.size == 0:
-                continue
-            k = a.copy()
-            block = out[pos : pos + a.size]
-            for j in range(dim - 1, 0, -1):
-                block[:, j] = k % base[j] + lo2[j]
-                k //= base[j]
-            block[:, 0] = k + lo2[0]
-            pos += a.size
-        return _PackedState(out), "ok"
+        if partitions == 1:
+            keys = parts[0]
+        else:
+            keys = np.concatenate(parts)
+            del parts
+            keys.sort(kind="stable")
+        return _PackedState(keys, level.lo, level.hi), "ok"
 
     def to_exact(self) -> "_ExactState":
-        return _ExactState({tuple(int(v) for v in row) for row in self.coords})
+        return _ExactState(set(self.keys.tolist()), self.lo, self.hi)
 
 
 class _ExactState:
-    """Point set as exact big-int tuples (fallback for deep rescaled runs)."""
+    """Point set as its keys as Python ints (for boxes past int64)."""
 
-    def __init__(self, points: set):
-        self.points = points
+    def __init__(self, keys: set, lo: tuple, hi: tuple):
+        self.keys = keys
+        self.lo = lo
+        self.hi = hi
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.keys)
 
     def expand(self, d: int, axes, m: int, budget: int, partitions: int):
-        dim = len(axes[0])
-        acc = {tuple(d * t[j] for j in range(dim)) for t in self.points}
-        for v in axes:
-            if all(c == 0 for c in v):
-                continue
+        level = _Level(self.lo, self.hi, d, axes, m)
+        acc = {level.rekey(k) for k in self.keys}
+        for delta in level.deltas:
             for step in _doubling_steps(2 * m):
-                move = tuple(step * c for c in v)
-                acc |= {tuple(t[j] + move[j] for j in range(dim)) for t in acc}
+                shift = step * delta
+                acc.update([k + shift for k in acc])
                 if len(acc) > budget:
                     return None, "budget"
-        t0 = tuple(-m * sum(v[j] for v in axes) for j in range(dim))
-        acc = {tuple(t[j] + t0[j] for j in range(dim)) for t in acc}
-        return _ExactState(acc), "ok"
+        return _ExactState(acc, level.lo, level.hi), "ok"
 
     def to_exact(self) -> "_ExactState":
         return self
@@ -300,9 +330,12 @@ def trajectory_counts(
         raise InvariantError(f"primes of m*d = {m * d} outside the support {support.sorted()}")
 
     counts = [grid_size]
-    grid0 = [tuple(c) for c in itertools.product(range(-m, m + 1), repeat=dim)]
-    state = _ExactState(set(grid0)) if force_exact else _PackedState(
-        np.array(grid0, dtype=np.int64)
+    # the grid fills its box, so its keys are all of range(grid_size)
+    lo, hi = (-m,) * dim, (m,) * dim
+    state = (
+        _ExactState(set(range(grid_size)), lo, hi)
+        if force_exact
+        else _PackedState(np.arange(grid_size, dtype=np.int64), lo, hi)
     )
     # power[i][j]: entry of (d*M)^level, so its columns span the scaled image
     # of the grid at the current level

@@ -144,6 +144,9 @@ def test_input_file_and_flag_override(tmp_path, capsys):
     assert code == 0 and json.loads(out)["counts"] == ["3", "7", "15", "31"]
     code, out, _ = run_cli(capsys, "trajectory", "--input", str(path), "--max-n", "6")
     assert code == 0 and len(json.loads(out)["counts"]) == 6
+    path.write_text(json.dumps({**spec, "n_max": " 5 "}))  # integer strings stay accepted
+    code, out, _ = run_cli(capsys, "trajectory", "--input", str(path))
+    assert code == 0 and len(json.loads(out)["counts"]) == 5
 
 
 def test_spec_roundtrip():
@@ -187,6 +190,21 @@ def test_input_errors_exit_2(capsys, tmp_path):
         ("classify", "--matrix", '[["2"]]', "--m", "-1", "--max-n", "8"),
         ("trajectory", "--input", str(negative_m)),
     ]
+    # options from a file: a bool or a float is refused, not truncated
+    for i, options in enumerate(
+        (
+            {"tolerance": True},
+            {"m": True},
+            {"n_max": 6.9},
+            {"budget": 1000.5},
+            {"precision": 64.0},
+            {"partitions": True},
+            {"n_max": 6.9, "m": True, "budget": 1000.5},
+        )
+    ):
+        path = tmp_path / f"option_{i}.json"
+        path.write_text(json.dumps({"matrix": [["3/2"]], **options}))
+        cases.append(("trajectory", "--input", str(path)))
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv

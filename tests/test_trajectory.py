@@ -6,9 +6,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import algentropy
+from algentropy import trajectory
 from algentropy.entropy import algebraic_entropy
 from algentropy.linalg import RationalMatrix
 from algentropy.ratpoly import vp
@@ -114,6 +118,107 @@ def test_int64_overflow_falls_back_to_exact():
     slow = trajectory_counts(M, 1, 30, force_exact=True)
     assert fast.counts == slow.counts
     assert fast.counts[-1] == 27
+
+
+def _expanded_levels(monkeypatch, *args, **kwargs):
+    """Run trajectory_counts; also return the state of every expanded level."""
+    levels = []
+    for cls in (trajectory._PackedState, trajectory._ExactState):
+
+        def expand(self, *a, _real=cls.expand):
+            state, reason = _real(self, *a)
+            if state is not None:
+                levels.append(state)
+            return state, reason
+
+        monkeypatch.setattr(cls, "expand", expand)
+    return trajectory_counts(*args, **kwargs), levels
+
+
+def _stored_points(state):
+    """Decode a state's keys digit by digit; the box must be their exact extent."""
+    keys = state.keys.tolist() if isinstance(state.keys, np.ndarray) else state.keys
+    points = set()
+    for key in keys:
+        coords = []
+        for lo, hi in zip(reversed(state.lo), reversed(state.hi)):
+            key, digit = divmod(key, hi - lo + 1)
+            coords.append(lo + digit)
+        assert key == 0, "key outside its box"
+        points.add(tuple(reversed(coords)))
+    for j, (lo, hi) in enumerate(zip(state.lo, state.hi)):
+        axis = [p[j] for p in points]
+        assert (min(axis), max(axis)) == (lo, hi), f"box not exact on axis {j}"
+    return points
+
+
+@pytest.mark.parametrize("force_exact", [False, True])
+def test_carried_box_is_exact(monkeypatch, force_exact):
+    # the box carried from level to level is the true per-axis extent of the
+    # stored points, and those points are the enumeration at scale m d^(n-1)
+    for M, m, n in (
+        (THREE_HALVES, 1, 7),
+        (NONARCH, 2, 3),
+        (ROTATION, 1, 5),
+        (RationalMatrix([[0, 1], [1, 1]]), 1, 6),
+        (RationalMatrix([[0, 1, 0], [0, 0, 1], [1, 0, "1/2"]]), 1, 3),
+    ):
+        run, levels = _expanded_levels(monkeypatch, M, m, n, force_exact=force_exact)
+        assert len(levels) == n - 1
+        assert all(isinstance(s, trajectory._ExactState) == force_exact for s in levels)
+        d = M.denominator_lcm()
+        for level, state in enumerate(levels, start=2):
+            points = _stored_points(state)
+            assert len(points) == len(state) == run.counts[level - 1]
+            scale = m * d ** (level - 1)
+            _, expected = naive_trajectory_counts(M, m, level)
+            assert {tuple(Fraction(c, scale) for c in p) for p in points} == expected
+
+
+def test_int64_to_python_ints_mid_run(monkeypatch):
+    # the benchmark's big-int shapes: the keys leave int64 after level 1 or 2
+    swap = RationalMatrix([[0, "1/46351"], ["1/46351", 0]])  # 46351 is prime
+    K = 10**6
+    unipotent = RationalMatrix([[1, K, 0], [0, 1, K], [0, 0, 1]])
+    for M, n, expected in (
+        (swap, 3, tuple(9**k for k in range(1, 4))),
+        (unipotent, 4, (27, 405, 4347, 35721)),
+    ):
+        run, levels = _expanded_levels(monkeypatch, M, 1, n)
+        assert run.counts == expected
+        backends = [type(s).__name__ for s in levels]
+        assert backends[0] == "_PackedState" and backends[-1] == "_ExactState"
+        assert isinstance(next(iter(levels[-1].keys)), int)
+        for state in levels:
+            assert len(_stored_points(state)) == len(state)
+
+
+_ENTRY = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def _small_systems(draw):
+    dim = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(_ENTRY, min_size=dim, max_size=dim), min_size=dim, max_size=dim))
+    m = draw(st.sampled_from([1, 2]))
+    # keep the naive oracle's work, about (2m+1)^(dim*n) sums, small
+    n = 1
+    while (2 * m + 1) ** (dim * (n + 1)) <= 5_000:
+        n += 1
+    return RationalMatrix(rows), m, draw(st.integers(1, max(n, 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_systems())
+def test_engine_matches_naive_property(system):
+    M, m, n = system
+    expected, _ = naive_trajectory_counts(M, m, n)
+    counts = {
+        trajectory_counts(M, m, n, partitions=p, force_exact=exact).counts
+        for p in (1, 3)
+        for exact in (False, True)
+    }
+    assert counts == {tuple(expected)}
 
 
 def test_nesting_and_subadditivity_exposed():
@@ -226,7 +331,7 @@ real_expand = trajectory._PackedState.expand
 
 def shrinking(self, *args):
     state, reason = real_expand(self, *args)
-    return (None if state is None else trajectory._PackedState(state.coords[:1])), reason
+    return (None if state is None else trajectory._PackedState(state.keys[:1], state.lo, state.hi)), reason
 
 trajectory._PackedState.expand = shrinking
 assert False, "python -O strips this"
