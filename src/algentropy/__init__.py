@@ -14,8 +14,6 @@ from .entropy import (
     EntropyReport,
     algebraic_entropy,
     is_zero_entropy,
-    ks_entropy,
-    place_decomposition,
     polynomial_entropy,
 )
 from .linalg import (

@@ -47,7 +47,6 @@ class InputSpec:
     budget: int = DEFAULT_BUDGET
     precision: int = 128
     tolerance: float = 1e-12
-    partitions: int = 1
 
 
 def _parse_entry(value) -> Fraction:
@@ -97,7 +96,7 @@ def parse_spec(doc: dict) -> InputSpec:
         if parsed[-1] == 0:
             raise InputError("leading (last) polynomial coefficient must be nonzero")
         spec.poly = IntPoly(parsed)
-    for field in ("m", "n_max", "budget", "precision", "partitions"):
+    for field in ("m", "n_max", "budget", "precision"):
         if field in doc:
             setattr(spec, field, _parse_int(doc[field], f"option {field!r}"))
     if "tolerance" in doc:
@@ -129,7 +128,6 @@ def serialize_spec(spec: InputSpec) -> dict:
         budget=spec.budget,
         precision=spec.precision,
         tolerance=spec.tolerance,
-        partitions=spec.partitions,
     )
     return doc
 
@@ -162,7 +160,6 @@ def _spec_from_args(args, need: str) -> InputSpec:
         ("budget", args.budget),
         ("precision", args.precision),
         ("tolerance", args.tolerance),
-        ("partitions", args.partitions),
     ):
         if flag is not None:
             doc[field] = flag
@@ -262,13 +259,7 @@ def _cmd_polygon(args) -> int:
 
 def _trajectory_payload(spec: InputSpec) -> dict:
     m = spec.m or admissible_m(spec.matrix)
-    run = trajectory_counts(
-        spec.matrix,
-        m,
-        spec.n_max,
-        budget=spec.budget,
-        partitions=spec.partitions,
-    )
+    run = trajectory_counts(spec.matrix, m, spec.n_max, budget=spec.budget)
     formula = algebraic_entropy(
         spec.matrix, tolerance=spec.tolerance, precision=spec.precision
     ).total
@@ -283,7 +274,7 @@ def _trajectory_payload(spec: InputSpec) -> dict:
         "h_cum": list(run.h_cum),
         "h_inc": list(run.h_inc),
         "budget_exhausted_at": run.budget_exhausted_at,
-        "classification": assessment.classification if assessment else run.classification,
+        "classification": assessment.classification if assessment else None,
         "formula_entropy": formula,
         "gap": abs(run.h_inc[-1] - formula),
         "discrepancy": assessment.discrepancy if assessment else False,
@@ -361,12 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, default=None, help="grid density (0 = admissible)")
         p.add_argument("--max-n", type=int, default=None, help="trajectory levels")
         p.add_argument("--budget", type=int, default=None, help="stored-point budget")
-        p.add_argument(
-            "--partitions",
-            type=int,
-            default=None,
-            help="key-residue partitions, run serially (the counts do not depend on them)",
-        )
         p.add_argument("--precision", type=int, default=None, help="root precision bits")
         p.add_argument("--tolerance", type=float, default=None, help="measure tolerance")
         p.add_argument("--pretty", action="store_true", help="indent the JSON output")

@@ -96,22 +96,6 @@ def polynomial_entropy(
     )
 
 
-def ks_entropy(M: RationalMatrix, tolerance: float = 1e-12) -> float:
-    """Entropy of an integer matrix: the log-moduli of eigenvalues outside
-    the unit circle (the clearing integer is 1, so no finite places)."""
-    if not M.is_integer():
-        raise ValueError("ks_entropy requires integer matrix entries")
-    report = algebraic_entropy(M, tolerance=tolerance)
-    if report.s != 1:
-        raise InvariantError(f"integer matrix cleared with s = {report.s}")
-    return report.total
-
-
-def place_decomposition(M: RationalMatrix, tolerance: float = 1e-12):
-    """[(place, contribution)] over the primes dividing s plus infinity."""
-    return algebraic_entropy(M, tolerance=tolerance).place_list()
-
-
 def is_zero_entropy(M: RationalMatrix) -> bool:
     """Exact zero-entropy decision, no floating point.
 

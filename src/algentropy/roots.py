@@ -53,9 +53,6 @@ class RootInterval:
     multiplicity: int
     on_circle_assumed: bool = False
 
-    def straddles_unit(self) -> bool:
-        return self.mod_lo <= 1.0 <= self.mod_hi
-
 
 @dataclass(frozen=True)
 class ComplexRootSet:

@@ -20,16 +20,14 @@ box has fewer than 2^62 keys they are a sorted int64 array, and each step
 is a linear-time union of two sorted runs (one stable timsort of the
 concatenation, then adjacent-unique keys); past that the same keys are
 Python ints in a set.  Both backends compute the same sets, so the counts
-are exact either way.  `partitions` splits the keys into residue classes
-mod P that run serially, one after another in this process; a shift moves
-whole classes onto classes, and the counts do not depend on P.
+are exact either way.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -54,7 +52,6 @@ class PrimeSupport:
     """Finite primes dividing m or an entry denominator; infinity implicit."""
 
     primes: frozenset[int]
-    includes_infinity: bool = True
 
     def sorted(self) -> tuple[int, ...]:
         return tuple(sorted(self.primes))
@@ -71,7 +68,6 @@ class TrajectoryRun:
     budget: int
     budget_exhausted_at: int | None
     support_primes: tuple[int, ...]
-    classification: str | None = None
 
     @property
     def levels(self) -> int:
@@ -203,26 +199,6 @@ def _sorted_unique(buf: np.ndarray) -> np.ndarray:
     return buf[keep]
 
 
-def _shift_union(parts: list, shift: int) -> None:
-    """parts[p] |= parts[(p - shift) % P] + shift for every residue class p.
-
-    parts[p] holds the sorted keys congruent to p mod P = len(parts); adding
-    the shift moves a whole class q onto the class (q + shift) % P, so each
-    new part is the union of two sorted runs.  Both runs are copied into one
-    buffer and dropped before the sort, so an old part is freed as soon as
-    both its copies are made, which keeps peak memory down.
-    """
-    size = len(parts)
-    sources = [parts[(p - shift) % size] for p in range(size)]
-    for p in range(size):
-        n = parts[p].size
-        buf = np.empty(n + sources[p].size, dtype=np.int64)
-        buf[:n] = parts[p]
-        np.add(sources[p], shift, out=buf[n:])
-        parts[p] = sources[p] = None
-        parts[p] = _sorted_unique(buf)
-
-
 class _PackedState:
     """Point set as its sorted int64 keys in the exact box lo..hi."""
 
@@ -234,29 +210,23 @@ class _PackedState:
     def __len__(self) -> int:
         return self.keys.size
 
-    def expand(self, d: int, axes, m: int, budget: int, partitions: int):
+    def expand(self, d: int, axes, m: int, budget: int):
         level = _Level(self.lo, self.hi, d, axes, m)
         if level.size >= _INT64_LIMIT:
             return None, "overflow"
         keys = level.rekey(self.keys)
-        if partitions == 1:
-            parts = [keys]
-        else:
-            residue = keys % partitions
-            parts = [keys[residue == p] for p in range(partitions)]
-            del residue
-        del keys
         for delta in level.deltas:
             for step in _doubling_steps(2 * m):
-                _shift_union(parts, step * delta)
-                if sum(a.size for a in parts) > budget:
+                # both runs go into one buffer; the old run and then the buffer
+                # are dropped before the next step allocates
+                buf = np.empty(2 * keys.size, dtype=np.int64)
+                buf[: keys.size] = keys
+                np.add(keys, step * delta, out=buf[keys.size :])
+                del keys
+                keys = _sorted_unique(buf)
+                del buf
+                if keys.size > budget:
                     return None, "budget"
-        if partitions == 1:
-            keys = parts[0]
-        else:
-            keys = np.concatenate(parts)
-            del parts
-            keys.sort(kind="stable")
         return _PackedState(keys, level.lo, level.hi), "ok"
 
     def to_exact(self) -> "_ExactState":
@@ -274,7 +244,7 @@ class _ExactState:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def expand(self, d: int, axes, m: int, budget: int, partitions: int):
+    def expand(self, d: int, axes, m: int, budget: int):
         level = _Level(self.lo, self.hi, d, axes, m)
         acc = {level.rekey(k) for k in self.keys}
         for delta in level.deltas:
@@ -303,10 +273,9 @@ def trajectory_counts(
     m: int,
     n_max: int,
     budget: int = DEFAULT_BUDGET,
-    partitions: int = 1,
     force_exact: bool = False,
 ) -> TrajectoryRun:
-    """Exact growth counts tau(1..n) with estimators and classification.
+    """Exact growth counts tau(1..n) with their entropy estimators.
 
     Levels are reported exactly while tau(n) <= budget; the first level that
     would exceed the budget is recorded in budget_exhausted_at and the run
@@ -314,8 +283,8 @@ def trajectory_counts(
     """
     if M.n < 1:
         raise ValueError("matrix dimension must be >= 1")
-    if m < 1 or n_max < 1 or partitions < 1:
-        raise ValueError("m, n_max and partitions must be >= 1")
+    if m < 1 or n_max < 1:
+        raise ValueError("m and n_max must be >= 1")
     grid_size = (2 * m + 1) ** M.n
     if budget < grid_size:
         raise ValueError(f"budget {budget} below the grid size {grid_size}")
@@ -347,10 +316,10 @@ def trajectory_counts(
             for i in range(dim)
         ]
         axes = [tuple(power[i][j] for i in range(dim)) for j in range(dim)]
-        new_state, reason = state.expand(d, axes, m, budget, partitions)
+        new_state, reason = state.expand(d, axes, m, budget)
         if reason == "overflow":
             state = state.to_exact()
-            new_state, reason = state.expand(d, axes, m, budget, partitions)
+            new_state, reason = state.expand(d, axes, m, budget)
         if reason == "budget":
             exhausted = level + 1
             break
@@ -371,7 +340,7 @@ def trajectory_counts(
         _log_ratio(t, counts[i - 1]) if i else math.log(t)
         for i, t in enumerate(counts)
     )
-    run = TrajectoryRun(
+    return TrajectoryRun(
         matrix_id=";".join(",".join(str(e) for e in row) for row in M.rows),
         dim=dim,
         m=m,
@@ -382,9 +351,6 @@ def trajectory_counts(
         budget_exhausted_at=exhausted,
         support_primes=support.sorted(),
     )
-    if run.levels >= 6:
-        run = replace(run, classification=classify_growth(run).classification)
-    return run
 
 
 def classify_growth(run: TrajectoryRun, formula_entropy: float | None = None) -> GrowthAssessment:

@@ -410,7 +410,3 @@ def run_suite(name: str, seed: int = 0, count: int | None = None) -> SuiteResult
     rng = random.Random(seed)
     checks = fn(rng, count if count is not None else default_count)
     return SuiteResult(suite=name, checks=tuple(checks))
-
-
-def run_all(seed: int = 0) -> list[SuiteResult]:
-    return [run_suite(name, seed=seed) for name in SUITES]

@@ -105,18 +105,6 @@ def test_trajectory_command(capsys):
     assert doc["budget_exhausted_at"] is None
 
 
-def test_trajectory_partitions_flag(capsys):
-    outs = []
-    for parts in ("1", "2", "8"):
-        code, out, _ = run_cli(
-            capsys, "trajectory", "--matrix", '[["2"]]', "--m", "1",
-            "--max-n", "8", "--partitions", parts,
-        )
-        assert code == 0
-        outs.append(json.loads(out)["counts"])
-    assert outs[0] == outs[1] == outs[2]
-
-
 def test_trajectory_admissible_m_flag(capsys):
     code, out, _ = run_cli(
         capsys, "trajectory", "--matrix", '[["3/2"]]', "--m", "0", "--max-n", "5"
@@ -157,7 +145,6 @@ def test_spec_roundtrip():
         "budget": 1000,
         "precision": 256,
         "tolerance": 1e-10,
-        "partitions": 2,
     }
     spec = cli.parse_spec(doc)
     rendered = cli.serialize_spec(spec)
@@ -198,7 +185,6 @@ def test_input_errors_exit_2(capsys, tmp_path):
             {"n_max": 6.9},
             {"budget": 1000.5},
             {"precision": 64.0},
-            {"partitions": True},
             {"n_max": 6.9, "m": True, "budget": 1000.5},
         )
     ):
@@ -245,6 +231,23 @@ def test_seed_only_on_verify(capsys):
     with pytest.raises(SystemExit):
         cli.main(["verify", "--suite", "oracle", "--pretty"])
     capsys.readouterr()
+
+
+def test_partitions_option_is_gone(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["trajectory", "--matrix", '[["2"]]', "--m", "1", "--partitions", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    # in an input file the key is ignored like any other unknown key
+    spec = {"matrix": [["2"]], "m": 1, "n_max": 6}
+    outs = []
+    for doc in (spec, {**spec, "partitions": 8}):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "trajectory", "--input", str(path))
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 @settings(max_examples=30, deadline=None)

@@ -13,8 +13,6 @@ from algentropy.entropy import (
     INFINITE_PLACE,
     algebraic_entropy,
     is_zero_entropy,
-    ks_entropy,
-    place_decomposition,
     polynomial_entropy,
 )
 from algentropy.linalg import (
@@ -73,32 +71,39 @@ def test_entropy_internal_consistency():
         assert abs(r.total - mahler_oracle(r.char_poly_primitive)) < 1e-8
 
 
+def _integer_matrix_entropy(M):
+    report = algebraic_entropy(M)
+    assert report.s == 1 and report.finite_places == ()
+    return report.total
+
+
 def test_ks_entropy():
-    assert abs(ks_entropy(RationalMatrix([[2]])) - math.log(2)) < 1e-15
-    assert ks_entropy(RationalMatrix([[0, -1], [1, 0]])) == 0.0
-    assert abs(ks_entropy(RationalMatrix([[2, 1], [1, 1]])) - 0.9624236501192069) < 1e-12
-    with pytest.raises(ValueError):
-        ks_entropy(RationalMatrix([["3/2"]]))
+    assert abs(_integer_matrix_entropy(RationalMatrix([[2]])) - math.log(2)) < 1e-15
+    assert _integer_matrix_entropy(RationalMatrix([[0, -1], [1, 0]])) == 0.0
+    assert abs(_integer_matrix_entropy(RationalMatrix([[2, 1], [1, 1]])) - 0.9624236501192069) < 1e-12
 
 
 def test_ks_matches_total_on_integer_matrices():
+    # integer matrices clear with s = 1: the total is the archimedean part alone
     rng = random.Random(59)
     for _ in range(30):
         n = rng.randint(1, 4)
         M = RationalMatrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
-        assert abs(ks_entropy(M) - algebraic_entropy(M).total) <= 1e-12
+        report = algebraic_entropy(M)
+        assert report.s == 1
+        assert abs(report.archimedean - report.total) <= 1e-12
 
 
 def test_place_decomposition():
-    places = place_decomposition(RationalMatrix([["3/2"]]))
+    places = algebraic_entropy(RationalMatrix([["3/2"]])).place_list()
     assert places[0][0] == 2.0 and abs(places[0][1] - math.log(2)) < 1e-15
     assert places[1][0] == INFINITE_PLACE
     assert abs(places[1][1] - math.log(1.5)) < 1e-12
 
-    places = place_decomposition(RationalMatrix([[2]]))
+    places = algebraic_entropy(RationalMatrix([[2]])).place_list()
     assert len(places) == 1 and places[0][0] == INFINITE_PLACE
 
-    places = place_decomposition(RationalMatrix([[0, "-1/6"], [1, "5/6"]]))
+    places = algebraic_entropy(RationalMatrix([[0, "-1/6"], [1, "5/6"]])).place_list()
     assert [(p, round(c, 10)) for p, c in places] == [
         (2.0, round(math.log(2), 10)),
         (3.0, round(math.log(3), 10)),
