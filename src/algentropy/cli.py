@@ -8,7 +8,7 @@ polynomial coefficients are ascending by degree everywhere.
 
 Exit codes: 0 success, 2 input error, 3 certification failure (partial
 report emitted), 4 verification failure, 5 internal error (a library
-invariant failed).
+invariant failed, or a library ValueError got past the input checks).
 """
 
 from __future__ import annotations
@@ -116,23 +116,7 @@ def parse_spec(doc: dict) -> InputSpec:
     return spec
 
 
-def serialize_spec(spec: InputSpec) -> dict:
-    doc: dict = {}
-    if spec.matrix is not None:
-        doc["matrix"] = [[str(e) for e in row] for row in spec.matrix.rows]
-    if spec.poly is not None:
-        doc["poly"] = [str(c) for c in spec.poly.coeffs]
-    doc.update(
-        m=spec.m,
-        n_max=spec.n_max,
-        budget=spec.budget,
-        precision=spec.precision,
-        tolerance=spec.tolerance,
-    )
-    return doc
-
-
-def _spec_from_args(args, need: str) -> InputSpec:
+def _spec_from_args(args) -> InputSpec:
     doc: dict = {}
     if args.input:
         try:
@@ -164,10 +148,23 @@ def _spec_from_args(args, need: str) -> InputSpec:
         if flag is not None:
             doc[field] = flag
     spec = parse_spec(doc)
-    if need == "matrix" and spec.matrix is None:
-        raise InputError("this subcommand needs a matrix input")
-    if need == "poly" and spec.poly is None:
+    # each subcommand's checks on its input: a ValueError from the library
+    # past this point is a defect, not an input error
+    if args.command in ("trajectory", "classify"):
+        if spec.matrix is None:
+            raise InputError("this subcommand needs a matrix input")
+        if spec.matrix.n < 1:
+            raise InputError("matrix dimension must be >= 1")
+        if spec.n_max < 1:
+            raise InputError("m and n_max must be >= 1")
+        spec.m = spec.m or admissible_m(spec.matrix)
+        grid_size = (2 * spec.m + 1) ** spec.matrix.n
+        if spec.budget < grid_size:
+            raise InputError(f"budget {spec.budget} below the grid size {grid_size}")
+    if args.command in ("mahler", "polygon") and spec.poly is None:
         raise InputError("this subcommand needs a polynomial input")
+    if args.command in ("entropy", "mahler") and spec.poly is not None and spec.poly.degree < 1:
+        raise InputError("polynomial must have degree >= 1")
     return spec
 
 
@@ -176,7 +173,7 @@ def _emit(doc: dict, pretty: bool) -> None:
 
 
 def _cmd_entropy(args) -> int:
-    spec = _spec_from_args(args, need="any")
+    spec = _spec_from_args(args)
     if spec.matrix is not None:
         report = algebraic_entropy(spec.matrix, tolerance=spec.tolerance, precision=spec.precision)
     else:
@@ -198,7 +195,7 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_mahler(args) -> int:
-    spec = _spec_from_args(args, need="poly")
+    spec = _spec_from_args(args)
     measured = mahler_measure(
         spec.poly, tolerance=spec.tolerance, precision=spec.precision
     )
@@ -225,7 +222,7 @@ def _cmd_mahler(args) -> int:
 
 
 def _cmd_polygon(args) -> int:
-    spec = _spec_from_args(args, need="poly")
+    spec = _spec_from_args(args)
     poly = spec.poly
     content = poly.content()
     primitive = poly.primitive_part()
@@ -258,8 +255,7 @@ def _cmd_polygon(args) -> int:
 
 
 def _trajectory_payload(spec: InputSpec) -> dict:
-    m = spec.m or admissible_m(spec.matrix)
-    run = trajectory_counts(spec.matrix, m, spec.n_max, budget=spec.budget)
+    run = trajectory_counts(spec.matrix, spec.m, spec.n_max, budget=spec.budget)
     formula = algebraic_entropy(
         spec.matrix, tolerance=spec.tolerance, precision=spec.precision
     ).total
@@ -267,7 +263,7 @@ def _trajectory_payload(spec: InputSpec) -> dict:
         classify_growth(run, formula_entropy=formula) if run.levels >= 6 else None
     )
     return {
-        "m": m,
+        "m": spec.m,
         "n_max": spec.n_max,
         "budget": spec.budget,
         "counts": [str(t) for t in run.counts],
@@ -283,13 +279,13 @@ def _trajectory_payload(spec: InputSpec) -> dict:
 
 
 def _cmd_trajectory(args) -> int:
-    spec = _spec_from_args(args, need="matrix")
+    spec = _spec_from_args(args)
     _emit(_trajectory_payload(spec), args.pretty)
     return 0
 
 
 def _cmd_classify(args) -> int:
-    spec = _spec_from_args(args, need="matrix")
+    spec = _spec_from_args(args)
     payload = _trajectory_payload(spec)
     if len(payload["counts"]) < 6:
         raise InputError(
@@ -376,12 +372,10 @@ def main(argv=None) -> int:
         partial = {"error": str(exc), "certified": False}
         print(json.dumps(partial, indent=2 if getattr(args, "pretty", False) else None))
         return 3
-    except InvariantError as exc:
+    except (InvariantError, ValueError) as exc:
+        # every input check raises InputError, so any other ValueError is a defect
         print(f"internal error: {exc}", file=sys.stderr)
         return 5
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

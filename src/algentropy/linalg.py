@@ -93,9 +93,6 @@ class RationalMatrix:
         """Exact matrix-vector product."""
         return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.rows)
 
-    def is_integer(self) -> bool:
-        return all(e.denominator == 1 for row in self.rows for e in row)
-
     def denominator_lcm(self) -> int:
         d = 1
         for row in self.rows:

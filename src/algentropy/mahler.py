@@ -141,8 +141,15 @@ def mahler_measure(
     prec_used = precision
     if rest.degree >= 1:
         candidate, cofactor = split_unit_circle(rest)
-        arch, assumed, numeric, prec_used = _refine_measure(
-            candidate, cofactor, P.degree, tolerance, precision, max_precision
+        assume_cap = tolerance / (2.0 * P.degree)
+
+        def settle(root_lists, prec, at_cap):
+            status = _assess(*root_lists, assume_cap, tolerance, at_cap=at_cap)
+            return None if status is None else (*status, prec)
+
+        # one precision ladder over the candidate/cofactor split
+        arch, assumed, numeric, prec_used = climb(
+            [candidate, cofactor], max(64, precision), max_precision, settle
         )
         intervals.extend(numeric)
 
@@ -157,20 +164,6 @@ def mahler_measure(
         roots=result_roots,
         assumed_roots=assumed,
     )
-
-
-def _refine_measure(candidate, cofactor, total_deg, tolerance, precision, max_precision):
-    """Precision ladder over the candidate/cofactor split.
-
-    Returns (archimedean sum, assumed count, root intervals, precision).
-    """
-    assume_cap = tolerance / (2.0 * max(total_deg, 1))
-
-    def settle(root_lists, prec, at_cap):
-        status = _assess(*root_lists, assume_cap, tolerance, at_cap=at_cap)
-        return None if status is None else (*status, prec)
-
-    return climb([candidate, cofactor], max(64, precision), max_precision, settle)
 
 
 def _assess(cand_roots, cof_roots, assume_cap, tolerance, at_cap=False):

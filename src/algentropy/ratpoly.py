@@ -7,7 +7,10 @@ set membership of vectors.
 
 Polynomials are stored as coefficient tuples in ascending degree order; the
 same ascending convention is used in every file format of the CLI.  The zero
-polynomial is the single coefficient (0,).
+polynomial is the single coefficient (0,).  `IntPoly` and `RatPoly` share one
+implementation of the ring arithmetic (`_Poly`) and keep only what depends on
+the ring: content, primitive part and pseudo-remainder over Z; monic form
+and division over Q.
 """
 
 from __future__ import annotations
@@ -74,29 +77,31 @@ def parse_rational(text) -> Fraction:
     raise ValueError(f"not a rational: {text!r}")
 
 
-def _trim(coeffs: list) -> tuple:
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+class _Poly:
+    """Arithmetic that does not depend on the coefficient ring.
 
-
-class IntPoly:
-    """Integer polynomial, coefficients ascending by degree."""
+    A subclass names its coefficient type in ``_scalar``.  Integers embed in
+    every ring, so a polynomial combines with polynomials and scalars of type
+    ``int`` or its own ``_scalar``; anything else raises TypeError rather
+    than being converted by the constructor.
+    """
 
     __slots__ = ("coeffs",)
+    _scalar: type
 
-    def __init__(self, coeffs: Iterable[int]):
-        cs = [int(c) for c in coeffs]
-        if not cs:
-            cs = [0]
-        self.coeffs = _trim(cs)
+    def __init__(self, coeffs: Iterable):
+        scalar = self._scalar
+        cs = [scalar(c) for c in coeffs] or [scalar(0)]
+        while len(cs) > 1 and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     @property
-    def lead(self) -> int:
+    def lead(self):
         return self.coeffs[-1]
 
     @property
@@ -104,43 +109,69 @@ class IntPoly:
         return self.coeffs == (0,)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
+        return type(other) is type(self) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __repr__(self) -> str:
-        return f"IntPoly({list(self.coeffs)})"
+    def _operand(self, other) -> tuple:
+        """The coefficients of a polynomial this one may combine with."""
+        if not (isinstance(other, _Poly) and other._scalar in (int, self._scalar)):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        return other.coeffs
 
-    def __neg__(self) -> "IntPoly":
-        return IntPoly([-c for c in self.coeffs])
+    def __neg__(self):
+        return type(self)([-c for c in self.coeffs])
 
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
+    def __add__(self, other):
+        a, b = self.coeffs, self._operand(other)
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return IntPoly(out)
+        return type(self)(out)
 
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other) -> "IntPoly":
-        if isinstance(other, int):
-            return IntPoly([c * other for c in self.coeffs])
+    def __mul__(self, other):
+        if isinstance(other, (int, self._scalar)):
+            return type(self)([c * other for c in self.coeffs])
+        b = self._operand(other)
         if self.is_zero or other.is_zero:
-            return IntPoly([0])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return type(self)([0])
+        out = [self._scalar(0)] * (len(self.coeffs) + len(b) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPoly(out)
+            for j, c in enumerate(b):
+                out[i + j] += a * c
+        return type(self)(out)
 
     __rmul__ = __mul__
+
+    def derivative(self):
+        if self.degree == 0:
+            return type(self)([0])
+        return type(self)([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def evaluate(self, x):
+        """Horner evaluation; works for any ring element (Fraction, mpc, ...)."""
+        acc = x * 0
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+
+class IntPoly(_Poly):
+    """Integer polynomial, coefficients ascending by degree."""
+
+    __slots__ = ()
+    _scalar = int
+
+    def __repr__(self) -> str:
+        return f"IntPoly({list(self.coeffs)})"
 
     def content(self) -> int:
         """gcd of the coefficients (0 for the zero polynomial)."""
@@ -160,11 +191,6 @@ class IntPoly:
         if self.coeffs[0] == 0:
             raise ValueError("reciprocal requires a nonzero constant term")
         return IntPoly(list(reversed(self.coeffs)))
-
-    def derivative(self) -> "IntPoly":
-        if self.degree == 0:
-            return IntPoly([0])
-        return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def shift(self, k: int) -> "IntPoly":
         """Multiply by X^k."""
@@ -221,93 +247,28 @@ class IntPoly:
                 rem.pop()
         return IntPoly(rem)
 
-    def evaluate(self, x):
-        """Horner evaluation; works for any ring element (Fraction, mpc, ...)."""
-        acc = x * 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def to_rational(self) -> "RatPoly":
         return RatPoly([Fraction(c) for c in self.coeffs])
 
 
-class RatPoly:
+class RatPoly(_Poly):
     """Rational polynomial, coefficients ascending by degree."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Rational]):
-        cs = [Fraction(c) for c in coeffs]
-        if not cs:
-            cs = [Fraction(0)]
-        self.coeffs = _trim(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def lead(self) -> Fraction:
-        return self.coeffs[-1]
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeffs == (Fraction(0),)
-
-    @property
-    def is_monic(self) -> bool:
-        return self.lead == 1
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RatPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
+    __slots__ = ()
+    _scalar = Fraction
 
     def __repr__(self) -> str:
         return f"RatPoly({[str(c) for c in self.coeffs]})"
 
-    def __neg__(self) -> "RatPoly":
-        return RatPoly([-c for c in self.coeffs])
-
-    def __add__(self, other: "RatPoly") -> "RatPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(out)
-
-    def __sub__(self, other: "RatPoly") -> "RatPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "RatPoly":
-        if isinstance(other, (int, Fraction)):
-            return RatPoly([c * other for c in self.coeffs])
-        if self.is_zero or other.is_zero:
-            return RatPoly([0])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RatPoly(out)
-
-    __rmul__ = __mul__
+    @property
+    def is_monic(self) -> bool:
+        return self.lead == 1
 
     def monic(self) -> "RatPoly":
         if self.is_zero:
             raise ValueError("zero polynomial has no monic form")
         inv = 1 / self.lead
         return RatPoly([c * inv for c in self.coeffs])
-
-    def derivative(self) -> "RatPoly":
-        if self.degree == 0:
-            return RatPoly([0])
-        return RatPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def divmod(self, g: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
         if g.is_zero:
@@ -325,12 +286,6 @@ class RatPoly:
                 for j, b in enumerate(g.coeffs):
                     rem[i + j] -= c * b
         return RatPoly(quot), RatPoly(rem[: max(1, g.degree)])
-
-    def evaluate(self, x):
-        acc = x * 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
 
 @dataclass(frozen=True)

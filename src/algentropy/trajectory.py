@@ -15,12 +15,12 @@ level's per-axis box, and the box is carried from level to level: it is
 exact (the minimum of a Minkowski sum of products is the sum of the
 minima), so nothing is reduced over the points to find it.  Moving a level
 to the next box rewrites each key by one increasing affine-plus-carries map
-(`_Level.rekey`), and a doubling step is a shift of every key.  While the
-box has fewer than 2^62 keys they are a sorted int64 array, and each step
-is a linear-time union of two sorted runs (one stable timsort of the
-concatenation, then adjacent-unique keys); past that the same keys are
-Python ints in a set.  Both backends compute the same sets, so the counts
-are exact either way.
+(`_Level.rekey`), and a doubling step is a shift of every key.  The keys
+are one sorted array, and each step is a linear-time union of two sorted
+runs (one stable timsort of the concatenation, then adjacent-unique keys).
+While the box has fewer than 2^62 keys the array is int64; past that the
+same code runs on an object array of Python ints, so both backends compute
+the same sets and the counts are exact either way.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ class PrimeSupport:
 
 @dataclass(frozen=True)
 class TrajectoryRun:
-    matrix_id: str
     dim: int
     m: int
     counts: tuple[int, ...]  # tau(1..L), exact
@@ -188,9 +187,10 @@ def _doubling_steps(span: int):
 
 
 def _sorted_unique(buf: np.ndarray) -> np.ndarray:
-    """The distinct keys of an int64 buffer made of sorted runs, sorted.
+    """The distinct keys of a buffer made of sorted runs, sorted.
 
-    The stable sort is timsort, which merges presorted runs in linear time.
+    The stable sort is timsort, which merges presorted runs in linear time,
+    on int64 and on object (Python int) arrays alike.
     """
     buf.sort(kind="stable")
     keep = np.empty(buf.size, dtype=bool)
@@ -202,6 +202,9 @@ def _sorted_unique(buf: np.ndarray) -> np.ndarray:
 class _PackedState:
     """Point set as its sorted int64 keys in the exact box lo..hi."""
 
+    dtype = np.int64
+    limit = _INT64_LIMIT  # a box with this many keys or more overflows the dtype
+
     def __init__(self, keys: np.ndarray, lo: tuple, hi: tuple):
         self.keys = keys
         self.lo = lo
@@ -212,14 +215,14 @@ class _PackedState:
 
     def expand(self, d: int, axes, m: int, budget: int):
         level = _Level(self.lo, self.hi, d, axes, m)
-        if level.size >= _INT64_LIMIT:
+        if level.size >= self.limit:
             return None, "overflow"
         keys = level.rekey(self.keys)
         for delta in level.deltas:
             for step in _doubling_steps(2 * m):
                 # both runs go into one buffer; the old run and then the buffer
                 # are dropped before the next step allocates
-                buf = np.empty(2 * keys.size, dtype=np.int64)
+                buf = np.empty(2 * keys.size, dtype=self.dtype)
                 buf[: keys.size] = keys
                 np.add(keys, step * delta, out=buf[keys.size :])
                 del keys
@@ -227,36 +230,20 @@ class _PackedState:
                 del buf
                 if keys.size > budget:
                     return None, "budget"
-        return _PackedState(keys, level.lo, level.hi), "ok"
+        return type(self)(keys, level.lo, level.hi), "ok"
 
     def to_exact(self) -> "_ExactState":
-        return _ExactState(set(self.keys.tolist()), self.lo, self.hi)
+        return _ExactState(self.keys.astype(object), self.lo, self.hi)
 
 
-class _ExactState:
-    """Point set as its keys as Python ints (for boxes past int64)."""
+class _ExactState(_PackedState):
+    """The same sorted keys as Python ints in an object array (boxes past int64)."""
 
-    def __init__(self, keys: set, lo: tuple, hi: tuple):
-        self.keys = keys
-        self.lo = lo
-        self.hi = hi
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def expand(self, d: int, axes, m: int, budget: int):
-        level = _Level(self.lo, self.hi, d, axes, m)
-        acc = {level.rekey(k) for k in self.keys}
-        for delta in level.deltas:
-            for step in _doubling_steps(2 * m):
-                shift = step * delta
-                acc.update([k + shift for k in acc])
-                if len(acc) > budget:
-                    return None, "budget"
-        return _ExactState(acc, level.lo, level.hi), "ok"
-
-    def to_exact(self) -> "_ExactState":
-        return self
+    dtype = object
+    limit = math.inf
+    # its own class-dict entry: bench/tracer.py hooks each backend's expand
+    # there to count the levels run on Python ints apart from the int64 ones
+    expand = _PackedState.expand
 
 
 def _log_ratio(a: int, b: int) -> float:
@@ -301,11 +288,8 @@ def trajectory_counts(
     counts = [grid_size]
     # the grid fills its box, so its keys are all of range(grid_size)
     lo, hi = (-m,) * dim, (m,) * dim
-    state = (
-        _ExactState(set(range(grid_size)), lo, hi)
-        if force_exact
-        else _PackedState(np.arange(grid_size, dtype=np.int64), lo, hi)
-    )
+    backend = _ExactState if force_exact else _PackedState
+    state = backend(np.arange(grid_size, dtype=backend.dtype), lo, hi)
     # power[i][j]: entry of (d*M)^level, so its columns span the scaled image
     # of the grid at the current level
     power = [[int(i == j) for j in range(dim)] for i in range(dim)]
@@ -341,7 +325,6 @@ def trajectory_counts(
         for i, t in enumerate(counts)
     )
     return TrajectoryRun(
-        matrix_id=";".join(",".join(str(e) for e in row) for row in M.rows),
         dim=dim,
         m=m,
         counts=tuple(counts),

@@ -1,0 +1,57 @@
+"""The benchmark's tracer still finds every package function it wraps.
+
+`bench/run.py --trace 1` wraps the functions named in `run.TRACED` and hooks
+the methods named in `run.HOOKS`, by name, from outside the package.  The
+benchmark's own tests are not part of this suite, so a rename in `src/`
+that breaks the tracer is caught here instead.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import algentropy.cli as cli
+from algentropy import trajectory
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(monkeypatch, name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings():
+    snapshot = {}
+    for name, mod in list(sys.modules.items()):
+        if name == "algentropy" or name.startswith("algentropy."):
+            snapshot.update(((name, attr), value) for attr, value in vars(mod).items())
+    for cls in (trajectory._PackedState, trajectory._ExactState):
+        snapshot.update(((cls.__name__, attr), value) for attr, value in vars(cls).items())
+    return snapshot
+
+
+def test_bench_tracer_counts_both_trajectory_backends(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(BENCH))  # run.py imports hostspeed
+    run, tracer_mod = _load(monkeypatch, "run"), _load(monkeypatch, "tracer")
+    before = _bindings()
+    tracer = tracer_mod.Tracer(run.TRACED, run.HOOKS)
+    with tracer.installed():
+        assert cli.main(["mahler", "--poly", "[-3,2]"]) == 0
+        # 46351 is prime: the keys leave int64 at the third level
+        swap = '[["0","1/46351"],["1/46351","0"]]'
+        assert cli.main(["trajectory", "--matrix", swap, "--max-n", "3"]) == 0
+    capsys.readouterr()
+    counted = {}
+    for span in tracer.spans:
+        for key, value in span.counters.items():
+            counted[key] = counted.get(key, 0) + value
+    assert counted["packed_levels"] >= 1 and counted["bigint_levels"] >= 1
+    names = {span.name for span in tracer.spans}
+    assert {"cli.main", "mahler.mahler_measure", "trajectory.trajectory_counts"} <= names
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[k] is before[k] for k in before)

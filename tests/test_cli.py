@@ -147,12 +147,12 @@ def test_spec_roundtrip():
         "tolerance": 1e-10,
     }
     spec = cli.parse_spec(doc)
-    rendered = cli.serialize_spec(spec)
-    assert rendered == doc
-    assert cli.serialize_spec(cli.parse_spec(rendered)) == rendered
-    poly_doc = {"poly": ["1", "-5", "6"]}
-    rendered = cli.serialize_spec(cli.parse_spec(poly_doc))
-    assert rendered["poly"] == ["1", "-5", "6"]
+    assert [[str(e) for e in row] for row in spec.matrix.rows] == doc["matrix"]
+    assert spec.poly is None
+    assert (spec.m, spec.n_max, spec.budget, spec.precision, spec.tolerance) == (2, 9, 1000, 256, 1e-10)
+    spec = cli.parse_spec({"poly": ["1", "-5", "6"]})
+    assert [str(c) for c in spec.poly.coeffs] == ["1", "-5", "6"]
+    assert spec.matrix is None
 
 
 def test_input_errors_exit_2(capsys, tmp_path):
@@ -176,7 +176,15 @@ def test_input_errors_exit_2(capsys, tmp_path):
         ("trajectory", "--matrix", '[["2"]]', "--m", "-2"),  # only 0 means admissible
         ("classify", "--matrix", '[["2"]]', "--m", "-1", "--max-n", "8"),
         ("trajectory", "--input", str(negative_m)),
+        ("entropy", "--poly", "[5]"),  # constant polynomial
+        ("mahler", "--poly", "[5]"),
     ]
+    for command in ("trajectory", "classify"):
+        cases += [
+            (command, "--matrix", "[]"),
+            (command, "--matrix", '[["2"]]', "--max-n", "0"),
+            (command, "--matrix", '[["2"]]', "--m", "1", "--budget", "2"),  # grid size 3
+        ]
     # options from a file: a bool or a float is refused, not truncated
     for i, options in enumerate(
         (
@@ -223,6 +231,35 @@ def test_invariant_failure_exit_5(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "entropy", "--poly", "[-3,2]")
     assert code == 5 and out == ""
     assert err.startswith("internal error: forced")
+
+
+def test_input_checks_keep_valid_edge_inputs(capsys):
+    code, out, _ = run_cli(capsys, "polygon", "--poly", "[5]")
+    assert code == 0 and json.loads(out)["content"] == "5"
+    code, out, _ = run_cli(capsys, "entropy", "--matrix", "[]")
+    assert code == 0 and json.loads(out)["entropy"] == 0.0
+
+
+def test_library_value_error_exit_5(capsys, monkeypatch):
+    # input checks raise InputError, so a ValueError from the library is a defect
+    def broken(*args, **kwargs):
+        raise ValueError("forced for the exit-code contract")
+
+    monkeypatch.setattr(cli, "trajectory_counts", broken)
+    code, out, err = run_cli(capsys, "trajectory", "--matrix", '[["2"]]', "--m", "1")
+    assert code == 5 and out == ""
+    assert err.startswith("internal error: forced")
+
+
+def test_composite_past_psi_12_is_not_a_place(capsys):
+    # 3317044064679887385961981 passes Miller-Rabin for the first twelve prime bases
+    psi_12, p, q = 3317044064679887385961981, 1287836182261, 2575672364521
+    code, out, _ = run_cli(capsys, "polygon", "--poly", f"[1, {psi_12}]")
+    doc = json.loads(out)
+    assert code == 0 and doc["identity"]["pass"] is True
+    assert [(f["p"], f["v_s"]) for f in doc["primes"]] == [(p, 1), (q, 1)]
+    total = sum(f["contribution"] for f in doc["primes"])
+    assert math.isclose(total, math.log(psi_12), rel_tol=1e-15)
 
 
 def test_seed_only_on_verify(capsys):

@@ -1,6 +1,9 @@
 import random
 
-from algentropy.numtheory import divisors, factorize, is_prime, prime_divisors, totient
+from algentropy.numtheory import _strong_lucas, divisors, factorize, is_prime, prime_divisors, totient
+
+# the least strong pseudoprime to the first twelve prime bases
+PSI_12 = 3317044064679887385961981
 
 
 def test_is_prime_small():
@@ -14,6 +17,25 @@ def test_is_prime_carmichael_and_big():
     assert not is_prime(1729)
     assert is_prime(2**61 - 1)
     assert not is_prime(2**67 - 1)
+
+
+def test_is_prime_past_the_deterministic_witnesses():
+    # every one of the twelve Miller-Rabin witnesses passes psi_12
+    assert not is_prime(PSI_12)
+    assert [is_prime(2**k - 1) for k in (89, 107, 127)] == [True, True, True]
+    assert not is_prime((2**89 - 1) * (2**107 - 1))
+    assert not is_prime((2**61 - 1) ** 2)
+
+
+def test_strong_lucas_pseudoprimes_below_10000():
+    # OEIS A217255: the odd composites below 10^4 that pass
+    composite = [n for n in range(39, 10_000, 2) if any(n % p == 0 for p in range(3, 100, 2) if p < n)]
+    assert [n for n in composite if _strong_lucas(n)] == [5459, 5777]
+    assert all(_strong_lucas(n) for n in (9973, 9967, 7919, 101))
+
+
+def test_factorize_psi_12():
+    assert factorize(PSI_12) == {1287836182261: 1, 2575672364521: 1}
 
 
 def test_factorize_roundtrip():

@@ -77,6 +77,29 @@ def test_poly_mul_examples():
     assert (IntPoly([-3, 2]) * IntPoly([-2, 3])).coeffs == (6, -13, 6)
 
 
+def test_int_poly_times_rational_poly_is_a_type_error():
+    # the integer constructor would truncate the product to IntPoly([0])
+    with pytest.raises(TypeError):
+        IntPoly([1, 1]) * RatPoly(["1/2"])
+
+
+def test_int_poly_plus_rational_poly_is_a_type_error():
+    # the integer constructor would truncate the sum to IntPoly([1, 1])
+    with pytest.raises(TypeError):
+        IntPoly([1, 1]) + RatPoly(["1/2"])
+
+
+def test_int_poly_times_fraction_is_a_type_error():
+    with pytest.raises(TypeError):
+        IntPoly([1, 1]) * Fraction(1, 2)
+
+
+def test_rational_poly_accepts_int_poly():
+    assert RatPoly(["1/2"]) + IntPoly([1, 1]) == RatPoly(["3/2", "1"])
+    assert RatPoly(["1/2"]) * IntPoly([1, 1]) == RatPoly(["1/2", "1/2"])
+    assert 3 * IntPoly([1, 2]) == IntPoly([3, 6])
+
+
 def test_reciprocal():
     assert IntPoly([-3, 2]).reciprocal().coeffs == (2, -3)
     pal = IntPoly([5, -6, 5])
