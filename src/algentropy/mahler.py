@@ -10,7 +10,7 @@ outside.  Protocol:
    its own reciprocal, which carries every unit-modulus root) and a
    *cofactor* whose roots are provably off the circle;
 3. cofactor roots are refined with precision doubling (64 up to a 4096-bit
-   cap) until their modulus intervals separate from 1;
+   cap) until their discs separate from the unit circle (decided exactly);
 4. candidate roots that keep straddling 1 once their interval is tighter
    than tolerance/(2*deg) are assumed to lie on the circle, contribute
    zero, and are flagged; they make the result uncertified but never shift
@@ -21,14 +21,13 @@ outside.  Protocol:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from mpmath import mp, mpf
-
-from .numtheory import totient
+from .numtheory import totients
 from .ratpoly import IntPoly, InvariantError, clear_denominators, cyclotomic, poly_gcd
-from .roots import ComplexRootSet, RootInterval, _CertRoot, _sorted_roots, climb, to_interval
+from .roots import ComplexRootSet, RootInterval, _sorted_roots, climb, to_interval
 
 _PRECISION_CAP = 4096
 
@@ -51,26 +50,26 @@ def split_unit_circle(P: IntPoly) -> tuple[IntPoly, IntPoly]:
     return clear_denominators(g), clear_denominators(cofactor)
 
 
-def _cyclotomic_index_bound(degree: int) -> int:
+@functools.cache
+def _cyclotomic_indices(degree: int) -> tuple[int, ...]:
+    """Every n with totient(n) <= degree, ascending: the Phi_n of degree <= degree."""
     # totient(n) >= sqrt(n/2), so totient(n) <= degree forces n <= 2*degree^2
-    return 2 * degree * degree + 2
+    tot = totients(2 * degree * degree + 2)
+    return tuple(n for n in range(1, len(tot)) if tot[n] <= degree)
 
 
 def extract_cyclotomic(P: IntPoly) -> tuple[dict[int, int], IntPoly]:
     """Divide out all cyclotomic factors exactly: returns ({n: mult}, rest)."""
     rest = P
     factors: dict[int, int] = {}
-    n = 1
-    while rest.degree >= 1 and n <= _cyclotomic_index_bound(rest.degree):
-        if totient(n) <= rest.degree:
-            phi = cyclotomic(n)
-            while True:
-                q, r = rest.divmod_monic(phi)
-                if not r.is_zero:
-                    break
-                factors[n] = factors.get(n, 0) + 1
-                rest = q
-        n += 1
+    for n in _cyclotomic_indices(P.degree):
+        phi = cyclotomic(n)
+        while phi.degree <= rest.degree:
+            q, r = rest.divmod_monic(phi)
+            if not r.is_zero:
+                break
+            factors[n] = factors.get(n, 0) + 1
+            rest = q
     return factors, rest
 
 
@@ -94,15 +93,7 @@ def _cyclotomic_intervals(factors: dict[int, int]) -> list[RootInterval]:
             if math.gcd(j, n) != 1:
                 continue
             theta = 2 * math.pi * j / n
-            out.append(
-                RootInterval(
-                    re=math.cos(theta),
-                    im=math.sin(theta),
-                    mod_lo=1.0,
-                    mod_hi=1.0,
-                    multiplicity=mult,
-                )
-            )
+            out.append(RootInterval(math.cos(theta), math.sin(theta), 1.0, 1.0, mult))
     return out
 
 
@@ -167,45 +158,31 @@ def mahler_measure(
 
 
 def _assess(cand_roots, cof_roots, assume_cap, tolerance, at_cap=False):
-    """Decide whether the current intervals settle the measure.
+    """Decide whether the current discs settle the measure.
 
     Returns (arch, assumed, intervals) when every root is classified and the
-    total interval width of the outside contributions is within tolerance;
-    None when another ladder rung is needed.
+    total log-width of the outside contributions is within tolerance; None
+    when another ladder rung is needed.  Which side of the unit circle a
+    disc lies on is decided exactly; a root outside contributes the log of
+    its centre, and its log-width log(hi/lo) is bounded by (hi - lo)/lo.
     """
-    outside: list[_CertRoot] = []
-    assumed: list[_CertRoot] = []
-    plain: list[_CertRoot] = []
-    for root in cof_roots:
-        lo, hi = root.mod_bounds()
-        if lo <= 1 <= hi:
-            if not at_cap:
-                return None
-            assumed.append(root)
-        elif lo > 1:
-            outside.append(root)
-        else:
-            plain.append(root)
-    for root in cand_roots:
-        lo, hi = root.mod_bounds()
-        if lo <= 1 <= hi:
-            if mp.log(hi) <= assume_cap or at_cap:
-                assumed.append(root)
-            else:
-                return None
-        elif lo > 1:
-            outside.append(root)
-        else:
-            plain.append(root)
-    width = mpf(0)
-    total = mpf(0)
+    outside, assumed, plain = [], [], []
+    for roots, candidate in ((cof_roots, False), (cand_roots, True)):
+        for root in roots:
+            side = root.side()
+            if side == 0 and not at_cap:
+                # log(hi) <= hi - 1: a candidate root this tight is assumed on the circle
+                one = 1 << root.k
+                if not (candidate and (root.mod_bounds()[1] - one) / one <= assume_cap):
+                    return None
+            (assumed if side == 0 else outside if side > 0 else plain).append(root)
+    width = total = 0.0
     for root in outside:
         lo, hi = root.mod_bounds()
-        llo, lhi = mp.log(lo), mp.log(hi)
-        width += root.multiplicity * (lhi - llo)
-        total += root.multiplicity * (llo + lhi) / 2
+        width += root.multiplicity * (hi - lo) / lo
+        total += root.multiplicity * root.log_modulus()
     if width > tolerance / 2 and not at_cap:
         return None
     intervals = [to_interval(r) for r in _sorted_roots(plain + outside)]
     intervals += [to_interval(r, assumed=True) for r in _sorted_roots(assumed)]
-    return float(total), sum(r.multiplicity for r in assumed), intervals
+    return total, sum(r.multiplicity for r in assumed), intervals

@@ -165,13 +165,13 @@ def prime_divisors(n: int) -> list[int]:
     return list(factorize(n))
 
 
-def totient(n: int) -> int:
-    """Euler's totient of n >= 1."""
-    if n < 1:
-        raise ValueError("totient requires n >= 1")
-    phi = 1
-    for p, e in factorize(n).items():
-        phi *= (p - 1) * p ** (e - 1)
+def totients(limit: int) -> list[int]:
+    """[totient(0), ..., totient(limit)] by one sieve, with totient(0) = 0."""
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:  # no smaller prime divides p
+            for m in range(p, limit + 1, p):
+                phi[m] -= phi[m] // p
     return phi
 
 

@@ -16,6 +16,7 @@ and division over Q.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -80,9 +81,10 @@ def parse_rational(text) -> Fraction:
 class _Poly:
     """Arithmetic that does not depend on the coefficient ring.
 
-    A subclass names its coefficient type in ``_scalar``.  Integers embed in
-    every ring, so a polynomial combines with polynomials and scalars of type
-    ``int`` or its own ``_scalar``; anything else raises TypeError rather
+    A subclass names its coefficient type in ``_scalar`` and the constructor's
+    conversion into it in ``_coerce``, which never truncates.  Integers embed
+    in every ring, so a polynomial combines with polynomials and scalars of
+    type ``int`` or its own ``_scalar``; anything else raises TypeError rather
     than being converted by the constructor.
     """
 
@@ -90,8 +92,8 @@ class _Poly:
     _scalar: type
 
     def __init__(self, coeffs: Iterable):
-        scalar = self._scalar
-        cs = [scalar(c) for c in coeffs] or [scalar(0)]
+        coerce = self._coerce
+        cs = [coerce(c) for c in coeffs] or [self._scalar(0)]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -164,11 +166,21 @@ class _Poly:
         return acc
 
 
+def _integer(c) -> int:
+    """c as an int: an integer or an integral Fraction, else TypeError (never truncated)."""
+    if type(c) is int:
+        return c
+    if isinstance(c, numbers.Integral) or (isinstance(c, Fraction) and c.denominator == 1):
+        return int(c)
+    raise TypeError(f"IntPoly coefficients must be integers, got {c!r}")
+
+
 class IntPoly(_Poly):
     """Integer polynomial, coefficients ascending by degree."""
 
     __slots__ = ()
     _scalar = int
+    _coerce = staticmethod(_integer)
 
     def __repr__(self) -> str:
         return f"IntPoly({list(self.coeffs)})"
@@ -256,6 +268,7 @@ class RatPoly(_Poly):
 
     __slots__ = ()
     _scalar = Fraction
+    _coerce = Fraction
 
     def __repr__(self) -> str:
         return f"RatPoly({[str(c) for c in self.coeffs]})"

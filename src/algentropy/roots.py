@@ -1,37 +1,39 @@
 """Certified complex roots of integer polynomials.
 
-The engine is Aberth-Ehrlich simultaneous iteration, started
-deterministically (no RNG) on a circle of radius given by the Fujiwara
-coefficient bound.  Float first, as in MPSolve: without a warm start the
-iteration runs in numpy complex128 (vectorised Jacobi sweeps), and mpmath
-arbitrary precision only polishes the converged iterate, in a couple of
-sweeps.  When the float run is unusable -- a coefficient or an evaluation
-that overflows a double, no convergence, coinciding iterates -- the mpmath
-iteration starts from the circle itself.  After convergence each
-approximation z gets an a-posteriori inclusion radius from the classical
-bound
+The engine is Aberth-Ehrlich simultaneous iteration, float first as in
+MPSolve.  A rung without a warm start converges in numpy complex128
+(vectorised Jacobi sweeps) from a circle whose radius is the Fujiwara
+coefficient bound (deterministic, no RNG).  The iterate is then polished on
+Gaussian integers: each approximation is z = (a + ib)/2^K with Python ints
+a, b, one scale per polynomial and rung, and K reaches below a lower bound
+on the smallest root modulus, so small roots keep their relative precision.
+When the float run is unusable -- a coefficient or an evaluation that
+overflows a double, no convergence, coinciding iterates -- the integer
+iteration starts from the circle itself.  Only the certificate decides, and
+it is exact.  With P(z) = A / 2^(nK) and P'(z) = B / 2^((n-1)K) from one
+Gaussian-integer Horner pass, the radius
 
-    min_i |z - root_i|  <=  deg * |P(z) / P'(z)|,
+    r = ceil(sqrt(ceil(n^2 |A|^2 / |B|^2))) / 2^K  >=  n |P(z) / P'(z)|
 
-inflated slightly to absorb evaluation rounding at the working precision.
-When the discs are pairwise disjoint, each contains exactly one root of the
-(square-free) polynomial, so the modulus of the true root lies in
-[|z| - r, |z| + r].  These radii, computed in mpmath, are the only
-certificate: a float iterate is never trusted by itself.  Multiple roots
-are peeled off beforehand by Yun's square-free decomposition, which is
-exact.
+bounds the classical inclusion radius min_i |z - root_i| <= n |P(z)/P'(z)|.
+When the n discs are pairwise disjoint (compared as squared integers), each
+holds exactly one root of the square-free polynomial; which side of the
+unit circle a disc lies on is decided the same way.  Multiple roots are
+peeled off beforehand by Yun's square-free decomposition, which is exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
-from mpmath import mp, mpc, mpf
 
 from .ratpoly import IntPoly, InvariantError, squarefree_decomposition
+
+# bits of the fixed-point scale beyond the rung's precision
+_GUARD_BITS = 16
+_LN2 = math.log(2)
 
 
 class CertificationError(ArithmeticError):
@@ -66,53 +68,67 @@ class ComplexRootSet:
 
 @dataclass(frozen=True)
 class _CertRoot:
-    """Internal high-precision record: center z, radius r, multiplicity."""
+    """The disc of centre (a + ib)/2^k and radius r/2^k holds exactly one
+    root, of the given multiplicity."""
 
-    z: mpc
-    r: mpf
+    a: int
+    b: int
+    r: int
+    k: int
     multiplicity: int
 
-    def mod_bounds(self) -> tuple[mpf, mpf]:
-        m = abs(self.z)
-        lo = m - self.r
-        if lo < 0:
-            lo = mpf(0)
-        return lo, m + self.r
+    def side(self) -> int:
+        """+1 if the disc lies outside the unit circle, -1 inside, 0 if it meets it."""
+        norm, one = self.a * self.a + self.b * self.b, 1 << self.k
+        if norm > (one + self.r) ** 2:
+            return 1
+        if self.r < one and norm < (one - self.r) ** 2:
+            return -1
+        return 0
+
+    def mod_bounds(self) -> tuple[int, int]:
+        """Integers lo, hi with lo <= 2^k |root| <= hi."""
+        s = math.isqrt(self.a * self.a + self.b * self.b)
+        return max(s - self.r, 0), s + 1 + self.r
+
+    def log_modulus(self) -> float:
+        """log |centre| (nonzero) to a few ulps, assuming libm's log is within an ulp."""
+        norm = self.a * self.a + self.b * self.b
+        e = norm.bit_length()
+        return (math.log(norm / (1 << e)) + (e - 2 * self.k) * _LN2) / 2
 
 
-def _horner2(coeffs, z):
-    """Evaluate P and P' at z in one Horner pass (ascending int coeffs)."""
-    p = mpc(coeffs[-1])
-    dp = mpc(0)
-    for c in reversed(coeffs[:-1]):
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
+def _float(n: int, k: int) -> float:
+    """n / 2^k, correctly rounded; +-inf past the doubles."""
+    try:
+        return n / (1 << k)
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
 
 
-def _fujiwara_radius(coeffs):
-    """2 * max_k |a_{n-k} / a_n|^(1/k): every root lies inside this circle."""
+def _fixed(x: float, k: int) -> int:
+    """floor(x * 2^k) for a finite float x, exactly."""
+    num, den = x.as_integer_ratio()
+    return (num << k) // den
+
+
+def _fujiwara_log2(coeffs) -> float:
+    """log2 of the Fujiwara bound 2 max_k |a_{n-k}/a_n|^(1/k) (the k = n
+    term halved), which every root modulus stays below."""
     n = len(coeffs) - 1
-    an = abs(coeffs[-1])
-    best = mpf(0)
+    lead = math.log2(abs(coeffs[-1]))
+    best = -math.inf
     for k in range(1, n + 1):
-        c = abs(coeffs[n - k])
-        if c == 0:
-            continue
-        ratio = mpf(c) / an
-        if k == n:
-            ratio /= 2
-        best = max(best, ratio ** (mpf(1) / k))
-    return 2 * best
+        if coeffs[n - k]:
+            best = max(best, (math.log2(abs(coeffs[n - k])) - lead - (k == n)) / k)
+    return 1 + best
 
 
-def _initial_guesses(coeffs, n: int):
-    r0 = _fujiwara_radius(coeffs)
-    guesses = []
-    for k in range(n):
-        theta = 2 * mp.pi * (k + mpf(3) / 10) / n
-        guesses.append(mpc(r0) * mp.exp(mpc(0, 1) * theta))
-    return guesses
+def _small_root_bits(coeffs) -> int:
+    """t >= 0 with every root modulus >= 2^-t: |root| >= |a_0| / (|a_0| + max_j |a_j|)."""
+    c0 = abs(coeffs[0])
+    top = max(abs(c) for c in coeffs[1:])
+    return max(0, (c0 + top).bit_length() - c0.bit_length() + 1)
 
 
 def _float_aberth(coeffs, guesses):
@@ -121,20 +137,24 @@ def _float_aberth(coeffs, guesses):
     Returns the converged iterate (a complex128 array), or None when it is not
     usable as a start: a coefficient or guess that is not a finite double, a
     sweep that leaves the finite doubles (Horner overflow), no convergence
-    within 60 + 8n sweeps, or two iterates that coincide.
+    within 60 + 8n sweeps, or two iterates that coincide.  A run whose steps
+    stall below 1e-3 (relative) for 12 sweeps has reached its noise floor
+    and is returned as converged: the integer iteration polishes it.
     """
     n = len(guesses)
     try:
-        p = np.array([float(c) for c in reversed(coeffs)])
+        p = np.array([float(c) for c in coeffs])
     except OverflowError:
         return None
-    dp = p[:-1] * np.arange(n, 0, -1)
+    dp = p[1:] * np.arange(1, n + 1)
     z = np.array([complex(g) for g in guesses])
     if not np.all(np.isfinite(z)):
         return None
+    best, stale = math.inf, 0
     with np.errstate(all="ignore"):
         for _ in range(60 + 8 * n):
-            newton = np.polyval(p, z) / np.polyval(dp, z)
+            powers = np.vander(z, n + 1, increasing=True)
+            newton = (powers @ p) / (powers[:, :-1] @ dp)
             inv = z[:, None] - z[None, :]
             np.fill_diagonal(inv, 1)
             inv = 1 / inv
@@ -143,8 +163,15 @@ def _float_aberth(coeffs, guesses):
             z = z - step
             if not np.all(np.isfinite(z)):
                 return None
-            if np.max(np.abs(step) / np.maximum(np.abs(z), 1)) < 1e-14:
+            worst = np.max(np.abs(step) / np.maximum(np.abs(z), 1))
+            if worst < 1e-14:
                 break
+            if worst < 0.75 * best:
+                best, stale = worst, 0
+            elif worst < 1e-3:
+                stale += 1
+                if stale >= 12:
+                    break
         else:
             return None
     if np.unique(z).size < n:
@@ -152,151 +179,146 @@ def _float_aberth(coeffs, guesses):
     return z
 
 
-def _aberth_pass(coeffs, zs, prec: int):
-    """Iterate Aberth-Ehrlich at the given precision (serial updates).
+def _start(coeffs, k: int):
+    """Start at scale 2^k: the complex128 iterate from the Fujiwara circle,
+    or that circle itself when the float run is unusable."""
+    n = len(coeffs) - 1
+    e = _fujiwara_log2(coeffs)
+    angles = [2 * math.pi * (j + 0.3) / n for j in range(n)]
+    radius = 2.0**e if e < 1000 else math.inf
+    start = _float_aberth(coeffs, [radius * complex(math.cos(t), math.sin(t)) for t in angles])
+    if start is not None:
+        return [(_fixed(z.real, k), _fixed(z.imag, k)) for z in start.tolist()]
+    shift = k + math.ceil(e)
+    return [(_fixed(math.cos(t), shift), _fixed(math.sin(t), shift)) for t in angles]
+
+
+def _aberth_fixed(coeffs, zs, k: int, prec: int):
+    """Aberth-Ehrlich on Gaussian integers at scale 2^k (serial updates).
 
     Updates are applied in place (Gauss-Seidel style), which is what makes
-    the iteration converge reliably from symmetric circle starts.  Always
-    returns the final iterate: the a-posteriori radii are rigorous at any
-    point, so certification -- not step size -- is the real gate.  For
-    ill-conditioned inputs the steps bottom out at the evaluation noise
-    floor above eps; the stagnation exit stops the pass once the iterate is
-    localized and no longer improving.
+    the iteration converge reliably from symmetric circle starts.  Every
+    product is truncated to the scale, so on ill-conditioned input the steps
+    bottom out at a noise floor; the stagnation exit stops the pass once the
+    iterate is localized and no longer improving.  Always returns the final
+    iterate: the certificate, not the step size, decides.
     """
     n = len(zs)
     zs = list(zs)
-    eps = mpf(2) ** (-prec + 3)
-    tiny = mpf(2) ** (-prec // 2)
-    max_iters = 60 + 8 * n + prec // 4
-    best = mpf("inf")
-    stale = 0
-    for _ in range(max_iters):
-        worst = mpf(0)
+    cs = [c << k for c in coeffs]
+    one, k2, tiny = 1 << k, 2 * k, 1 << (k - prec // 2)
+    best = stale = 0
+    for _ in range(60 + 8 * n + prec // 4):
+        worst = k2  # the fewest bits any step lies below max(|z|, 1)
         for i in range(n):
-            z = zs[i]
-            p, dp = _horner2(coeffs, z)
-            if p == 0:
-                continue
-            if dp == 0:
-                zs[i] = z + tiny * (1 + mpc(0, 1))
-                worst = mpf(1)
-                continue
-            newton = p / dp
-            s = mpc(0)
-            collide = False
-            for j in range(n):
-                if j == i:
-                    continue
-                diff = z - zs[j]
-                if diff == 0:
-                    collide = True
+            zr, zi = zs[i]
+            # Horner for P and P' at scale 2^k
+            pr, pi_, dr, di = cs[-1], 0, 0, 0
+            for c in cs[-2::-1]:
+                dr, di = ((dr * zr - di * zi) >> k) + pr, ((dr * zi + di * zr) >> k) + pi_
+                pr, pi_ = ((pr * zr - pi_ * zi) >> k) + c, (pr * zi + pi_ * zr) >> k
+            # Aberth sum S = sum_j 1/(z - z_j); None when two iterates coincide
+            sr = si = 0
+            for wr, wi in zs[:i] + zs[i + 1 :]:
+                er, ei = zr - wr, zi - wi
+                ee = er * er + ei * ei
+                if ee == 0:
+                    sr = None
                     break
-                s += 1 / diff
-            if collide:
-                zs[i] = z + tiny * (1 - mpc(0, 1)) * (i + 1)
-                worst = mpf(1)
+                sr += (er << k2) // ee
+                si -= (ei << k2) // ee
+            dd = dr * dr + di * di
+            if dd == 0 or sr is None:
+                # a critical point or a coinciding iterate: nudge it off
+                zs[i], worst = (zr + tiny * (i + 1), zi - tiny * (i + 1)), 0
                 continue
-            denom = 1 - newton * s
-            step = newton if denom == 0 else newton / denom
-            zs[i] = z - step
-            rel = abs(step) / max(abs(z), mpf(1))
-            if rel > worst:
-                worst = rel
-        if worst <= eps:
+            # Newton correction N = P/P', and the step N / (1 - N S)
+            nr = ((pr * dr + pi_ * di) << k) // dd
+            ni = ((pi_ * dr - pr * di) << k) // dd
+            tr, ti = one - ((nr * sr - ni * si) >> k), -((nr * si + ni * sr) >> k)
+            tt = tr * tr + ti * ti
+            if tt:
+                nr, ni = ((nr * tr + ni * ti) << k) // tt, ((ni * tr - nr * ti) << k) // tt
+            zs[i] = (zr - nr, zi - ni)
+            size = max(abs(zr), abs(zi), one).bit_length()
+            worst = min(worst, size - max(abs(nr), abs(ni)).bit_length())
+        if worst >= prec - 3:
             break
-        if worst < best * mpf("0.75"):
-            best = worst
-            stale = 0
-        elif worst < mpf("0.001"):
+        if worst > best:
+            best, stale = worst, 0
+        elif worst >= 10:
             stale += 1
             if stale >= 12:
                 break
     return zs
 
 
-def _certify(coeffs, zs, prec: int):
-    """Inclusion radii deg*|P/P'| per root, requiring pairwise disjoint discs."""
-    n = len(zs)
-    slack = mpf(1) + mpf(2) ** (-prec + 10) * (2 * n + 4)
-    abs_slack = mpf(2) ** (-prec + 8)
+def _certify(coeffs, zs, k: int):
+    """Exact inclusion discs at the centres zs (scale 2^k): [(a, b, r)], or
+    None when P' vanishes at a centre or two discs meet."""
+    n = len(coeffs) - 1
+    scaled = [c << (k * (n - j)) for j, c in enumerate(coeffs)]  # a_j 2^(k(n-j))
     certs = []
-    for z in zs:
-        p, dp = _horner2(coeffs, z)
-        if dp == 0:
+    for zr, zi in zs:
+        # homogeneous Horner: A = 2^(nk) P(z), B = 2^((n-1)k) P'(z), exactly
+        ar, ai, br, bi = coeffs[-1], 0, 0, 0
+        for c in scaled[-2::-1]:
+            br, bi = br * zr - bi * zi + ar, br * zi + bi * zr + ai
+            ar, ai = ar * zr - ai * zi + c, ar * zi + ai * zr
+        bb = br * br + bi * bi
+        if bb == 0:
             return None
-        r = n * abs(p) / abs(dp)
-        r = r * slack + abs_slack * max(abs(z), mpf(1))
-        certs.append((z, r))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(certs[i][0] - certs[j][0]) <= certs[i][1] + certs[j][1]:
+        q = -(-n * n * (ar * ar + ai * ai) // bb)
+        r = math.isqrt(q)
+        certs.append((zr, zi, r + (r * r < q)))
+    for i, (xa, ya, ra) in enumerate(certs):
+        for xb, yb, rb in certs[i + 1 :]:
+            if (xa - xb) ** 2 + (ya - yb) ** 2 <= (ra + rb) ** 2:
                 return None
     return certs
 
 
 def _solve_squarefree(coeffs, prec: int, warm=None):
-    """One precision level: iterate then certify.  Returns [(z, r)] or None.
-
-    A rung without a warm start first converges in complex128 from the
-    Fujiwara circle (`_float_aberth`) and hands that iterate to the mpmath
-    pass, which polishes it in a couple of sweeps; when the float run is
-    unusable the mpmath pass starts from the circle itself.  Either way
-    `_certify` alone decides whether the rung certified.
-    """
+    """One rung for a square-free polynomial: (k, centres at scale 2^k, which
+    warm-start the next rung, their discs from `_certify` or None)."""
     n = len(coeffs) - 1
-    if n == 1:
-        # exact rational root -b/a: certify with a zero-width disc
-        with mp.workprec(prec):
-            root = Fraction(-coeffs[0], coeffs[1])
-            z = mpc(mpf(root.numerator) / mpf(root.denominator))
-            r = abs(z) * mpf(2) ** (-prec + 4) + mpf(2) ** (-prec + 4)
-            return [(z, r)]
-    with mp.workprec(prec + 16):
-        if warm:
-            zs = [mpc(w) for w in warm]
-        else:
-            zs = _initial_guesses(coeffs, n)
-            start = _float_aberth(coeffs, zs)
-            if start is not None:
-                zs = [mpc(w) for w in start]
-        zs = _aberth_pass(coeffs, zs, prec)
-        return _certify(coeffs, zs, prec)
+    k = prec + _GUARD_BITS + _small_root_bits(coeffs)
+    if warm:
+        k0, zs = warm
+        zs = [(a << (k - k0), b << (k - k0)) for a, b in zs]
+    elif n == 1:
+        zs = [((-coeffs[0] << k) // coeffs[1], 0)]
+    else:
+        zs = _start(coeffs, k)
+    zs = _aberth_fixed(coeffs, zs, k, prec)
+    return k, zs, _certify(coeffs, zs, k)
 
 
 def solve_with_multiplicity(P: IntPoly, prec: int, warm=None):
-    """Square-free split + Aberth at one precision.
+    """Square-free split + one rung at the given precision.
 
     Returns (list[_CertRoot], warm_starts) or (None, warm_starts) when the
-    level did not certify; warm starts seed the next ladder rung.
+    rung did not certify; warm starts seed the next ladder rung.
     """
     factors = squarefree_decomposition(P)
     out: list[_CertRoot] = []
-    warms: dict[int, list] = {}
+    warms: dict[int, tuple] = {}
     ok = True
     for idx, (factor, mult) in enumerate(factors):
-        seed = warm.get(idx) if warm else None
-        certs = _solve_squarefree(factor.coeffs, prec, warm=seed)
-        if certs is None:
-            ok = False
-            continue
-        warms[idx] = [z for z, _ in certs]
-        for z, r in certs:
-            out.append(_CertRoot(z=z, r=r, multiplicity=mult))
+        k, zs, certs = _solve_squarefree(factor.coeffs, prec, warm.get(idx) if warm else None)
+        warms[idx] = (k, zs)
+        ok = ok and certs is not None
+        out.extend(_CertRoot(a, b, r, k, mult) for a, b, r in certs or ())
     return (out if ok else None), warms
-
-
-def _outward_float(x: mpf, up: bool) -> float:
-    f = float(x)
-    return math.nextafter(f, math.inf if up else -math.inf)
 
 
 def to_interval(root: _CertRoot, assumed: bool = False) -> RootInterval:
     lo, hi = root.mod_bounds()
     return RootInterval(
-        re=float(root.z.real),
-        im=float(root.z.imag),
-        mod_lo=max(0.0, _outward_float(lo, up=False)),
-        mod_hi=_outward_float(hi, up=True),
+        re=_float(root.a, root.k),
+        im=_float(root.b, root.k),
+        mod_lo=max(0.0, math.nextafter(_float(lo, root.k), -math.inf)),
+        mod_hi=math.nextafter(_float(hi, root.k), math.inf),
         multiplicity=root.multiplicity,
         on_circle_assumed=assumed,
     )
@@ -312,17 +334,16 @@ def climb(polys, start_bits: int, max_bits: int, settle):
     warm = [None] * len(polys)
     while True:
         at_cap = prec >= max_bits
-        with mp.workprec(prec + 16):
-            root_lists = []
-            for i, P in enumerate(polys):
-                roots = []
-                if P.degree >= 1:
-                    roots, warm[i] = solve_with_multiplicity(P, prec, warm[i])
-                root_lists.append(roots)
-            if all(roots is not None for roots in root_lists):
-                result = settle(root_lists, prec, at_cap)
-                if result is not None:
-                    return result
+        root_lists = []
+        for i, P in enumerate(polys):
+            roots = []
+            if P.degree >= 1:
+                roots, warm[i] = solve_with_multiplicity(P, prec, warm[i])
+            root_lists.append(roots)
+        if all(roots is not None for roots in root_lists):
+            result = settle(root_lists, prec, at_cap)
+            if result is not None:
+                return result
         if at_cap:
             raise CertificationError(f"root iteration did not certify within {max_bits} bits")
         prec = min(2 * prec, max_bits)
@@ -343,11 +364,10 @@ def find_roots(P: IntPoly, precision: int = 128, max_precision: int = 4096) -> C
         intervals.append(RootInterval(0.0, 0.0, 0.0, 0.0, multiplicity=k))
     if stripped.degree == 0:
         return ComplexRootSet(tuple(intervals), working_precision=precision)
-    target = mpf(2) ** (-precision)
 
     def settle(root_lists, prec, at_cap):
         (roots,) = root_lists
-        done = all(r.r <= target * max(abs(r.z), mpf(1)) for r in roots)
+        done = all(r.r << precision <= max(math.isqrt(r.a**2 + r.b**2), 1 << r.k) for r in roots)
         if not (done or at_cap):
             return None
         found = ComplexRootSet(
@@ -367,4 +387,4 @@ def find_roots(P: IntPoly, precision: int = 128, max_precision: int = 4096) -> C
 
 
 def _sorted_roots(roots):
-    return sorted(roots, key=lambda r: (float(r.z.real), float(r.z.imag)))
+    return sorted(roots, key=lambda r: (_float(r.a, r.k), _float(r.b, r.k)))

@@ -324,3 +324,22 @@ def test_verify_failure_exit_4(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_suite", broken)
     code, out, _ = run_cli(capsys, "verify", "--suite", "oracle")
     assert code == 4 and "FAIL forced" in out
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    code, pretty, _ = run_cli(capsys, "mahler", "--poly", "[-3,2]", "--pretty")
+    assert code == 0 and "\n  " in pretty
+    # the reused parser starts every call from its defaults: --pretty does not carry over
+    code, plain, _ = run_cli(capsys, "mahler", "--poly", "[-3,2]")
+    assert code == 0 and plain.count("\n") == 1
+    assert json.loads(plain) == json.loads(pretty)
+    assert len(built) == 1

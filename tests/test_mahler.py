@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpc
@@ -309,3 +313,52 @@ def test_degree_80_certifies_quickly():
     print(f"degree 80 random monic: {seconds:.2f} s")
     assert r.certified and r.roots.total_multiplicity == 80
     assert seconds < 10.0
+
+
+def _contains(root, x: int) -> bool:
+    """The disc of a certified root contains the integer x: exact."""
+    return (root.a - (x << root.k)) ** 2 + root.b**2 <= root.r**2
+
+
+def test_wilkinson_discs_contain_their_roots():
+    # prod (X - s*j), j = 1..N: Horner cancels badly near the roots, so a
+    # radius from rounded arithmetic can exclude the root it claims
+    for n in (12, 16, 20, 24):
+        for s in (1, 3, 7):
+            poly = IntPoly([1])
+            for j in range(1, n + 1):
+                poly = poly * IntPoly([-s * j, 1])
+            for bits in (64, 96, 128, 192, 256):
+                certified, _ = roots.solve_with_multiplicity(poly, bits)
+                if certified is None:
+                    assert bits < 256, (n, s)
+                    continue
+                assert len(certified) == n
+                for root in certified:
+                    assert any(_contains(root, s * j) for j in range(1, n + 1)), (n, s, bits)
+
+
+def test_float_start_survives_its_noise_floor(monkeypatch):
+    # bench poly-measure item 39-monic-18: the complex128 run stalls at its
+    # noise floor, which is a usable start, not a reason to fall back
+    starts = _spy_float_starts(monkeypatch)
+    poly = IntPoly(
+        [3136, -56, -10278, 16185, -15859, -4553, 37680, -60848, 75908, -78121,
+         50806, -13260, -5765, 6172, -2042, 180, 57, -15, 1]
+    )
+    r = mahler_measure(poly)
+    assert r.certified and r.roots.total_multiplicity == 18
+    assert abs(r.value - mahler_oracle(poly)) < 1e-9
+    assert starts and all(s is not None for s in starts)
+
+
+def test_package_does_not_use_mpmath():
+    # mpmath stays in tests/ as the independent oracle, never in the package
+    package = Path(roots.__file__).parent
+    assert [p.name for p in sorted(package.glob("*.py")) if "mpmath" in p.read_text()] == []
+    code = "import sys, algentropy.cli; print('mpmath' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(package.parent)}, timeout=60,
+    )
+    assert done.stdout.strip() == "False"

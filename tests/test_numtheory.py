@@ -1,6 +1,6 @@
 import random
 
-from algentropy.numtheory import _strong_lucas, divisors, factorize, is_prime, prime_divisors, totient
+from algentropy.numtheory import _strong_lucas, divisors, factorize, is_prime, prime_divisors, totients
 
 # the least strong pseudoprime to the first twelve prime bases
 PSI_12 = 3317044064679887385961981
@@ -64,7 +64,14 @@ def test_prime_divisors_sorted():
 
 
 def test_totient():
-    assert [totient(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+    assert totients(12) == [0, 1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+    # the sieve against the product formula over the factorization
+    table = totients(3000)
+    for n in range(1, 3001):
+        phi = 1
+        for p, e in factorize(n).items():
+            phi *= (p - 1) * p ** (e - 1)
+        assert table[n] == phi
 
 
 def test_divisors():

@@ -94,6 +94,16 @@ def test_int_poly_times_fraction_is_a_type_error():
         IntPoly([1, 1]) * Fraction(1, 2)
 
 
+def test_int_poly_rejects_non_integer_coefficients():
+    with pytest.raises(TypeError):
+        IntPoly([Fraction(1, 2), 1])
+    with pytest.raises(TypeError):
+        IntPoly([2.7])
+    # integral Fractions are integers
+    assert IntPoly([Fraction(4, 2), 1]) == IntPoly([2, 1])
+    assert all(type(c) is int for c in IntPoly([Fraction(-3), 5]).coeffs)
+
+
 def test_rational_poly_accepts_int_poly():
     assert RatPoly(["1/2"]) + IntPoly([1, 1]) == RatPoly(["3/2", "1"])
     assert RatPoly(["1/2"]) * IntPoly([1, 1]) == RatPoly(["1/2", "1/2"])
