@@ -45,9 +45,7 @@ from .padic import (
 from .ratpoly import (
     IntPoly,
     InvariantError,
-    PrimitivePair,
     RatPoly,
-    clear_denominators,
     cyclotomic,
     parse_rational,
     pnorm,
@@ -61,7 +59,6 @@ from .trajectory import (
     DEFAULT_BUDGET,
     BernoulliRun,
     GrowthAssessment,
-    PrimeSupport,
     TrajectoryRun,
     admissible_m,
     bernoulli_counts,

@@ -60,7 +60,7 @@ def algebraic_entropy(
             zero_entropy_exact=True,
             certified=True,
         )
-    P = primitivize(char_poly(M)).primitive
+    P = primitivize(char_poly(M))
     return polynomial_entropy(P, tolerance=tolerance, precision=precision)
 
 
@@ -104,5 +104,5 @@ def is_zero_entropy(M: RationalMatrix) -> bool:
     """
     if M.n == 0:
         return True
-    pair = primitivize(char_poly(M))
-    return pair.s == 1 and is_cyclotomic_product(pair.primitive)
+    P = primitivize(char_poly(M))
+    return P.lead == 1 and is_cyclotomic_product(P)

@@ -4,11 +4,14 @@ The measure of P = s*X^N + ... is log|s| plus the log-moduli of the roots
 outside the unit circle.  The delicate part is deciding which roots are
 outside.  Protocol:
 
-1. powers of X and cyclotomic factors are removed by exact division first,
-   so roots of unity contribute zero with an exact certificate;
-2. the remainder is split into a *candidate* factor (the primitive gcd with
-   its own reciprocal, which carries every unit-modulus root) and a
-   *cofactor* whose roots are provably off the circle;
+1. powers of X are removed, and the rest is split into a *candidate*
+   factor (the primitive gcd with its own reciprocal, which carries every
+   unit-modulus root) and a *cofactor* whose roots are provably off the
+   circle;
+2. cyclotomic factors are removed from the candidate by exact division, so
+   roots of unity contribute zero with an exact certificate (a root of unity
+   has the same multiplicity in P and in its reciprocal, so the candidate
+   holds all of them);
 3. cofactor roots are refined with precision doubling (64 up to a 4096-bit
    cap) until their discs separate from the unit circle (decided exactly);
 4. candidate roots that keep straddling 1 once their interval is tighter
@@ -26,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .numtheory import totients
-from .ratpoly import IntPoly, InvariantError, clear_denominators, cyclotomic, poly_gcd
+from .ratpoly import IntPoly, InvariantError, cyclotomic, poly_gcd
 from .roots import ComplexRootSet, RootInterval, _sorted_roots, climb, to_interval
 
 _PRECISION_CAP = 4096
@@ -42,12 +45,10 @@ def split_unit_circle(P: IntPoly) -> tuple[IntPoly, IntPoly]:
     if P.coeffs[0] == 0:
         raise ValueError("constant term must be nonzero (factor out X first)")
     g = poly_gcd(P, P.reciprocal())
-    if g.degree == 0:
-        return IntPoly([1]), P.primitive_part()
-    cofactor, r = P.to_rational().divmod(g)
-    if not r.is_zero:
+    cofactor = P.primitive_part().divide(g)
+    if cofactor is None:
         raise InvariantError(f"gcd {g} of P and its reciprocal does not divide P = {P}")
-    return clear_denominators(g), clear_denominators(cofactor)
+    return g, cofactor
 
 
 @functools.cache
@@ -65,8 +66,8 @@ def extract_cyclotomic(P: IntPoly) -> tuple[dict[int, int], IntPoly]:
     for n in _cyclotomic_indices(P.degree):
         phi = cyclotomic(n)
         while phi.degree <= rest.degree:
-            q, r = rest.divmod_monic(phi)
-            if not r.is_zero:
+            q = rest.divide(phi)
+            if q is None:
                 break
             factors[n] = factors.get(n, 0) + 1
             rest = q
@@ -123,28 +124,15 @@ def mahler_measure(
     intervals: list[RootInterval] = []
     if k:
         intervals.append(RootInterval(0.0, 0.0, 0.0, 0.0, multiplicity=k))
-    base = stripped.primitive_part()
-    cyclo, rest = extract_cyclotomic(base)
+    candidate, cofactor = split_unit_circle(stripped)
+    cyclo, candidate = extract_cyclotomic(candidate)
     intervals.extend(_cyclotomic_intervals(cyclo))
+    # one precision ladder over the candidate/cofactor split
+    assess = functools.partial(_assess, assume_cap=tolerance / (2 * P.degree), tolerance=tolerance)
+    arch, assumed, numeric = climb([candidate, cofactor], max(64, precision), max_precision, assess)
+    intervals.extend(numeric)
 
-    arch = 0.0
-    assumed = 0
-    prec_used = precision
-    if rest.degree >= 1:
-        candidate, cofactor = split_unit_circle(rest)
-        assume_cap = tolerance / (2.0 * P.degree)
-
-        def settle(root_lists, prec, at_cap):
-            status = _assess(*root_lists, assume_cap, tolerance, at_cap=at_cap)
-            return None if status is None else (*status, prec)
-
-        # one precision ladder over the candidate/cofactor split
-        arch, assumed, numeric, prec_used = climb(
-            [candidate, cofactor], max(64, precision), max_precision, settle
-        )
-        intervals.extend(numeric)
-
-    result_roots = ComplexRootSet(tuple(intervals), working_precision=prec_used)
+    result_roots = ComplexRootSet(tuple(intervals))
     if result_roots.total_multiplicity != P.degree:
         raise InvariantError(f"{result_roots.total_multiplicity} roots for degree {P.degree}")
     return MahlerResult(
@@ -157,7 +145,7 @@ def mahler_measure(
     )
 
 
-def _assess(cand_roots, cof_roots, assume_cap, tolerance, at_cap=False):
+def _assess(root_lists, at_cap, assume_cap, tolerance):
     """Decide whether the current discs settle the measure.
 
     Returns (arch, assumed, intervals) when every root is classified and the
@@ -166,6 +154,7 @@ def _assess(cand_roots, cof_roots, assume_cap, tolerance, at_cap=False):
     disc lies on is decided exactly; a root outside contributes the log of
     its centre, and its log-width log(hi/lo) is bounded by (hi - lo)/lo.
     """
+    cand_roots, cof_roots = root_lists
     outside, assumed, plain = [], [], []
     for roots, candidate in ((cof_roots, False), (cand_roots, True)):
         for root in roots:

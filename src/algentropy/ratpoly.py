@@ -9,15 +9,17 @@ Polynomials are stored as coefficient tuples in ascending degree order; the
 same ascending convention is used in every file format of the CLI.  The zero
 polynomial is the single coefficient (0,).  `IntPoly` and `RatPoly` share one
 implementation of the ring arithmetic (`_Poly`) and keep only what depends on
-the ring: content, primitive part and pseudo-remainder over Z; monic form
-and division over Q.
+the ring: content, primitive part, exact division and pseudo-remainder over
+Z; monic form over Q.  The exact core (clearing, gcd, square-free
+decomposition, cyclotomic factors) runs on `IntPoly`: by Gauss's lemma every
+factor it takes of a primitive integer polynomial is again one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -219,22 +221,30 @@ class IntPoly(_Poly):
             k += 1
         return IntPoly(self.coeffs[k:]), k
 
-    def divmod_monic(self, g: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
-        """Exact Euclidean division by a monic integer polynomial."""
-        if g.lead != 1:
-            raise ValueError("divisor must be monic")
+    def divide(self, g: "IntPoly") -> "IntPoly | None":
+        """self / g when g divides self in Z[x], else None.
+
+        Returns None as soon as a leading coefficient is not divisible by
+        lead(g), so a failed division by a non-monic g usually stops early.
+        """
+        if g.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        dq = len(rem) - len(g.coeffs)
-        if dq < 0:
-            return IntPoly([0]), self
-        quot = [0] * (dq + 1)
-        for i in range(dq, -1, -1):
-            c = rem[i + g.degree]
+        dg, lg, gs = g.degree, g.lead, g.coeffs
+        quot = []
+        for top in range(len(rem) - 1, dg - 1, -1):
+            c = rem[top]
             if c:
-                quot[i] = c
-                for j, b in enumerate(g.coeffs):
-                    rem[i + j] -= c * b
-        return IntPoly(quot), IntPoly(rem[: max(1, g.degree)])
+                if c % lg:
+                    return None
+                c //= lg
+                shift = top - dg
+                for j in range(dg):
+                    rem[shift + j] -= c * gs[j]
+            quot.append(c)
+        if any(rem[:dg]):
+            return None
+        return IntPoly(quot[::-1])
 
     def pseudo_remainder(self, g: "IntPoly") -> "IntPoly":
         """Remainder of lead(g)^k * self by g over Z, for some k >= 0.
@@ -283,86 +293,38 @@ class RatPoly(_Poly):
         inv = 1 / self.lead
         return RatPoly([c * inv for c in self.coeffs])
 
-    def divmod(self, g: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
-        if g.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(g.coeffs)
-        if dq < 0:
-            return RatPoly([0]), self
-        quot = [Fraction(0)] * (dq + 1)
-        ginv = 1 / g.lead
-        for i in range(dq, -1, -1):
-            c = rem[i + g.degree] * ginv
-            if c:
-                quot[i] = c
-                for j, b in enumerate(g.coeffs):
-                    rem[i + j] -= c * b
-        return RatPoly(quot), RatPoly(rem[: max(1, g.degree)])
 
-
-@dataclass(frozen=True)
-class PrimitivePair:
-    """A monic rational polynomial with its minimal integer clearing.
-
-    ``primitive == s * monic`` coefficient-wise, ``s`` is the least positive
-    integer making that integral, and content(primitive) = 1 with leading
-    coefficient s.
-    """
-
-    monic: RatPoly
-    s: int
-    primitive: IntPoly
-
-
-def clear_denominators(f: RatPoly) -> IntPoly:
+def primitivize(f: RatPoly) -> IntPoly:
     """The primitive integer polynomial with positive lead proportional to f.
 
-    For monic f the multiplier is the lcm of the coefficient denominators,
-    which is also the lead of the result: some coefficient carries the full
-    power of each prime of that lcm in its denominator, so no prime divides
-    every cleared coefficient.
+    This is the one denominator-clearing step.  For monic f the multiplier is
+    the lcm of the coefficient denominators, which is also the lead s of the
+    result: some coefficient carries the full power of each prime of that lcm
+    in its denominator, so no prime divides every cleared coefficient.
     """
     den = math.lcm(*(c.denominator for c in f.coeffs))
     return IntPoly([c.numerator * (den // c.denominator) for c in f.coeffs]).primitive_part()
 
 
-def primitivize(f: RatPoly) -> PrimitivePair:
-    """Clear denominators of a monic rational polynomial minimally."""
-    if not f.is_monic:
-        raise ValueError("primitivize requires a monic polynomial")
-    primitive = clear_denominators(f)
-    return PrimitivePair(monic=f, s=primitive.lead, primitive=primitive)
+def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
+    """The gcd of two integer polynomials: primitive, with positive lead.
 
-
-def poly_gcd(f, g) -> RatPoly:
-    """Monic gcd over Q of two polynomials (IntPoly or RatPoly).
-
-    Primitive polynomial remainder sequence: both arguments are cleared to
-    primitive integer polynomials and Euclid runs on pseudo-remainders over
-    Z, each reduced to its primitive part.  By Gauss's lemma the last
-    nonzero term is the gcd over Q up to a constant.  Dividing out each
-    content keeps the integers near the size of the inputs, where Euclid
-    over Fraction coefficients lets numerators and denominators grow.
+    Primitive polynomial remainder sequence: Euclid runs on pseudo-remainders
+    over Z, each reduced to its primitive part.  By Gauss's lemma the last
+    nonzero term is the gcd in Z[x] up to sign.  Dividing out each content
+    keeps the integers near the size of the inputs, where Euclid over
+    Fraction coefficients lets numerators and denominators grow.
     """
-    a = f.primitive_part() if isinstance(f, IntPoly) else clear_denominators(f)
-    b = g.primitive_part() if isinstance(g, IntPoly) else clear_denominators(g)
+    a, b = f.primitive_part(), g.primitive_part()
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
     if a.degree < b.degree:
         a, b = b, a
     while not b.is_zero:
         if b.degree == 0:
-            return RatPoly([1])
+            return IntPoly([1])
         a, b = b, a.pseudo_remainder(b).primitive_part()
-    return a.to_rational().monic()
-
-
-def _exact_quotient(f: RatPoly, g: RatPoly) -> RatPoly:
-    q, r = f.divmod(g)
-    if not r.is_zero:
-        raise InvariantError(f"gcd factor {g} does not divide {f}")
-    return q
+    return a
 
 
 def squarefree_decomposition(P: IntPoly) -> list[tuple[IntPoly, int]]:
@@ -375,48 +337,43 @@ def squarefree_decomposition(P: IntPoly) -> list[tuple[IntPoly, int]]:
         raise ValueError("zero polynomial")
     if P.degree == 0:
         return []
-    f = P.to_rational().monic()
+    f = P.primitive_part()
     df = f.derivative()
     g = poly_gcd(f, df)
-    w = _exact_quotient(f, g)
-    h = _exact_quotient(df, g)
+    # every divisor is primitive, so each quotient of Yun's algorithm is in Z[x]
+    w, h = f.divide(g), df.divide(g)
     out: list[tuple[IntPoly, int]] = []
     i = 1
-    while w.degree > 0:
+    while True:
+        if w is None or h is None:
+            raise InvariantError(f"a gcd factor in Yun's algorithm does not divide, for {P}")
+        if w.degree == 0:
+            return out
         if i > P.degree:
             raise InvariantError(f"multiplicity {i} exceeds the degree of {P}")
         y = h - w.derivative()
         if y.is_zero:
-            out.append((clear_denominators(w), i))
-            break
+            out.append((w, i))
+            return out
         a = poly_gcd(w, y)
         if a.degree > 0:
-            out.append((clear_denominators(a), i))
-        w = _exact_quotient(w, a)
-        h = _exact_quotient(y, a)
+            out.append((a, i))
+        w, h = w.divide(a), y.divide(a)
         i += 1
-    return out
 
 
-_cyclotomic_cache: dict[int, IntPoly] = {}
-
-
+@functools.cache
 def cyclotomic(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial, by exact division of X^n - 1."""
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    cached = _cyclotomic_cache.get(n)
-    if cached is not None:
-        return cached
     poly = IntPoly([-1] + [0] * (n - 1) + [1])
     for d in divisors(n):
         if d == n:
             continue
-        q, r = poly.divmod_monic(cyclotomic(d))
-        if not r.is_zero:
+        poly = poly.divide(cyclotomic(d))
+        if poly is None:
             raise InvariantError(
                 f"cyclotomic({d}) does not divide X^{n} - 1 after the smaller factors"
             )
-        poly = q
-    _cyclotomic_cache[n] = poly
     return poly

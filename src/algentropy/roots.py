@@ -59,7 +59,6 @@ class RootInterval:
 @dataclass(frozen=True)
 class ComplexRootSet:
     roots: tuple[RootInterval, ...]
-    working_precision: int
 
     @property
     def total_multiplicity(self) -> int:
@@ -327,10 +326,10 @@ def to_interval(root: _CertRoot, assumed: bool = False) -> RootInterval:
 def climb(polys, start_bits: int, max_bits: int, settle):
     """The precision ladder: solve every polynomial per rung, warm-started,
     doubling the bits from `start_bits` to `max_bits`, until
-    `settle(root_lists, prec, at_cap)` returns something other than None.
+    `settle(root_lists, at_cap)` returns something other than None.
     A rung at the cap whose roots do not certify raises CertificationError.
     """
-    prec = start_bits
+    prec = min(start_bits, max_bits)
     warm = [None] * len(polys)
     while True:
         at_cap = prec >= max_bits
@@ -341,7 +340,7 @@ def climb(polys, start_bits: int, max_bits: int, settle):
                 roots, warm[i] = solve_with_multiplicity(P, prec, warm[i])
             root_lists.append(roots)
         if all(roots is not None for roots in root_lists):
-            result = settle(root_lists, prec, at_cap)
+            result = settle(root_lists, at_cap)
             if result is not None:
                 return result
         if at_cap:
@@ -363,16 +362,15 @@ def find_roots(P: IntPoly, precision: int = 128, max_precision: int = 4096) -> C
     if k:
         intervals.append(RootInterval(0.0, 0.0, 0.0, 0.0, multiplicity=k))
     if stripped.degree == 0:
-        return ComplexRootSet(tuple(intervals), working_precision=precision)
+        return ComplexRootSet(tuple(intervals))
 
-    def settle(root_lists, prec, at_cap):
+    def settle(root_lists, at_cap):
         (roots,) = root_lists
         done = all(r.r << precision <= max(math.isqrt(r.a**2 + r.b**2), 1 << r.k) for r in roots)
         if not (done or at_cap):
             return None
         found = ComplexRootSet(
-            tuple(intervals) + tuple(to_interval(r) for r in _sorted_roots(roots)),
-            working_precision=prec,
+            tuple(intervals) + tuple(to_interval(r) for r in _sorted_roots(roots))
         )
         if not done:
             raise CertificationError(

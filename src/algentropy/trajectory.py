@@ -48,16 +48,6 @@ _WINDOW = 5
 
 
 @dataclass(frozen=True)
-class PrimeSupport:
-    """Finite primes dividing m or an entry denominator; infinity implicit."""
-
-    primes: frozenset[int]
-
-    def sorted(self) -> tuple[int, ...]:
-        return tuple(sorted(self.primes))
-
-
-@dataclass(frozen=True)
 class TrajectoryRun:
     dim: int
     m: int
@@ -88,13 +78,12 @@ def fraction_grid(dim: int, m: int) -> set[tuple[Fraction, ...]]:
     return set(itertools.product(rng, repeat=dim))
 
 
-def prime_support(M: RationalMatrix, m: int) -> PrimeSupport:
-    """Primes dividing m or any entry denominator of M."""
+def prime_support(M: RationalMatrix, m: int) -> tuple[int, ...]:
+    """Primes dividing m or any entry denominator of M, ascending; the
+    infinite place is implicit."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    primes = set(prime_divisors(m))
-    primes.update(prime_divisors(M.denominator_lcm()))
-    return PrimeSupport(primes=frozenset(primes))
+    return tuple(prime_divisors(m * M.denominator_lcm()))
 
 
 def admissible_m(M: RationalMatrix) -> int:
@@ -106,7 +95,7 @@ def admissible_m(M: RationalMatrix) -> int:
     """
     c = max(math.ceil(operator_norm(M, math.inf)) + 1, 3)
     m = c
-    for p in sorted(prime_support(M, 1).primes):
+    for p in prime_support(M, 1):
         e = 0
         for row in M.rows:
             for entry in row:
@@ -282,8 +271,8 @@ def trajectory_counts(
     support = prime_support(M, m)
     # containment: stored points live at scale m * d^(n-1), so coordinate
     # denominators only ever involve the support primes
-    if not set(prime_divisors(m * d)) <= support.primes:
-        raise InvariantError(f"primes of m*d = {m * d} outside the support {support.sorted()}")
+    if not set(prime_divisors(m * d)) <= set(support):
+        raise InvariantError(f"primes of m*d = {m * d} outside the support {support}")
 
     counts = [grid_size]
     # the grid fills its box, so its keys are all of range(grid_size)
@@ -332,7 +321,7 @@ def trajectory_counts(
         h_inc=h_inc,
         budget=budget,
         budget_exhausted_at=exhausted,
-        support_primes=support.sorted(),
+        support_primes=support,
     )
 
 

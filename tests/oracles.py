@@ -37,15 +37,23 @@ def faddeev_char_poly(M: RationalMatrix) -> RatPoly:
 
 
 def fraction_euclid_gcd(f, g) -> RatPoly:
-    """Monic gcd over Q by Euclid on Fraction coefficients."""
-    a = f.to_rational() if isinstance(f, IntPoly) else RatPoly(f.coeffs)
-    b = g.to_rational() if isinstance(g, IntPoly) else RatPoly(g.coeffs)
-    if a.is_zero and b.is_zero:
+    """Monic gcd over Q by Euclid on Fraction coefficients, with its own
+    long division so that it shares no division code with the package."""
+    a = [Fraction(c) for c in f.coeffs]
+    b = [Fraction(c) for c in g.coeffs]
+    if not any(a) and not any(b):
         raise ValueError("gcd(0, 0) is undefined")
-    while not b.is_zero:
-        _, r = a.divmod(b)
-        a, b = b, r
-    return a.monic()
+    while any(b):
+        while not b[-1]:
+            b.pop()
+        while len(a) >= len(b) and any(a):
+            c = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for j, x in enumerate(b):
+                a[shift + j] -= c * x
+            a.pop()
+        a, b = b, a
+    return RatPoly(a).monic()
 
 
 def eig_moduli(coeffs, dps: int = 60):

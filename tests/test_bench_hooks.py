@@ -41,6 +41,8 @@ def test_bench_tracer_counts_both_trajectory_backends(monkeypatch, capsys):
     tracer = tracer_mod.Tracer(run.TRACED, run.HOOKS)
     with tracer.installed():
         assert cli.main(["mahler", "--poly", "[-3,2]"]) == 0
+        # char poly (X - 3/2)(X + 1): clearing, the split, Phi_2 and Yun all run
+        assert cli.main(["entropy", "--matrix", '[["3/2","1"],["0","-1"]]']) == 0
         # 46351 is prime: the keys leave int64 at the third level
         swap = '[["0","1/46351"],["1/46351","0"]]'
         assert cli.main(["trajectory", "--matrix", swap, "--max-n", "3"]) == 0
@@ -52,6 +54,14 @@ def test_bench_tracer_counts_both_trajectory_backends(monkeypatch, capsys):
     assert counted["packed_levels"] >= 1 and counted["bigint_levels"] >= 1
     names = {span.name for span in tracer.spans}
     assert {"cli.main", "mahler.mahler_measure", "trajectory.trajectory_counts"} <= names
+    assert {
+        "linalg.char_poly",
+        "ratpoly.primitivize",
+        "ratpoly.poly_gcd",
+        "ratpoly.squarefree_decomposition",
+        "mahler.split_unit_circle",
+        "mahler.extract_cyclotomic",
+    } <= names
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)

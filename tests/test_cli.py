@@ -2,6 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +56,29 @@ def test_mahler_command(capsys):
     doc = json.loads(out)
     assert code == 0 and abs(doc["value"] - math.log(3)) < 1e-12
     assert len(doc["roots"]) == 1
+
+
+def test_precision_above_the_cap_starts_at_the_cap(capsys):
+    # the ladder's first rung is clamped to the 4096-bit cap, so a huge
+    # --precision costs what the cap costs and reports the same document;
+    # the huge call runs in a child with a timeout, so a regression fails
+    # instead of hanging the suite
+    lehmer = "[1,1,0,-1,-1,-1,-1,-1,0,1,1]"
+    code, at_cap, _ = run_cli(capsys, "mahler", "--poly", lehmer, "--precision", "4096")
+    assert code == 0
+    timed_main = (
+        "import sys, time, algentropy.cli as cli; t = time.perf_counter(); "
+        "code = cli.main(sys.argv[1:]); print(time.perf_counter() - t, file=sys.stderr); "
+        "sys.exit(code)"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", timed_main, "mahler", "--poly", lehmer, "--precision", "1000000"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0 and float(done.stderr) < 2.0
+    assert done.stdout == at_cap
 
 
 def test_polygon_command(capsys):

@@ -16,8 +16,9 @@ from algentropy.mahler import (
     mahler_measure,
     split_unit_circle,
 )
-from algentropy.ratpoly import IntPoly, InvariantError, RatPoly, cyclotomic
+from algentropy.ratpoly import IntPoly, InvariantError, cyclotomic
 from algentropy.roots import find_roots
+from algentropy.verify import cyclotomic_product_corpus
 
 from oracles import eig_moduli, mahler_oracle
 
@@ -122,7 +123,7 @@ def test_split_unit_circle_examples():
 
 
 def test_split_unit_circle_division_check_raises(monkeypatch):
-    monkeypatch.setattr(mahler, "poly_gcd", lambda f, g: RatPoly([-5, 1]))
+    monkeypatch.setattr(mahler, "poly_gcd", lambda f, g: IntPoly([-5, 1]))
     with pytest.raises(InvariantError):
         split_unit_circle(IntPoly([5, -6, 5]))
 
@@ -205,6 +206,25 @@ def test_extract_cyclotomic():
     factors, rest = extract_cyclotomic(poly)
     assert factors == {1: 2, 6: 1}
     assert rest.coeffs == (-3, -7, 6)
+
+
+def test_cyclotomic_factors_all_lie_in_the_candidate():
+    # a root of unity has the same multiplicity in P and in its reciprocal,
+    # so extracting from the split candidate finds every cyclotomic factor
+    rng = random.Random(53)
+    for cyclo in cyclotomic_product_corpus(rng, 40):
+        poly = cyclo.strip_x()[0]
+        for _ in range(rng.randint(0, 2)):
+            # (q X - r) with |q| != |r| has its root off the circle
+            q, r = rng.choice([(1, 2), (2, 1), (3, -1), (2, -5), (1, -3)])
+            poly = poly * IntPoly([-r, q])
+        if rng.random() < 0.5:
+            poly = poly * IntPoly([2, -3, 1, 4])
+        whole, _ = extract_cyclotomic(poly.primitive_part())
+        candidate, _ = split_unit_circle(poly)
+        from_candidate, rest = extract_cyclotomic(candidate)
+        assert whole and from_candidate == whole
+        assert extract_cyclotomic(rest)[0] == {}
 
 
 def test_is_cyclotomic_product():

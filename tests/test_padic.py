@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algentropy.padic import (
     newton_polygon,
@@ -120,3 +122,17 @@ def test_verify_place_identity_examples():
     rep = verify_place_identity(IntPoly([5, -6, 5]))
     assert rep.all_ok
     assert rep.per_prime[0][:2] == (5, 1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(-200, 200), min_size=1, max_size=8),
+    st.integers(-400, 400).filter(bool),
+)
+def test_place_identity_property(lower, lead):
+    # polygon mass equals vp(s) at every prime, whether or not p divides s
+    poly = IntPoly(lower + [lead]).primitive_part()
+    s = poly.lead
+    assert verify_place_identity(poly).all_ok
+    for p in (2, 3, 5, 7, 11):
+        assert newton_polygon(poly, p).positive_mass() == vp(s, p)

@@ -3,13 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from algentropy import ratpoly
 from algentropy.ratpoly import (
     IntPoly,
     InvariantError,
     RatPoly,
-    clear_denominators,
     cyclotomic,
     parse_rational,
     pnorm,
@@ -122,21 +123,20 @@ def test_reciprocal():
 
 def test_poly_gcd_examples():
     g = poly_gcd(IntPoly([-1, 0, 1]), IntPoly([0, -1, 1]))
-    assert g == RatPoly([-1, 1])
+    assert g == IntPoly([-1, 1])
     f = IntPoly([2, 5, 3])
-    assert poly_gcd(f, f) == f.to_rational().monic()
+    assert poly_gcd(f, f) == f
     assert poly_gcd(IntPoly([1, 0, 1]), IntPoly([-1, 0, 1])).degree == 0
     # the remainder sequence ends in a nonzero constant: coprime, gcd 1
-    assert poly_gcd(IntPoly([1, 1, 0, 1]), IntPoly([-1, 2])) == RatPoly([1])
-    assert poly_gcd(IntPoly([3]), f) == RatPoly([1])
-    # zero arguments, contents and rational inputs
-    assert poly_gcd(f * 6, IntPoly([0])) == f.to_rational().monic()
-    assert poly_gcd(IntPoly([0]), RatPoly([Fraction(1, 2), Fraction(5, 3)])) == RatPoly(
-        [Fraction(3, 10), 1]
-    )
-    assert poly_gcd(IntPoly([0]), IntPoly([7])) == RatPoly([1])
+    assert poly_gcd(IntPoly([1, 1, 0, 1]), IntPoly([-1, 2])) == IntPoly([1])
+    assert poly_gcd(IntPoly([3]), f) == IntPoly([1])
+    # zero arguments, contents and signs: the gcd is primitive with positive lead
+    assert poly_gcd(f * 6, IntPoly([0])) == f
+    assert poly_gcd(IntPoly([0]), IntPoly([-15, -50])) == IntPoly([3, 10])
+    assert poly_gcd(f * -4, f * IntPoly([1, 1]) * 6) == f
+    assert poly_gcd(IntPoly([0]), IntPoly([7])) == IntPoly([1])
     with pytest.raises(ValueError):
-        poly_gcd(IntPoly([0]), RatPoly([0]))
+        poly_gcd(IntPoly([0]), IntPoly([0]))
 
 
 def _random_int_poly(rng, deg, bound):
@@ -159,11 +159,48 @@ def test_poly_gcd_matches_fraction_euclid_oracle():
             (IntPoly([0]), g),
             # almost always coprime: the remainder sequence drops to a constant
             (u, v),
-            (f.to_rational() * Fraction(rng.randint(1, 9), rng.randint(1, 9)), g),
+            (f * -rng.randint(1, 9), g),
         ]
         for a, b in pairs:
-            assert poly_gcd(a, b) == fraction_euclid_gcd(a, b), (a, b)
+            gcd = poly_gcd(a, b)
+            assert gcd.content() == 1 and gcd.lead > 0, (a, b)
+            assert gcd.to_rational().monic() == fraction_euclid_gcd(a, b), (a, b)
         assert poly_gcd(f, g).degree >= common.degree
+
+
+def test_intpoly_divide():
+    # a non-monic divisor: the quotient is exact in Z[x]
+    g = IntPoly([3, 2])
+    q = IntPoly([5, -1, 3])
+    assert (g * q).divide(g) == q
+    assert (g * q * -6).divide(-g) == q * 6
+    # the first leading step 1/2 is not an integer
+    assert IntPoly([1, 0, 1]).divide(IntPoly([1, 2])) is None
+    # every step is integral but the remainder X^2 + 1 = (X + 1)(X - 1) + 2 is not zero
+    assert IntPoly([1, 0, 1]).divide(IntPoly([1, 1])) is None
+    # a dividend of lower degree divides only when it is zero
+    assert IntPoly([1, 2]).divide(IntPoly([1, 0, 1])) is None
+    assert IntPoly([0]).divide(IntPoly([1, 0, 1])) == IntPoly([0])
+    # constant divisors divide exactly when they divide the content
+    assert IntPoly([6, -4]).divide(IntPoly([-2])) == IntPoly([-3, 2])
+    assert IntPoly([6, -3]).divide(IntPoly([2])) is None
+    with pytest.raises(ZeroDivisionError):
+        IntPoly([1, 1]).divide(IntPoly([0]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+)
+def test_poly_gcd_property_matches_fraction_euclid(a, b, c):
+    f = IntPoly(a) * IntPoly(c)
+    g = IntPoly(b) * IntPoly(c)
+    assume(not (f.is_zero and g.is_zero))
+    gcd = poly_gcd(f, g)
+    assert gcd.content() == 1 and gcd.lead > 0
+    assert gcd.to_rational().monic() == fraction_euclid_gcd(f, g)
 
 
 def test_poly_gcd_divides_both():
@@ -174,26 +211,26 @@ def test_poly_gcd_divides_both():
         g = base * IntPoly([rng.randint(-4, 4), rng.randint(1, 4)])
         gcd = poly_gcd(f, g)
         for poly in (f, g):
-            _, rem = poly.to_rational().divmod(gcd)
-            assert rem.is_zero
+            quotient = poly.divide(gcd)
+            assert quotient is not None and quotient * gcd == poly
 
 
 def test_primitivize_examples():
-    pair = primitivize(RatPoly([Fraction(-3, 2), 1]))
-    assert pair.s == 2 and pair.primitive.coeffs == (-3, 2)
-    pair = primitivize(RatPoly([1, -2, 1]))
-    assert pair.s == 1
-    pair = primitivize(RatPoly([Fraction(1, 6), Fraction(-5, 6), 1]))
-    assert pair.s == 6 and pair.primitive.coeffs == (1, -5, 6)
-    with pytest.raises(ValueError):
-        primitivize(RatPoly([1, 2]))
+    P = primitivize(RatPoly([Fraction(-3, 2), 1]))
+    assert P.lead == 2 and P.coeffs == (-3, 2)
+    P = primitivize(RatPoly([1, -2, 1]))
+    assert P.lead == 1
+    P = primitivize(RatPoly([Fraction(1, 6), Fraction(-5, 6), 1]))
+    assert P.lead == 6 and P.coeffs == (1, -5, 6)
 
 
 def test_clear_denominators():
-    assert clear_denominators(RatPoly([Fraction(1, 6), Fraction(-5, 6), 1])).coeffs == (1, -5, 6)
-    assert clear_denominators(RatPoly([Fraction(-4, 3), Fraction(-2, 9)])).coeffs == (6, 1)
-    assert clear_denominators(RatPoly([6, 4])).coeffs == (3, 2)
-    assert clear_denominators(RatPoly([0])).coeffs == (0,)
+    # primitivize clears any rational polynomial, monic or not
+    assert primitivize(RatPoly([Fraction(1, 6), Fraction(-5, 6), 1])).coeffs == (1, -5, 6)
+    assert primitivize(RatPoly([Fraction(-4, 3), Fraction(-2, 9)])).coeffs == (6, 1)
+    assert primitivize(RatPoly([6, 4])).coeffs == (3, 2)
+    assert primitivize(RatPoly([1, 2])).coeffs == (1, 2)
+    assert primitivize(RatPoly([0])).coeffs == (0,)
 
 
 def test_primitivize_minimality():
@@ -205,13 +242,14 @@ def test_primitivize_minimality():
         coeffs = [
             Fraction(rng.randint(-30, 30), rng.randint(1, 30)) for _ in range(deg)
         ] + [Fraction(1)]
-        pair = primitivize(RatPoly(coeffs))
-        assert pair.primitive.content() == 1
-        assert pair.primitive.lead == pair.s
-        for q in prime_divisors(pair.s):
-            smaller = pair.s // q
+        P = primitivize(RatPoly(coeffs))
+        s = P.lead
+        assert P.content() == 1
+        assert P.coeffs == tuple(c * s for c in coeffs)
+        for q in prime_divisors(s):
+            smaller = s // q
             assert any(
-                (c * smaller).denominator != 1 for c in pair.monic.coeffs
+                (c * smaller).denominator != 1 for c in coeffs
             ), "clearing integer is not minimal"
 
 
@@ -228,10 +266,35 @@ def test_squarefree_decomposition_roundtrip():
         assert rebuilt.primitive_part() == product.primitive_part()
 
 
+def test_squarefree_decomposition_over_z():
+    # negative leads, contents > 1 and multiplicities up to 4: every factor
+    # is primitive with positive lead, and they rebuild the product exactly
+    rng = random.Random(47)
+    for _ in range(40):
+        product = IntPoly([rng.choice([-6, -4, -1, 1, 3, 10])])
+        for mult in range(1, 5):
+            if rng.random() < 0.7:
+                lead = rng.choice([-3, -2, -1, 1, 2, 5])
+                factor = IntPoly([rng.randint(-5, 5), rng.randint(-5, 5), lead])
+                for _ in range(mult):
+                    product = product * factor
+        if product.degree < 1:
+            continue
+        factors = squarefree_decomposition(product)
+        rebuilt = IntPoly([product.content() * (1 if product.lead > 0 else -1)])
+        for factor, mult in factors:
+            assert factor.content() == 1 and factor.lead > 0 and factor.degree >= 1
+            assert poly_gcd(factor, factor.derivative()).degree == 0
+            for _ in range(mult):
+                rebuilt = rebuilt * factor
+        assert rebuilt == product
+        assert [m for _, m in factors] == sorted({m for _, m in factors})
+
+
 def test_squarefree_decomposition_wrong_gcd_raises(monkeypatch):
     # (X - 1)^2 (X + 2): a gcd that does not divide fails at the first division
     poly = IntPoly([-1, 1]) * IntPoly([-1, 1]) * IntPoly([2, 1])
-    monkeypatch.setattr(ratpoly, "poly_gcd", lambda f, g: RatPoly([3, 1]))
+    monkeypatch.setattr(ratpoly, "poly_gcd", lambda f, g: IntPoly([3, 1]))
     with pytest.raises(InvariantError):
         squarefree_decomposition(poly)
     # a constant "gcd" divides everything but never peels the repeated
@@ -241,7 +304,7 @@ def test_squarefree_decomposition_wrong_gcd_raises(monkeypatch):
 
     def first_call_only(f, g):
         calls.append(1)
-        return real_gcd(f, g) if len(calls) == 1 else RatPoly([1])
+        return real_gcd(f, g) if len(calls) == 1 else IntPoly([1])
 
     monkeypatch.setattr(ratpoly, "poly_gcd", first_call_only)
     with pytest.raises(InvariantError):
@@ -261,10 +324,11 @@ def test_cyclotomic_polynomials():
 def test_cyclotomic_division_check_raises(monkeypatch):
     # a wrong divisor list makes X^4 - 1 fail to divide by Phi_3
     real_divisors = ratpoly.divisors
-    monkeypatch.setattr(ratpoly, "_cyclotomic_cache", {})
+    cyclotomic.cache_clear()
     monkeypatch.setattr(ratpoly, "divisors", lambda n: [1, 2, 3, 4] if n == 4 else real_divisors(n))
     with pytest.raises(InvariantError):
         cyclotomic(4)
+    cyclotomic.cache_clear()
     assert not issubclass(InvariantError, ValueError)
 
 
