@@ -106,7 +106,7 @@ def parse_spec(doc: dict) -> InputSpec:
             raise InputError(f"bad option 'tolerance': {value!r}")
         try:
             spec.tolerance = float(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"bad option 'tolerance': {value!r}") from exc
     if not 0 < spec.tolerance < float("inf"):
         raise InputError(f"tolerance must be finite and > 0, got {spec.tolerance!r}")

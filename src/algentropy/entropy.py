@@ -91,7 +91,9 @@ def polynomial_entropy(
         char_poly_primitive=P,
         s=s,
         roots=measured.roots,
-        zero_entropy_exact=(s == 1 and is_cyclotomic_product(P)),
+        # s = 1 makes P monic, so it is a cyclotomic product times a power
+        # of X exactly when all its nonzero roots are roots of unity
+        zero_entropy_exact=(s == 1 and measured.roots_of_unity_only),
         certified=measured.certified,
     )
 

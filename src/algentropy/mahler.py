@@ -106,6 +106,9 @@ class MahlerResult:
     log_lead: float
     roots: ComplexRootSet
     assumed_roots: int
+    # every nonzero root is a root of unity: the candidate factor is all
+    # cyclotomic and the cofactor is constant
+    roots_of_unity_only: bool
 
 
 def mahler_measure(
@@ -142,6 +145,7 @@ def mahler_measure(
         log_lead=log_lead,
         roots=result_roots,
         assumed_roots=assumed,
+        roots_of_unity_only=candidate.degree == 0 and cofactor.degree == 0,
     )
 
 

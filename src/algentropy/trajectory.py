@@ -21,12 +21,22 @@ runs (one stable timsort of the concatenation, then adjacent-unique keys).
 While the box has fewer than 2^62 keys the array is int64; past that the
 same code runs on an object array of Python ints, so both backends compute
 the same sets and the counts are exact either way.
+
+A union step on more than 2^17 int64 keys is split into contiguous
+key-range shards of at most 2^17 source keys each (`_Union`), which up to
+k threads take in turn, k the cores this process may run on
+(`os.sched_getaffinity`, else `os.cpu_count`): numpy releases the GIL in
+the copies, sorts, compares and compactions.  The worker threads start
+when a run first splits a step, and the run joins them before it returns.
+Python ints stay one shard, run inline, since their compares hold the GIL.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,6 +48,14 @@ from .ratpoly import InvariantError, vp
 
 DEFAULT_BUDGET = 20_000_000
 _INT64_LIMIT = 1 << 62
+# source keys per shard of a union step, at most.  A step on 2^17 keys or
+# fewer stays one shard, since split below about 2^16 keys a shard costs
+# more in thread hand-offs than it saves, so split steps have shards of
+# 2^16 to 2^17 keys.  The bound also bounds every temporary a worker thread
+# allocates (timsort's merge buffer, the compaction's indices), which
+# matters because glibc keeps each thread's malloc arena resident.
+_SHARD_KEYS = 1 << 17
+_BLOCK = 1 << 15  # keys a worker compacts per temporary
 
 EXPONENTIAL = "Exponential"
 POLYNOMIAL = "Polynomial"
@@ -175,17 +193,162 @@ def _doubling_steps(span: int):
         s += step
 
 
-def _sorted_unique(buf: np.ndarray) -> np.ndarray:
-    """The distinct keys of a buffer made of sorted runs, sorted.
+def _cpu_count() -> int:
+    """The cores this process may run on: the most threads a union step uses."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        return os.cpu_count() or 1
 
-    The stable sort is timsort, which merges presorted runs in linear time,
-    on int64 and on object (Python int) arrays alike.
+
+def _shard_total(keys: np.ndarray) -> int:
+    """How many key-range shards a union step on these keys is split into.
+
+    Python ints stay one shard: their compares hold the GIL.  int64 keys
+    are split into shards of at most _SHARD_KEYS source keys.
     """
-    buf.sort(kind="stable")
-    keep = np.empty(buf.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(buf[1:], buf[:-1], out=keep[1:])
-    return buf[keep]
+    return 1 if keys.dtype == object else -(-keys.size // _SHARD_KEYS)
+
+
+class _Workers:
+    """Runs a union step's shard jobs on this thread and up to threads - 1 others.
+
+    numpy releases the GIL while it copies, adds, sorts, compares and
+    compacts int64 arrays, so the shards of one step run on that many cores
+    at once.  The thread pool (and the `concurrent.futures` import) starts
+    the first time a step has more than one shard, and `close` joins its
+    threads.
+    """
+
+    def __init__(self, threads: int):
+        self.threads = threads
+        self._pool = None
+        self._lock = threading.Lock()
+
+    def __enter__(self) -> "_Workers":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
+    def run(self, fn, jobs: list) -> list:
+        """[fn(*job) for job in jobs], each job taken by the next free thread."""
+        threads = min(self.threads, len(jobs))
+        if threads <= 1:
+            return [fn(*job) for job in jobs]
+        if self._pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pool = ThreadPoolExecutor(self.threads - 1, thread_name_prefix="algentropy-shard")
+        results = [None] * len(jobs)
+        todo = iter(range(len(jobs)))
+
+        def drain():
+            while True:
+                with self._lock:
+                    i = next(todo, None)
+                if i is None:
+                    return
+                results[i] = fn(*jobs[i])
+
+        futures = [self._pool.submit(drain) for _ in range(threads - 1)]
+        drain()
+        for future in futures:
+            future.result()
+        return results
+
+
+class _Union:
+    """keys | (keys + shift) for sorted unique keys, in k key-range shards.
+
+    The cuts are the keys at positions j*n/k.  Shard j holds its own keys
+    in [cut_j, cut_(j+1)) and the shifted keys that land there, which come
+    from [cut_j - shift, cut_(j+1) - shift): those source ranges partition
+    the keys, so nothing is computed twice.  The constructor copies each
+    shard's two sorted runs side by side into one buffer and keeps no
+    reference to the keys, so the caller can drop them before `merge`;
+    `distinct` then compacts each shard into its slice of the result (a
+    single shard's compacted keys are the result).  The calling thread
+    allocates every array that grows with the keys; a worker allocates only
+    temporaries of at most one shard's size.  Each phase runs its shards
+    through `_Workers.run`, so k = 1 is the same code run inline.
+    """
+
+    def __init__(self, keys: np.ndarray, shift: int, k: int, workers: _Workers):
+        n = keys.size
+        k = max(1, min(k, n))
+        own = [j * n // k for j in range(k + 1)]
+        moved = [0, *(int(keys.searchsorted(keys[i] - shift)) for i in own[1:-1]), n]
+        # shard j's runs start where the earlier shards' own and moved keys end
+        self.bounds = [a + b for a, b in zip(own, moved)]
+        self.workers = workers
+        self.buf = np.empty(2 * n, dtype=keys.dtype)
+        jobs = [(j, keys[own[j] : own[j + 1]], keys[moved[j] : moved[j + 1]], shift) for j in range(k)]
+        workers.run(self._fill, jobs)
+
+    def _fill(self, j: int, own: np.ndarray, moved: np.ndarray, shift: int) -> None:
+        buf = self.buf[self.bounds[j] : self.bounds[j + 1]]
+        buf[: own.size] = own
+        np.add(moved, shift, out=buf[own.size :])
+
+    def merge(self) -> int:
+        """Sort every shard and mark its distinct keys; returns the union's size."""
+        self.keep = np.empty(self.buf.size, dtype=bool)
+        self.counts = self.workers.run(self._merge, [(j,) for j in range(len(self.bounds) - 1)])
+        return sum(self.counts)
+
+    def _merge(self, j: int) -> int:
+        # the stable sort is timsort, which merges the two presorted runs in
+        # linear time, on int64 and on object (Python int) arrays alike;
+        # shards cover disjoint key ranges, so a shard's first key is new
+        buf = self.buf[self.bounds[j] : self.bounds[j + 1]]
+        keep = self.keep[self.bounds[j] : self.bounds[j + 1]]
+        buf.sort(kind="stable")
+        keep[:1] = True
+        np.not_equal(buf[1:], buf[:-1], out=keep[1:])
+        return int(np.count_nonzero(keep))
+
+    def distinct(self) -> np.ndarray:
+        """The union, sorted (after `merge`)."""
+        if len(self.counts) == 1:
+            return _kept(self.buf, self.keep, self.counts[0])
+        out = np.empty(sum(self.counts), dtype=self.buf.dtype)
+        starts = itertools.accumulate(self.counts, initial=0)
+        jobs = [(j, out[a : a + c]) for j, (a, c) in enumerate(zip(starts, self.counts))]
+        self.workers.run(self._compact, jobs)
+        return out
+
+    def _compact(self, j: int, out: np.ndarray) -> None:
+        # block by block, so that the temporaries stay small
+        filled = 0
+        for a in range(self.bounds[j], self.bounds[j + 1], _BLOCK):
+            b = min(a + _BLOCK, self.bounds[j + 1])
+            keep = self.keep[a:b]
+            count = int(np.count_nonzero(keep))
+            _kept(self.buf[a:b], keep, count, out[filled : filled + count])
+            filled += count
+
+
+def _kept(buf: np.ndarray, keep: np.ndarray, count: int, out: np.ndarray | None = None) -> np.ndarray:
+    """buf[keep], count keys, into out if given.
+
+    Boolean indexing copies each run of kept keys with one memcpy, which is
+    fast when few keys repeat; on int64 keys np.compress, which gathers by
+    index, is faster once more than about a fifth of them do (about 40% do
+    in most steps).  On Python ints boolean indexing was as fast or faster
+    at every share seen in big-int steps (0 to 40%).
+    """
+    if buf.dtype != object and 5 * (buf.size - count) > buf.size:
+        return np.compress(keep, buf, out=out)
+    if out is None:
+        return buf[keep]
+    out[...] = buf[keep]
+    return out
 
 
 class _PackedState:
@@ -202,23 +365,22 @@ class _PackedState:
     def __len__(self) -> int:
         return self.keys.size
 
-    def expand(self, d: int, axes, m: int, budget: int):
+    def expand(self, d: int, axes, m: int, budget: int, workers: _Workers):
         level = _Level(self.lo, self.hi, d, axes, m)
         if level.size >= self.limit:
             return None, "overflow"
         keys = level.rekey(self.keys)
         for delta in level.deltas:
             for step in _doubling_steps(2 * m):
-                # both runs go into one buffer; the old run and then the buffer
-                # are dropped before the next step allocates
-                buf = np.empty(2 * keys.size, dtype=self.dtype)
-                buf[: keys.size] = keys
-                np.add(keys, step * delta, out=buf[keys.size :])
+                union = _Union(keys, step * delta, _shard_total(keys), workers)
+                # the old keys are dropped before the merge, and the merged
+                # buffer before the next step allocates; a step past the
+                # budget stops before its keys are compacted
                 del keys
-                keys = _sorted_unique(buf)
-                del buf
-                if keys.size > budget:
+                if union.merge() > budget:
                     return None, "budget"
+                keys = union.distinct()
+                del union
         return type(self)(keys, level.lo, level.hi), "ok"
 
     def to_exact(self) -> "_ExactState":
@@ -269,10 +431,6 @@ def trajectory_counts(
     d = M.denominator_lcm()
     m_int = [[int(e * d) for e in row] for row in M.rows]
     support = prime_support(M, m)
-    # containment: stored points live at scale m * d^(n-1), so coordinate
-    # denominators only ever involve the support primes
-    if not set(prime_divisors(m * d)) <= set(support):
-        raise InvariantError(f"primes of m*d = {m * d} outside the support {support}")
 
     counts = [grid_size]
     # the grid fills its box, so its keys are all of range(grid_size)
@@ -283,21 +441,22 @@ def trajectory_counts(
     # of the grid at the current level
     power = [[int(i == j) for j in range(dim)] for i in range(dim)]
     exhausted = None
-    for level in range(1, n_max):
-        power = [
-            [sum(m_int[i][k] * power[k][j] for k in range(dim)) for j in range(dim)]
-            for i in range(dim)
-        ]
-        axes = [tuple(power[i][j] for i in range(dim)) for j in range(dim)]
-        new_state, reason = state.expand(d, axes, m, budget)
-        if reason == "overflow":
-            state = state.to_exact()
-            new_state, reason = state.expand(d, axes, m, budget)
-        if reason == "budget":
-            exhausted = level + 1
-            break
-        state = new_state
-        counts.append(len(state))
+    with _Workers(_cpu_count()) as workers:
+        for level in range(1, n_max):
+            power = [
+                [sum(m_int[i][k] * power[k][j] for k in range(dim)) for j in range(dim)]
+                for i in range(dim)
+            ]
+            axes = [tuple(power[i][j] for i in range(dim)) for j in range(dim)]
+            new_state, reason = state.expand(d, axes, m, budget, workers)
+            if reason == "overflow":
+                state = state.to_exact()
+                new_state, reason = state.expand(d, axes, m, budget, workers)
+            if reason == "budget":
+                exhausted = level + 1
+                break
+            state = new_state
+            counts.append(len(state))
 
     for a, b in zip(counts, counts[1:]):
         if b < a:

@@ -5,10 +5,11 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from algentropy import cli, padic
@@ -180,6 +181,73 @@ def test_spec_roundtrip():
     spec = cli.parse_spec({"poly": ["1", "-5", "6"]})
     assert [str(c) for c in spec.poly.coeffs] == ["1", "-5", "6"]
     assert spec.matrix is None
+
+
+def _document(spec: cli.InputSpec) -> dict:
+    """The input document of a parsed spec, sent through JSON text as the CLI reads it."""
+    doc = {
+        "m": spec.m,
+        "n_max": spec.n_max,
+        "budget": spec.budget,
+        "precision": spec.precision,
+        "tolerance": spec.tolerance,
+    }
+    if spec.matrix is not None:
+        doc["matrix"] = [[str(e) for e in row] for row in spec.matrix.rows]
+    else:
+        doc["poly"] = [str(c) for c in spec.poly.coeffs]
+    return json.loads(json.dumps(doc))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**400), 10**400) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_RATIONAL = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+_ENTRY = st.integers(-50, 50) | _RATIONAL.map(str) | _RATIONAL.map(lambda q: f" {q} ")
+_OPTION = st.integers(-3, 10**6) | st.integers(-3, 10**6).map(str)
+_FIELDS = ("matrix", "poly", "m", "n_max", "budget", "precision", "tolerance")
+
+
+@st.composite
+def _documents(draw):
+    """Input documents: well-formed ones, and ones with an arbitrary JSON value in some field."""
+    doc = {}
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 3))
+        doc["matrix"] = draw(st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n))
+    else:
+        doc["poly"] = draw(st.lists(st.integers(-20, 20) | st.integers(-20, 20).map(str), min_size=1, max_size=6))
+    for field in ("m", "n_max", "budget", "precision"):
+        if draw(st.booleans()):
+            doc[field] = draw(_OPTION)
+    if draw(st.booleans()):
+        doc["tolerance"] = draw(st.floats(1e-300, 1.0) | st.floats(1e-300, 1.0).map(repr))
+    for field in draw(st.lists(st.sampled_from(_FIELDS), max_size=2, unique=True)):
+        doc[field] = draw(_JSON)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents())
+@example({"poly": [1, 2], "tolerance": 10**400})  # float() raises OverflowError
+@example({"matrix": [["1/0"]], "m": "x"})
+def test_parse_spec_accepts_and_round_trips_or_raises_input_error(doc):
+    # a malformed entry is an InputError (exit 2), never a bare ValueError,
+    # TypeError or OverflowError, which main would report as a defect
+    try:
+        spec = cli.parse_spec(doc)
+    except cli.InputError:
+        return
+    assert cli.parse_spec(_document(spec)) == spec
+
+
+def test_huge_integer_tolerance_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"poly": [1, 2], "tolerance": 10**400}))
+    code, _, err = run_cli(capsys, "entropy", "--input", str(path))
+    assert code == 2 and "tolerance" in err
 
 
 def test_input_errors_exit_2(capsys, tmp_path):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import algentropy
+from algentropy import verify
 from algentropy.entropy import (
     INFINITE_PLACE,
     algebraic_entropy,
@@ -22,6 +23,7 @@ from algentropy.linalg import (
     companion,
     inverse,
 )
+from algentropy.mahler import is_cyclotomic_product
 from algentropy.ratpoly import IntPoly, RatPoly
 
 from oracles import mahler_oracle
@@ -204,6 +206,15 @@ def test_polynomial_entropy_examples():
     assert polynomial_entropy(IntPoly([2, 0, 2])).zero_entropy_exact  # content 2
     with pytest.raises(ValueError):
         polynomial_entropy(IntPoly([5]))
+
+
+def test_zero_entropy_exact_is_the_cyclotomic_decision():
+    # read off the split that mahler_measure already made, not decided again
+    rng = random.Random(10)
+    corpus = verify.cyclotomic_product_corpus(rng, 40) + verify.non_cyclotomic_corpus(rng, 40)
+    for poly in corpus:
+        assert polynomial_entropy(poly).zero_entropy_exact == is_cyclotomic_product(poly), poly
+    assert sum(map(is_cyclotomic_product, corpus)) == 40
 
 
 _SKEWED_POLYGON = """

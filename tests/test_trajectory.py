@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -311,6 +312,117 @@ def test_validation_errors():
 
 def test_inconclusive_constant():
     assert INCONCLUSIVE == "Inconclusive"
+
+
+@st.composite
+def _sorted_unique_keys(draw):
+    span = draw(st.sampled_from([8, 300, 1 << 40]))  # dense keys repeat under a shift, sparse ones do not
+    keys = sorted(draw(st.lists(st.integers(-span, span), unique=True, max_size=300)))
+    return np.array(keys, dtype=draw(st.sampled_from([np.int64, object])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _sorted_unique_keys(),
+    st.integers(-400, 400) | st.integers(-(1 << 41), 1 << 41),
+    st.integers(1, 4),
+)
+def test_sharded_union_is_the_union(keys, shift, k):
+    # k key-range shards, also more than there are keys, and shifts that move
+    # every key out of the range, so that some shards take no shifted keys
+    with trajectory._Workers(4) as workers:
+        union = trajectory._Union(keys, shift, k, workers)
+        size = union.merge()
+        result = union.distinct()
+    expected = np.union1d(keys, keys + shift)
+    assert size == expected.size
+    assert result.dtype == keys.dtype and result.tolist() == expected.tolist()
+
+
+def test_workers_run_every_job_once():
+    # more threads than cores and a short switch interval: a job taken twice
+    # or lost, or a result stored in the wrong slot, breaks the equalities
+    ran = []
+
+    def job(i):
+        ran.append(i)
+        return i * i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with trajectory._Workers(8) as workers:
+            for n in (1, 2, 7, 500):
+                ran.clear()
+                assert workers.run(job, [(i,) for i in range(n)]) == [i * i for i in range(n)]
+                assert sorted(ran) == list(range(n))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_small_shards_on_threads_give_the_pinned_counts(monkeypatch):
+    # steps of more than 1000 keys split into shards run by three threads,
+    # whatever the machine; the counts are criterion 10's frozen sequences
+    from test_acceptance import PINNED_COUNTS
+
+    monkeypatch.setattr(trajectory, "_SHARD_KEYS", 1000)
+    monkeypatch.setattr(trajectory, "_cpu_count", lambda: 3)
+    most_jobs = []
+    real_run = trajectory._Workers.run
+
+    def run(self, fn, jobs):
+        most_jobs.append(len(jobs))
+        return real_run(self, fn, jobs)
+
+    monkeypatch.setattr(trajectory._Workers, "run", run)
+    for name, M, m, n in (
+        ("fibonacci", RationalMatrix([[0, 1], [1, 1]]), 1, 20),
+        ("nonarch", NONARCH, 18, 3),
+    ):
+        most_jobs.clear()
+        sharded = trajectory_counts(M, m, n).counts
+        assert max(most_jobs) > 100
+        exact = trajectory_counts(M, m, n, force_exact=True).counts
+        pinned = PINNED_COUNTS[name][:n]
+        assert _blob(sharded) == _blob(pinned) == _blob(exact)
+
+
+def _blob(counts):
+    return json.dumps([str(c) for c in counts]).encode()
+
+
+_THREADS_AFTER = """
+import sys, threading
+from algentropy import cli, trajectory
+
+if sys.argv[1] == "shard":
+    trajectory._cpu_count = lambda: 2  # split steps on any machine
+    runs = [["trajectory", "--matrix", '[["0","1"],["1","1"]]', "--max-n", "20"]]
+else:
+    runs = [
+        ["entropy", "--matrix", '[["3/2","1"],["0","-1"]]'],
+        ["trajectory", "--matrix", '[["0","1/46351"],["1/46351","0"]]', "--max-n", "3"],
+        ["trajectory", "--matrix", '[["0","1"],["1","1"]]', "--max-n", "12"],
+    ]
+codes = [cli.main(argv) for argv in runs]
+print(codes, "concurrent.futures" in sys.modules, threading.active_count())
+"""
+
+
+@pytest.mark.parametrize("mode, pool_started", [("small", False), ("shard", True)])
+def test_worker_threads_start_only_for_split_steps(mode, pool_started):
+    # a run whose steps all stay one shard imports no executor and starts no
+    # thread; a run that split its steps leaves no thread behind and exits
+    src = str(Path(algentropy.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _THREADS_AFTER, mode],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    codes, started, threads = run.stdout.splitlines()[-1].rsplit(" ", 2)
+    assert set(json.loads(codes)) == {0}
+    assert started == str(pool_started) and threads == "1"
 
 
 _SHRINKING_LEVEL = """
