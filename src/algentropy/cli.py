@@ -18,6 +18,7 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .entropy import algebraic_entropy, polynomial_entropy
@@ -33,6 +34,8 @@ from .trajectory import (
     trajectory_counts,
 )
 from .verify import SUITES, run_suite
+
+_ENTRY_LIMIT = 10**1000  # per numerator and denominator of a matrix entry
 
 
 class InputError(ValueError):
@@ -54,9 +57,12 @@ def _parse_entry(value) -> Fraction:
     if isinstance(value, float):
         raise InputError(f"floating-point entry {value!r}: use exact strings like \"a/b\"")
     try:
-        return parse_rational(value)
+        entry = parse_rational(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational entry {value!r}: {exc}") from exc
+    if max(abs(entry.numerator), entry.denominator) >= _ENTRY_LIMIT:
+        raise InputError("a matrix entry's numerator and denominator must have at most 1000 digits")
+    return entry
 
 
 def _parse_int(value, what: str) -> int:
@@ -123,7 +129,7 @@ def _spec_from_args(args) -> InputSpec:
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # bad JSON or UTF-8, or an int past 4300 digits
             raise InputError(f"cannot read input file: {exc}") from exc
         if not isinstance(doc, dict):
             raise InputError("input document must be a JSON object")
@@ -131,13 +137,13 @@ def _spec_from_args(args) -> InputSpec:
         doc.pop("poly", None)
         try:
             doc["matrix"] = json.loads(args.matrix)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise InputError(f"bad --matrix JSON: {exc}") from exc
     if args.poly is not None:
         doc.pop("matrix", None)
         try:
             doc["poly"] = json.loads(args.poly)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise InputError(f"bad --poly JSON: {exc}") from exc
     for field, flag in (
         ("m", args.m),
@@ -186,8 +192,8 @@ def _cmd_entropy(args) -> int:
         "finite_places": [
             {"p": p, "v_s": v, "contribution": c} for p, v, c in report.finite_places
         ],
-        "s": str(report.s),
-        "char_poly_primitive": [str(c) for c in report.char_poly_primitive.coeffs],
+        "s": str(Decimal(report.s)),  # str() of an int stops at 4300 digits, Decimal's does not
+        "char_poly_primitive": [str(Decimal(c)) for c in report.char_poly_primitive.coeffs],
         "zero_entropy_exact": report.zero_entropy_exact,
         "certified": report.certified,
     }

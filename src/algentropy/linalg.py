@@ -1,19 +1,21 @@
 """Exact linear algebra over Q.
 
-Matrices are immutable tuples of Fraction rows.  The characteristic
-polynomial is computed by reduction to upper Hessenberg form and the
-Hessenberg recurrence, O(n^3) exact operations over Q; the companion matrix
-convention (ones on the subdiagonal, negated coefficients in the last
-column) is already Hessenberg, and makes char_poly(companion(f)) == f a
-round-trip identity.
+Matrices are immutable tuples of Fraction rows.  `char_poly` runs the
+Hessenberg method modulo 61-bit primes, none of them unlucky, and
+recombines by CRT under a proven Hadamard bound (proof in its docstring).
+The companion matrix convention (ones on the subdiagonal, negated
+coefficients in the last column) is already Hessenberg, and makes
+char_poly(companion(f)) == f a round-trip identity.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable
 
+from .numtheory import is_prime
 from .ratpoly import RatPoly, parse_rational, pnorm
 
 
@@ -94,65 +96,87 @@ class RationalMatrix:
         return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.rows)
 
     def denominator_lcm(self) -> int:
-        d = 1
-        for row in self.rows:
-            for e in row:
-                d = d * e.denominator // math.gcd(d, e.denominator)
-        return d
+        return math.lcm(*(e.denominator for row in self.rows for e in row))
 
 
-def char_poly(M: RationalMatrix) -> RatPoly:
-    """Monic characteristic polynomial det(X*I - M), exactly.
+@functools.cache
+def _prime(i: int) -> int:
+    """The (i+1)-th largest prime below 2^61, found on first use; call in order of i."""
+    p = _prime(i - 1) - 2 if i else 2**61 - 1
+    while not is_prime(p):
+        p -= 2
+    return p
+
+
+def _char_poly_mod(B: list, dens: list, p: int) -> list:
+    """det(X*I - M) mod p, ascending, for M = diag(dens)^-1 B and p prime to dens.
 
     Hessenberg method (Cohen, A Course in Computational Algebraic Number
-    Theory, Alg. 2.2.9): reduce M to upper Hessenberg H by exact similarity
-    transforms, swapping a row and column when a pivot is zero, then run
-    p_m = (X - h_mm) p_(m-1) - sum_i h_im (prod_(j=i+1..m) h_(j,j-1)) p_(i-1)
-    over the leading principal minors p_m of X*I - H.
+    Theory, Alg. 2.2.9), as in the Fraction oracle `hessenberg_char_poly`.
     """
-    n = M.n
-    H = [list(row) for row in M.rows]
+    n = len(B)
+    H = [[b * inv % p for b in row] for inv, row in zip((pow(d, -1, p) for d in dens), B)]
     for m in range(1, n - 1):
-        pivot = next((i for i in range(m, n) if H[i][m - 1] != 0), None)
+        pivot = next((i for i in range(m, n) if H[i][m - 1]), None)
         if pivot is None:
             continue
         if pivot != m:
             H[m], H[pivot] = H[pivot], H[m]
             for row in H:
                 row[m], row[pivot] = row[pivot], row[m]
-        inv = 1 / H[m][m - 1]
+        row_m = H[m]
+        inv = pow(row_m[m - 1], -1, p)
         for i in range(m + 1, n):
-            u = H[i][m - 1] * inv
-            if u == 0:
-                continue
-            # row_i -= u * row_m, then column_m += u * column_i (similarity)
-            row_i, row_m = H[i], H[m]
-            row_i[m - 1] = Fraction(0)
-            for k in range(m, n):
-                if row_m[k]:
-                    row_i[k] -= u * row_m[k]
-            for row in H:
-                if row[i]:
-                    row[m] += u * row[i]
-    # polys[m] = det(X*I - H[:m, :m]) as ascending coefficients
-    polys = [[Fraction(1)]]
+            if u := H[i][m - 1] * inv % p:
+                # row_i -= u * row_m (zero left of column m - 1), then column_m += u * column_i
+                H[i] = [(a - u * b) % p for a, b in zip(H[i], row_m)]
+                for row in H:
+                    row[m] = (row[m] + u * row[i]) % p
+    polys = [[1]]  # polys[m] = det(X*I - H[:m, :m])
     for m in range(1, n + 1):
         prev = polys[m - 1]
-        h = H[m - 1][m - 1]
-        p = [Fraction(0)] + prev
-        for k, c in enumerate(prev):
-            p[k] -= h * c
-        t = Fraction(1)
+        q = [a - H[m - 1][m - 1] * b for a, b in zip([0] + prev, prev + [0])]
+        t = 1
         for i in range(m - 1, 0, -1):
-            t *= H[i][i - 1]
-            if t == 0:
+            if not (t := t * H[i][i - 1] % p):
                 break
             c = t * H[i - 1][m - 1]
-            if c:
-                for k, e in enumerate(polys[i - 1]):
-                    p[k] -= c * e
-        polys.append(p)
-    return RatPoly(polys[n])
+            for k, e in enumerate(polys[i - 1]):
+                q[k] -= c * e
+        polys.append([c % p for c in q])
+    return polys[n]
+
+
+def char_poly(M: RationalMatrix) -> RatPoly:
+    """Monic det(X*I - M), exactly, from its images modulo 61-bit primes.
+
+    With D_i the lcm of row i's denominators, B = diag(D) M is integral and
+    Delta = prod D_i.  Each principal minor is det B[S,S] / prod_(i in S) D_i,
+    so Delta * det(X*I - M) is in Z[X], and by Hadamard's inequality,
+    |det B[S,S]| <= prod_(i in S) rho_i with rho_i = ceil(|B_i|_2), its X^(n-k)
+    coefficient (-1)^k Delta e_k(M) is at most [t^k] prod_i (D_i + rho_i t) in
+    size; one global lcm d would make this bound grow like d^n.  For p not
+    dividing Delta, M mod p is defined, the determinant commutes with reduction
+    mod p, and Hessenberg with pivoting works over any field: no such p is
+    unlucky.  CRT combines the images until the modulus exceeds twice the
+    bound, never earlier, and symmetric residues give Delta * det(X*I - M).
+    """
+    dens = [math.lcm(*(e.denominator for e in row)) for row in M.rows]
+    B = [[e.numerator * (d // e.denominator) for e in row] for d, row in zip(dens, M.rows)]
+    delta, bound = math.prod(dens), [1]
+    for d, row in zip(dens, B):
+        rho = math.isqrt(sum(b * b for b in row) - 1) + 1 if any(row) else 0
+        bound = [d * a + rho * b for a, b in zip(bound + [0], [0] + bound)]
+    coeffs, modulus, i = [0] * (M.n + 1), 1, 0
+    while modulus <= 2 * max(bound):
+        p, i = _prime(i), i + 1
+        if delta % p:
+            # Garner: keep coeffs mod modulus, add delta * det(X*I - M) mod p
+            inv, dp = pow(modulus, -1, p), delta % p
+            residues = _char_poly_mod(B, dens, p)
+            coeffs = [c + modulus * ((dp * r - c) * inv % p) for c, r in zip(coeffs, residues)]
+            modulus *= p
+    return RatPoly([Fraction(c - modulus if 2 * c > modulus else c, delta) for c in coeffs])
 
 
 def companion(f: RatPoly) -> RationalMatrix:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import re
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -70,13 +71,17 @@ def pnorm(x: Rational, p: int) -> Fraction:
 
 
 def parse_rational(text) -> Fraction:
-    """Parse "a/b" or "a" (or an int) into a canonical Fraction."""
+    """Parse "a/b" or "a" (ASCII digits, optional sign) or an int into a canonical Fraction.
+
+    Any other string, such as "0.5", "1e9" or "1_000", is a ValueError: an
+    exponent would let a few bytes ask for a number of any size.
+    """
     if isinstance(text, bool):
         raise ValueError(f"not a rational: {text!r}")
     if isinstance(text, int):
         return Fraction(text)
-    if isinstance(text, str):
-        return Fraction(text.strip())
+    if isinstance(text, str) and (m := re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", text.strip())):
+        return Fraction(int(m[1]), int(m[2] or 1))
     raise ValueError(f"not a rational: {text!r}")
 
 

@@ -4,8 +4,10 @@ The root oracle diagonalizes the companion matrix with mpmath's QR-based
 eig at high working precision -- a completely different algorithm from the
 package's simultaneous-iteration engine, so agreement is meaningful.  The
 exact-core oracles are the slow textbook algorithms the package replaced:
-Faddeev-LeVerrier for the characteristic polynomial and Euclid over
-Fraction coefficients for the gcd.
+Faddeev-LeVerrier and the Hessenberg method over Fraction for the
+characteristic polynomial (the package runs Hessenberg modulo primes and
+recombines by CRT under a proven bound), and Euclid over Fraction
+coefficients for the gcd.
 """
 
 from fractions import Fraction
@@ -34,6 +36,62 @@ def faddeev_char_poly(M: RationalMatrix) -> RatPoly:
         if k < n:
             Mk = M * (Mk + ident * ck)
     return RatPoly(coeffs)
+
+
+def hessenberg_char_poly(M: RationalMatrix) -> RatPoly:
+    """Monic det(X*I - M) by the Hessenberg method over Fraction, O(n^3) exact operations.
+
+    The package's char_poly runs the same reduction modulo 61-bit primes;
+    here every operation is exact over Q, and pays for a gcd.  Hessenberg
+    method (Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 2.2.9): reduce M to upper Hessenberg H by exact similarity
+    transforms, swapping a row and column when a pivot is zero, then run
+    p_m = (X - h_mm) p_(m-1) - sum_i h_im (prod_(j=i+1..m) h_(j,j-1)) p_(i-1)
+    over the leading principal minors p_m of X*I - H.
+    """
+    n = M.n
+    H = [list(row) for row in M.rows]
+    for m in range(1, n - 1):
+        pivot = next((i for i in range(m, n) if H[i][m - 1] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != m:
+            H[m], H[pivot] = H[pivot], H[m]
+            for row in H:
+                row[m], row[pivot] = row[pivot], row[m]
+        inv = 1 / H[m][m - 1]
+        for i in range(m + 1, n):
+            u = H[i][m - 1] * inv
+            if u == 0:
+                continue
+            # row_i -= u * row_m, then column_m += u * column_i (similarity)
+            row_i, row_m = H[i], H[m]
+            row_i[m - 1] = Fraction(0)
+            for k in range(m, n):
+                if row_m[k]:
+                    row_i[k] -= u * row_m[k]
+            for row in H:
+                if row[i]:
+                    row[m] += u * row[i]
+    # polys[m] = det(X*I - H[:m, :m]) as ascending coefficients
+    polys = [[Fraction(1)]]
+    for m in range(1, n + 1):
+        prev = polys[m - 1]
+        h = H[m - 1][m - 1]
+        p = [Fraction(0)] + prev
+        for k, c in enumerate(prev):
+            p[k] -= h * c
+        t = Fraction(1)
+        for i in range(m - 1, 0, -1):
+            t *= H[i][i - 1]
+            if t == 0:
+                break
+            c = t * H[i - 1][m - 1]
+            if c:
+                for k, e in enumerate(polys[i - 1]):
+                    p[k] -= c * e
+        polys.append(p)
+    return RatPoly(polys[n])
 
 
 def fraction_euclid_gcd(f, g) -> RatPoly:

@@ -3,8 +3,10 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -438,3 +440,68 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
     assert code == 0 and plain.count("\n") == 1
     assert json.loads(plain) == json.loads(pretty)
     assert len(built) == 1
+
+
+def _main_quiet(argv) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+_ENTRY_TEXT = st.text(alphabet="0123456789+-/._eE ", max_size=14) | st.text(max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ENTRY_TEXT)
+@example("0.5")
+@example("1_000")
+@example(" -12/8 ")
+@example("9" * 1000)
+@example("1/" + "9" * 1001)
+@example("1e99999")  # exponent notation, refused before it is expanded
+def test_matrix_entry_strings_parse_or_exit_2(entry):
+    # an entry is "a/b" or "a" in ASCII digits with at most 1000 digits each,
+    # and anything else exits 2; a parsed entry q gives char poly b*X - a
+    code, out = _main_quiet(["entropy", "--matrix", json.dumps([[entry]])])
+    match = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", entry.strip())
+    parts = [int(g) for g in match.groups(default="1")] if match else None
+    if parts and parts[1] and max(len(str(abs(g))) for g in parts) <= 1000:
+        q = Fraction(*parts)
+        assert code == 0 and json.loads(out)["char_poly_primitive"] == [
+            str(-q.numerator),
+            str(q.denominator),
+        ]
+    else:
+        assert code == 2 and out == ""
+
+
+def test_huge_exponent_entry_exits_2_quickly():
+    # Fraction("1e9999999") builds a ten-million-digit integer
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "algentropy.cli", "entropy", "--matrix", '[["1e9999999"]]'],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 2 and "1e9999999" in done.stderr and done.stdout == ""
+
+
+def test_integers_past_the_str_digit_limit(capsys, tmp_path):
+    # a JSON integer past Python's 4300-digit limit is an input error, not a defect
+    nines = "9" * 5000
+    code, out, err = run_cli(capsys, "entropy", "--poly", f"[1, {nines}]")
+    assert code == 2 and out == "" and "--poly" in err
+    path = tmp_path / "in.json"
+    path.write_text(f'{{"matrix": [[{nines}]]}}')
+    code, out, err = run_cli(capsys, "entropy", "--input", str(path))
+    assert code == 2 and out == "" and "input file" in err
+    code, out, _ = run_cli(capsys, "entropy", "--matrix", '[["1e99999"]]')
+    assert code == 2 and out == ""
+    # a result past the limit is written in full: (X - a)^5 for a 1000-digit a
+    a = 10**999 + 7
+    rows = [[str(a) if i == j else "0" for j in range(5)] for i in range(5)]
+    code, out, _ = run_cli(capsys, "entropy", "--matrix", json.dumps(rows))
+    assert code == 0
+    expected = [math.comb(5, k) * (-a) ** (5 - k) for k in range(6)]
+    assert [Decimal(c) for c in json.loads(out)["char_poly_primitive"]] == expected

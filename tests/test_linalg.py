@@ -9,15 +9,17 @@ from hypothesis import strategies as st
 from algentropy.linalg import (
     RationalMatrix,
     SingularMatrixError,
+    _prime,
     block_diag,
     char_poly,
     companion,
     inverse,
     operator_norm,
 )
+from algentropy.numtheory import is_prime
 from algentropy.ratpoly import RatPoly
 
-from oracles import faddeev_char_poly
+from oracles import faddeev_char_poly, hessenberg_char_poly
 
 
 def _random_matrix(rng, n, bound=9):
@@ -93,6 +95,91 @@ def test_char_poly_matches_faddeev_oracle():
             cases += [block, _permuted(rng, block)]
         for M in cases:
             assert char_poly(M) == faddeev_char_poly(M), M
+
+
+# mixed denominators: small ones, up to 40 bits, and the first modulus char_poly tries
+_DENOMINATOR = st.integers(1, 12) | st.integers(1, 2**40) | st.just(2**61 - 1)
+_ENTRY = st.just(Fraction(0)) | st.builds(Fraction, st.integers(-(2**20), 2**20), _DENOMINATOR)
+
+
+@st.composite
+def _rational_matrices(draw):
+    n = draw(st.integers(0, 8))
+    return RationalMatrix(draw(st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rational_matrices())
+def test_char_poly_matches_hessenberg_oracle(M):
+    assert char_poly(M) == hessenberg_char_poly(M)
+
+
+def _distinct_primes(rng, bits, count):
+    primes = set()
+    while len(primes) < count:
+        p = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        if is_prime(p):
+            primes.add(p)
+    return list(primes)
+
+
+def test_char_poly_skips_a_modulus_dividing_the_denominators():
+    q = _prime(0)
+    assert q == 2**61 - 1
+    M = RationalMatrix([[Fraction(1, q), 2], [3, Fraction(5, 7)]])
+    assert char_poly(M) == hessenberg_char_poly(M) == RatPoly(
+        [Fraction(5, 7 * q) - 6, -Fraction(1, q) - Fraction(5, 7), 1]
+    )
+    assert char_poly(RationalMatrix([[Fraction(-1, q)]])) == RatPoly([Fraction(1, q), 1])
+
+
+def _power(f: RatPoly, k: int) -> RatPoly:
+    out = RatPoly([1])
+    for _ in range(k):
+        out = out * f
+    return out
+
+
+def test_char_poly_meets_the_bound_with_equality():
+    # diag(R, ..., R) has Delta = 1 and rho_i = |R|, so the bound [t^k] (1 + |R| t)^8
+    # is |[X^(8-k)] (X -+ R)^8| itself.  R^8 lies just above half the product of
+    # the first nine moduli: with nine, or under half the bound, the symmetric
+    # residue of R^8 would come out negative
+    m9 = math.prod(_prime(i) for i in range(9))
+    R = math.isqrt(math.isqrt(math.isqrt(m9 // 2))) + 1
+    assert m9 < 2 * R**8 < 2 * m9 and 2**68 < R < 2**70
+    for r in (R, -R):
+        M = RationalMatrix([[r if i == j else 0 for j in range(8)] for i in range(8)])
+        assert char_poly(M) == _power(RatPoly([-r, 1]), 8)
+
+
+def test_char_poly_rounds_row_norms_up():
+    # four blocks [[a, -b], [b, a]] have orthogonal rows, so Hadamard's bound is
+    # met: det = s^4 with s = a^2 + b^2, a < sqrt(s) < a + 1 and s^4 > m9 / 2.  The
+    # bound takes rho = a + 1; floor(sqrt(s)) = a would give a^8 < m9 / 2, and
+    # nine moduli would not be enough
+    m9 = math.prod(_prime(i) for i in range(9))
+    r = math.isqrt(math.isqrt(m9 // 2))
+    a = math.isqrt(r)
+    b = math.isqrt(r - a * a) + 1
+    s = a * a + b * b
+    assert a**8 < m9 // 2 < s**4 and s < (a + 1) ** 2
+    M = RationalMatrix(
+        [
+            [(a if i == j else (-b if j == i + 1 else b)) if i // 2 == j // 2 else 0 for j in range(8)]
+            for i in range(8)
+        ]
+    )
+    assert char_poly(M) == _power(RatPoly([s, -2 * a, 1]), 4)
+
+
+def test_char_poly_with_distinct_40_bit_prime_denominators():
+    rng = random.Random(40)
+    dens = _distinct_primes(rng, 40, 64)
+    M = RationalMatrix(
+        [[Fraction(rng.randint(-99, 99), dens[8 * i + j]) for j in range(8)] for i in range(8)]
+    )
+    assert char_poly(M) == hessenberg_char_poly(M)
 
 
 def test_char_poly_det_trace():
