@@ -6,7 +6,8 @@ integers, coefficients) are serialized as decimal strings since they
 overflow doubles quickly; floats are serialized at full double precision;
 polynomial coefficients are ascending by degree everywhere.
 
-Exit codes: 0 success, 2 input error, 3 certification failure (partial
+Exit codes: 0 success, 2 input error (also an integer to factor that Pollard
+rho cannot split within its budget), 3 certification failure (partial
 report emitted), 4 verification failure, 5 internal error (a library
 invariant failed, or a library ValueError got past the input checks).
 """
@@ -24,6 +25,7 @@ from fractions import Fraction
 from .entropy import algebraic_entropy, polynomial_entropy
 from .linalg import RationalMatrix
 from .mahler import mahler_measure
+from .numtheory import FactorizationError
 from .padic import place_contribution, verify_place_identity
 from .ratpoly import IntPoly, InvariantError, parse_rational
 from .roots import CertificationError
@@ -378,7 +380,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, FactorizationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except CertificationError as exc:

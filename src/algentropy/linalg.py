@@ -10,12 +10,11 @@ char_poly(companion(f)) == f a round-trip identity.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import Iterable
 
-from .numtheory import is_prime
+from .numtheory import word_prime
 from .ratpoly import RatPoly, parse_rational, pnorm
 
 
@@ -99,15 +98,6 @@ class RationalMatrix:
         return math.lcm(*(e.denominator for row in self.rows for e in row))
 
 
-@functools.cache
-def _prime(i: int) -> int:
-    """The (i+1)-th largest prime below 2^61, found on first use; call in order of i."""
-    p = _prime(i - 1) - 2 if i else 2**61 - 1
-    while not is_prime(p):
-        p -= 2
-    return p
-
-
 def _char_poly_mod(B: list, dens: list, p: int) -> list:
     """det(X*I - M) mod p, ascending, for M = diag(dens)^-1 B and p prime to dens.
 
@@ -169,7 +159,7 @@ def char_poly(M: RationalMatrix) -> RatPoly:
         bound = [d * a + rho * b for a, b in zip(bound + [0], [0] + bound)]
     coeffs, modulus, i = [0] * (M.n + 1), 1, 0
     while modulus <= 2 * max(bound):
-        p, i = _prime(i), i + 1
+        p, i = word_prime(i), i + 1
         if delta % p:
             # Garner: keep coeffs mod modulus, add delta * det(X*I - M) mod p
             inv, dp = pow(modulus, -1, p), delta % p

@@ -1,14 +1,16 @@
 """Small deterministic integer number theory: primality, factorization, totient.
 
 Everything here is exact and seed-free.  Factorization uses trial division
-for small factors and Brent's cycle-finding variant of Pollard rho (with a
-fixed parameter schedule) for anything left over, so results are reproducible
-across runs and platforms.
+for small factors, a perfect-power test, and Brent's cycle-finding variant of
+Pollard rho (with a fixed parameter schedule and a fixed budget) for anything
+left over, so results are reproducible across runs and platforms.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from decimal import Decimal
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -16,6 +18,9 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # strong pseudoprime to all of them (Sorenson & Webster 2017).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PSI_12 = 3317044064679887385961981
+
+# squarings Pollard rho may spend per factorization: about 2.3 times what psi_12 needs
+_RHO_BUDGET = 2**22
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -98,21 +103,56 @@ def is_prime(n: int) -> bool:
     return n < _PSI_12 or _strong_lucas(n)
 
 
-def _pollard_rho(n: int) -> int:
-    """Return a non-trivial factor of composite odd n (Brent's variant)."""
-    if n % 2 == 0:
-        return 2
+@functools.cache
+def word_prime(i: int) -> int:
+    """The (i+1)-th largest prime below 2^61, found on first use; call in order of i.
+
+    The one source of word-size moduli for the multi-modular algorithms.
+    """
+    p = word_prime(i - 1) - 2 if i else 2**61 - 1
+    while not is_prime(p):
+        p -= 2
+    return p
+
+
+class FactorizationError(ArithmeticError):
+    """Pollard rho spent its whole budget without splitting a composite ``n``."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.digits = Decimal(n).adjusted() + 1  # str(n) stops at 4300 digits
+        super().__init__(
+            f"cannot factor a {self.digits}-digit integer: Pollard rho found no factor "
+            f"within {_RHO_BUDGET} squarings"
+        )
+
+
+def _pollard_rho(n: int, budget: int) -> tuple[int, int]:
+    """A non-trivial factor of composite odd n (Brent's variant), and the squarings spent.
+
+    Raises FactorizationError instead of spending more than ``budget`` squarings.
+    """
+    spent = 0
+
+    def spend(k: int) -> None:
+        nonlocal spent
+        spent += k
+        if spent > budget:
+            raise FactorizationError(n)
+
     # fixed schedule of polynomial offsets keeps this deterministic
     for c in range(1, 64):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
             x = y
+            spend(r)
             for _ in range(r):
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
                 ys = y
+                spend(min(m, r - k))
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
@@ -122,41 +162,68 @@ def _pollard_rho(n: int) -> int:
         if g == n:
             g = 1
             while g == 1:
+                spend(1)
                 ys = (ys * ys + c) % n
                 g = math.gcd(abs(x - ys), n)
         if g != n:
-            return g
-    raise ArithmeticError(f"failed to factor {n}")
+            return g, spent
+    raise FactorizationError(n)
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, by integer Newton steps from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_power(n: int) -> tuple[int, int] | None:
+    """(r, k) with n = r^k and k prime, for n with no prime factor below 2^10; else None.
+
+    Such an r is at least 2^10, so k is below log2(n) / 10.
+    """
+    for k in range(2, (n.bit_length() - 1) // 10 + 1):
+        if is_prime(k) and (r := _iroot(n, k)) ** k == n:
+            return r, k
+    return None
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as an ordered {prime: exponent} dict."""
+    """Prime factorization of |n| as an ordered {prime: exponent} dict.
+
+    Trial division by the primes below 2^10; then each cofactor is either
+    prime, a perfect k-th power (k prime, so every prime power is found
+    without rho), or split by Pollard rho.  Rho spends at most _RHO_BUDGET
+    squarings per call, enough for psi_12's two 13-digit factors; past it
+    FactorizationError is raised.
+    """
     n = abs(n)
     if n <= 1:
         return {}
     factors: dict[int, int] = {}
-    for p in (2, 3, 5):
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-    # wheel over 7, 11, 13, ... up to a small bound
-    p = 7
-    while p * p <= n and p < 100_000:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-        p += 2
-    stack = [n] if n > 1 else []
+    budget = _RHO_BUDGET
+    stack = [(n, 1)] if n > 1 else []
     while stack:
-        n = stack.pop()
-        if n == 1:
-            continue
+        n, e = stack.pop()
         if is_prime(n):
-            factors[n] = factors.get(n, 0) + 1
+            factors[n] = factors.get(n, 0) + e
             continue
-        d = _pollard_rho(n)
-        stack.append(d)
-        stack.append(n // d)
+        if root := _perfect_power(n):
+            stack.append((root[0], e * root[1]))
+            continue
+        d, spent = _pollard_rho(n, budget)
+        budget -= spent
+        stack.append((d, e))
+        stack.append((n // d, e))
     return dict(sorted(factors.items()))
 
 
@@ -173,6 +240,10 @@ def totients(limit: int) -> list[int]:
             for m in range(p, limit + 1, p):
                 phi[m] -= phi[m] // p
     return phi
+
+
+# factorize trial-divides by the primes below 2^10
+_TRIAL_PRIMES = tuple(p for p, phi in enumerate(totients(2**10 - 1)) if phi == p - 1)
 
 
 def divisors(n: int) -> list[int]:

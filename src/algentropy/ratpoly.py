@@ -24,7 +24,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .numtheory import divisors, is_prime
+from .numtheory import divisors, is_prime, word_prime
 
 Rational = Union[int, Fraction]
 
@@ -311,18 +311,51 @@ def primitivize(f: RatPoly) -> IntPoly:
     return IntPoly([c.numerator * (den // c.denominator) for c in f.coeffs]).primitive_part()
 
 
+def _coprime_mod(f: IntPoly, g: IntPoly, p: int) -> bool:
+    """Whether f mod p and g mod p, both of degree >= 1, are coprime over GF(p).
+
+    Euclid with the divisor made monic, so each step is one multiply-subtract.
+    """
+    a, b = [c % p for c in f.coeffs], [c % p for c in g.coeffs]
+    while True:
+        while b and not b[-1]:
+            b.pop()
+        if len(b) <= 1:  # b is a nonzero constant (coprime) or zero (the gcd is a, not constant)
+            return len(b) == 1
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        db = len(b) - 1
+        for top in range(len(a) - 1, db - 1, -1):
+            if c := a[top]:
+                lo = top - db
+                a[lo:top] = [(x - c * y) % p for x, y in zip(a[lo:top], b)]
+        del a[db:]
+        a, b = b, a
+
+
 def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     """The gcd of two integer polynomials: primitive, with positive lead.
 
-    Primitive polynomial remainder sequence: Euclid runs on pseudo-remainders
-    over Z, each reduced to its primitive part.  By Gauss's lemma the last
-    nonzero term is the gcd in Z[x] up to sign.  Dividing out each content
-    keeps the integers near the size of the inputs, where Euclid over
-    Fraction coefficients lets numerators and denominators grow.
+    First a coprimality certificate: for a word prime p dividing neither
+    lead, a constant gcd of the reductions mod p proves the gcd h in Z[x]
+    is 1.  (lead(h) divides lead(f), so h mod p keeps the degree of h and
+    divides both reductions; so deg h <= deg gcd_p = 0.)  Otherwise, an
+    unlucky p or a real common factor, a primitive polynomial remainder
+    sequence decides: Euclid runs on pseudo-remainders over Z, each reduced
+    to its primitive part, and by Gauss's lemma the last nonzero term is the
+    gcd in Z[x] up to sign.  Dividing out each content keeps the integers
+    near the size of the inputs, where Euclid over Fraction coefficients
+    lets numerators and denominators grow.
     """
     a, b = f.primitive_part(), g.primitive_part()
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
+    if a.degree > 0 and b.degree > 0:
+        i = 0
+        while not (a.lead % (p := word_prime(i)) and b.lead % p):
+            i += 1
+        if _coprime_mod(a, b, p):
+            return IntPoly([1])
     if a.degree < b.degree:
         a, b = b, a
     while not b.is_zero:

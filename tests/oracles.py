@@ -7,7 +7,7 @@ exact-core oracles are the slow textbook algorithms the package replaced:
 Faddeev-LeVerrier and the Hessenberg method over Fraction for the
 characteristic polynomial (the package runs Hessenberg modulo primes and
 recombines by CRT under a proven bound), and Euclid over Fraction
-coefficients for the gcd.
+coefficients for the gcd; plain trial division for factorization.
 """
 
 from fractions import Fraction
@@ -112,6 +112,20 @@ def fraction_euclid_gcd(f, g) -> RatPoly:
             a.pop()
         a, b = b, a
     return RatPoly(a).monic()
+
+
+def trial_division_factorize(n: int) -> dict[int, int]:
+    """{prime: exponent} of n >= 1 by dividing by every d = 2, 3, 4, ... while d^2 <= n."""
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
 
 
 def eig_moduli(coeffs, dps: int = 60):

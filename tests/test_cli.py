@@ -14,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from algentropy import cli, padic
+from algentropy import cli, numtheory, padic
 from algentropy.linalg import companion
+from algentropy.numtheory import is_prime
 from algentropy.ratpoly import IntPoly, InvariantError
 from algentropy.roots import CertificationError
 
@@ -505,3 +506,37 @@ def test_integers_past_the_str_digit_limit(capsys, tmp_path):
     assert code == 0
     expected = [math.comb(5, k) * (-a) ** (5 - k) for k in range(6)]
     assert [Decimal(c) for c in json.loads(out)["char_poly_primitive"]] == expected
+
+
+def test_unfactorable_clearing_integer_exits_2():
+    # s = pq with two 21-digit primes: Pollard rho runs out of its budget
+    p, q = 10**20 + 39, 10**20 + 129
+    assert is_prime(p) and is_prime(q)
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "algentropy.cli", "entropy", "--matrix", f'[["1/{p * q}"]]'],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert "cannot factor a 41-digit integer" in done.stderr
+
+
+def test_every_factorizing_subcommand_maps_an_exhausted_rho_to_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr(numtheory, "_RHO_BUDGET", 2**10)
+    n = (2**31 - 1) * (2**61 - 1)
+    for argv in (
+        ("polygon", "--poly", f"[1, {n}]"),
+        ("trajectory", "--matrix", f'[["1/{n}"]]', "--max-n", "2"),
+        ("classify", "--matrix", f'[["1/{n}"]]'),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "cannot factor a 28-digit integer" in err, argv
+
+
+def test_prime_power_clearing_integer(capsys):
+    q = 2**61 - 1
+    code, out, _ = run_cli(capsys, "entropy", "--matrix", f'[["1/{q**2}"]]')
+    doc = json.loads(out)
+    assert code == 0 and doc["s"] == str(q**2)
+    assert [(f["p"], f["v_s"]) for f in doc["finite_places"]] == [(q, 2)]

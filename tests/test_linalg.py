@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from algentropy.linalg import (
     RationalMatrix,
     SingularMatrixError,
-    _prime,
     block_diag,
     char_poly,
     companion,
     inverse,
     operator_norm,
 )
-from algentropy.numtheory import is_prime
+from algentropy.numtheory import is_prime, word_prime
 from algentropy.ratpoly import RatPoly
 
 from oracles import faddeev_char_poly, hessenberg_char_poly
@@ -124,7 +123,7 @@ def _distinct_primes(rng, bits, count):
 
 
 def test_char_poly_skips_a_modulus_dividing_the_denominators():
-    q = _prime(0)
+    q = word_prime(0)
     assert q == 2**61 - 1
     M = RationalMatrix([[Fraction(1, q), 2], [3, Fraction(5, 7)]])
     assert char_poly(M) == hessenberg_char_poly(M) == RatPoly(
@@ -145,7 +144,7 @@ def test_char_poly_meets_the_bound_with_equality():
     # is |[X^(8-k)] (X -+ R)^8| itself.  R^8 lies just above half the product of
     # the first nine moduli: with nine, or under half the bound, the symmetric
     # residue of R^8 would come out negative
-    m9 = math.prod(_prime(i) for i in range(9))
+    m9 = math.prod(word_prime(i) for i in range(9))
     R = math.isqrt(math.isqrt(math.isqrt(m9 // 2))) + 1
     assert m9 < 2 * R**8 < 2 * m9 and 2**68 < R < 2**70
     for r in (R, -R):
@@ -158,7 +157,7 @@ def test_char_poly_rounds_row_norms_up():
     # met: det = s^4 with s = a^2 + b^2, a < sqrt(s) < a + 1 and s^4 > m9 / 2.  The
     # bound takes rho = a + 1; floor(sqrt(s)) = a would give a^8 < m9 / 2, and
     # nine moduli would not be enough
-    m9 = math.prod(_prime(i) for i in range(9))
+    m9 = math.prod(word_prime(i) for i in range(9))
     r = math.isqrt(math.isqrt(m9 // 2))
     a = math.isqrt(r)
     b = math.isqrt(r - a * a) + 1

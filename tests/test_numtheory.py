@@ -1,6 +1,24 @@
+import math
 import random
+from collections import Counter
 
-from algentropy.numtheory import _strong_lucas, divisors, factorize, is_prime, prime_divisors, totients
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from algentropy import numtheory
+from algentropy.numtheory import (
+    FactorizationError,
+    _strong_lucas,
+    divisors,
+    factorize,
+    is_prime,
+    prime_divisors,
+    totients,
+    word_prime,
+)
+
+from oracles import trial_division_factorize
 
 # the least strong pseudoprime to the first twelve prime bases
 PSI_12 = 3317044064679887385961981
@@ -55,6 +73,61 @@ def test_factorize_large_smooth_and_semiprime():
     assert factorize(n) == {2: 30, 3: 20, 7: 5}
     p, q = 1_000_003, 1_000_033
     assert factorize(p * q) == {p: 1, q: 1}
+
+
+def _prime_at_most(k):
+    while trial_division_factorize(k) != {k: 1}:
+        k -= 1
+    return k
+
+
+# primes below 2^20, and primes just below and above the 2^10 trial-division bound
+_factor_primes = st.one_of(
+    st.integers(2, 2**20 - 1).map(_prime_at_most),
+    st.sampled_from((1013, 1019, 1021, 1031, 1033, 1039, 1049, 1051)),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_factor_primes, st.integers(1, 4)), max_size=4))
+def test_factorize_matches_trial_division(parts):
+    n = math.prod(p**e for p, e in parts)
+    expected = Counter()
+    for p, e in parts:
+        expected[p] += e
+    assert factorize(n) == trial_division_factorize(n) == dict(expected)
+    assert list(factorize(n)) == sorted(expected)
+
+
+def test_factorize_finds_prime_powers_without_rho(monkeypatch):
+    def no_rho(n, budget):
+        raise AssertionError(f"rho called on {n}")
+
+    monkeypatch.setattr(numtheory, "_pollard_rho", no_rho)
+    q = 2**61 - 1
+    assert factorize(46349**2) == {46349: 2}
+    assert factorize(1031**7) == {1031: 7}
+    assert factorize(3**5 * 1033**6) == {3: 5, 1033: 6}
+    assert factorize(q**3) == {q: 3}
+    assert factorize(7 * q**2) == {7: 1, q: 2}
+    assert factorize(1021**2 * 1019) == {1019: 1, 1021: 2}  # trial division alone
+
+
+def test_rho_budget_raises_a_named_error(monkeypatch):
+    monkeypatch.setattr(numtheory, "_RHO_BUDGET", 2**10)
+    n = (2**31 - 1) * (2**61 - 1)
+    with pytest.raises(FactorizationError) as info:
+        factorize(n)
+    assert info.value.n == n and info.value.digits == len(str(n)) == 28
+    assert "28-digit" in str(info.value)
+    assert factorize(1_000_003 * 1_000_033) == {1_000_003: 1, 1_000_033: 1}
+
+
+def test_word_primes_descend_from_the_mersenne_prime():
+    primes = [word_prime(i) for i in range(4)]
+    assert primes[0] == 2**61 - 1
+    assert all(is_prime(p) for p in primes) and primes == sorted(primes, reverse=True)
+    assert not any(is_prime(n) for n in range(primes[1] + 2, primes[0], 2))
 
 
 def test_prime_divisors_sorted():

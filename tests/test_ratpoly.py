@@ -20,6 +20,10 @@ from algentropy.ratpoly import (
     vp,
 )
 
+from algentropy.linalg import RationalMatrix, char_poly
+from algentropy.mahler import split_unit_circle
+from algentropy.numtheory import word_prime
+
 from oracles import fraction_euclid_gcd
 
 
@@ -213,6 +217,72 @@ def test_poly_gcd_divides_both():
         for poly in (f, g):
             quotient = poly.divide(gcd)
             assert quotient is not None and quotient * gcd == poly
+
+
+def test_poly_gcd_unlucky_prime_falls_back_to_the_remainder_sequence(monkeypatch):
+    # X - 1 and X - 2^61 are coprime over Z, but both vanish at 1 modulo 2^61 - 1
+    f, g = IntPoly([-1, 1]), IntPoly([-(2**61), 1])
+    assert word_prime(0) == 2**61 - 1 and not ratpoly._coprime_mod(f, g, word_prime(0))
+    calls = []
+    real = IntPoly.pseudo_remainder
+    monkeypatch.setattr(IntPoly, "pseudo_remainder", lambda a, b: calls.append(1) or real(a, b))
+    assert poly_gcd(f, g) == IntPoly([1]) and calls
+
+
+def test_poly_gcd_skips_a_prime_dividing_a_lead():
+    # h mod 2^61 - 1 is the constant 1, so the first prime would see f and g as
+    # coprime; it divides both leads and is skipped for the next one
+    h = IntPoly([1, word_prime(0)])
+    f, g = h * IntPoly([2, 1]), h * IntPoly([3, 1])
+    assert ratpoly._coprime_mod(f, g, word_prime(0))
+    assert poly_gcd(f, g) == h
+    assert poly_gcd(h * IntPoly([1, 0, 1]), h * h) == h
+
+
+_big_coeffs = st.lists(st.integers(-(2**70), 2**70), min_size=2, max_size=6)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    _big_coeffs,
+    _big_coeffs,
+    st.lists(st.integers(-9, 9), min_size=2, max_size=4),
+    st.booleans(),
+    st.sampled_from((1, 2**61 - 1)),
+)
+def test_poly_gcd_certificate_matches_fraction_euclid(a, b, c, planted, lead_scale):
+    f, g, common = IntPoly(a), IntPoly(b), IntPoly(c)
+    assume(common.degree > 0)
+    # leads the first prime may divide: its reductions of f and common drop in degree
+    f, common = (p + IntPoly([0] * p.degree + [p.lead * (lead_scale - 1)]) for p in (f, common))
+    if planted:
+        f, g = f * common, g * common
+    assume(not (f.is_zero and g.is_zero))
+    gcd = poly_gcd(f, g)
+    assert gcd.content() == 1 and gcd.lead > 0
+    assert gcd.to_rational().monic() == fraction_euclid_gcd(f, g)
+    if planted:
+        assert gcd.degree >= common.degree
+
+
+def test_poly_gcd_certificate_decides_a_dense_char_poly(monkeypatch):
+    # gcd(P, P*) of the unit-circle split and gcd(f, f') of Yun's algorithm are
+    # both 1 for a generic dense matrix; the modular certificate proves it alone
+    rng = random.Random(8)
+    M = RationalMatrix(
+        [[Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(8)] for _ in range(8)]
+    )
+    P = primitivize(char_poly(M))
+    assert P.degree == 8 and P.coeffs[0] != 0
+
+    def no_prs(a, b):
+        raise AssertionError("the remainder sequence ran")
+
+    monkeypatch.setattr(IntPoly, "pseudo_remainder", no_prs)
+    assert poly_gcd(P, P.reciprocal()) == IntPoly([1])
+    assert poly_gcd(P, P.derivative()) == IntPoly([1])
+    assert split_unit_circle(P) == (IntPoly([1]), P)
+    assert squarefree_decomposition(P) == [(P, 1)]
 
 
 def test_primitivize_examples():
