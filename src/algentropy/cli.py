@@ -203,6 +203,15 @@ def _cmd_entropy(args) -> int:
     return 0
 
 
+def _root_docs(roots) -> list[dict]:
+    """The certified roots of a ComplexRootSet, one object each."""
+    return [
+        {"re": r.re, "im": r.im, "mod_lo": r.mod_lo, "mod_hi": r.mod_hi,
+         "multiplicity": r.multiplicity}
+        for r in roots.roots
+    ]
+
+
 def _cmd_mahler(args) -> int:
     spec = _spec_from_args(args)
     measured = mahler_measure(
@@ -213,18 +222,7 @@ def _cmd_mahler(args) -> int:
         "certified": measured.certified,
         "archimedean": measured.archimedean,
         "log_lead": measured.log_lead,
-        "assumed_roots": measured.assumed_roots,
-        "roots": [
-            {
-                "re": r.re,
-                "im": r.im,
-                "mod_lo": r.mod_lo,
-                "mod_hi": r.mod_hi,
-                "multiplicity": r.multiplicity,
-                "on_circle_assumed": r.on_circle_assumed,
-            }
-            for r in measured.roots.roots
-        ],
+        "roots": _root_docs(measured.roots),
     }
     _emit(doc, args.pretty)
     return 0
@@ -384,8 +382,9 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except CertificationError as exc:
-        partial = {"error": str(exc), "certified": False}
-        print(json.dumps(partial, indent=2 if getattr(args, "pretty", False) else None))
+        roots = _root_docs(exc.partial) if exc.partial is not None else []
+        report = {"error": str(exc), "certified": False, "roots": roots}
+        _emit(report, getattr(args, "pretty", False))
         return 3
     except (InvariantError, ValueError) as exc:
         # every input check raises InputError, so any other ValueError is a defect

@@ -34,7 +34,11 @@ class EntropyReport:
     s: int
     roots: ComplexRootSet | None
     zero_entropy_exact: bool
-    certified: bool
+
+    @property
+    def certified(self) -> bool:
+        """Always True: an entropy that cannot be certified raises CertificationError."""
+        return True
 
     def place_list(self) -> list[tuple[float, float]]:
         """[(place, contribution)] with math.inf marking the archimedean place."""
@@ -58,7 +62,6 @@ def algebraic_entropy(
             s=1,
             roots=None,
             zero_entropy_exact=True,
-            certified=True,
         )
     P = primitivize(char_poly(M))
     return polynomial_entropy(P, tolerance=tolerance, precision=precision)
@@ -94,7 +97,6 @@ def polynomial_entropy(
         # s = 1 makes P monic, so it is a cyclotomic product times a power
         # of X exactly when all its nonzero roots are roots of unity
         zero_entropy_exact=(s == 1 and measured.roots_of_unity_only),
-        certified=measured.certified,
     )
 
 

@@ -1,8 +1,8 @@
 """Certified logarithmic Mahler measure of integer polynomials.
 
 The measure of P = s*X^N + ... is log|s| plus the log-moduli of the roots
-outside the unit circle.  The delicate part is deciding which roots are
-outside.  Protocol:
+outside the unit circle.  The delicate part is the roots on or near the
+circle.  Protocol:
 
 1. powers of X are removed, and the rest is split into a *candidate*
    factor (the primitive gcd with its own reciprocal, which carries every
@@ -12,14 +12,16 @@ outside.  Protocol:
    roots of unity contribute zero with an exact certificate (a root of unity
    has the same multiplicity in P and in its reciprocal, so the candidate
    holds all of them);
-3. cofactor roots are refined with precision doubling (64 up to a 4096-bit
-   cap) until their discs separate from the unit circle (decided exactly);
-4. candidate roots that keep straddling 1 once their interval is tighter
-   than tolerance/(2*deg) are assumed to lie on the circle, contribute
-   zero, and are flagged; they make the result uncertified but never shift
-   the value by more than the tolerance.  Any root still straddling at the
-   precision cap is treated the same way, so the value is always reported
-   and the uncertainty is surfaced, never silent.
+3. the roots of both factors are refined on one precision ladder (64 up to
+   a 4096-bit cap), and each disc's side of the unit circle is decided
+   exactly;
+4. one proven error budget settles the measure.  With lo <= |z| <= hi the
+   disc's modulus bounds, a disc outside the circle adds log|centre|, off
+   by at most log(hi/lo) <= (hi - lo)/lo; a disc meeting the circle adds 0,
+   as log+|z| lies in [0, log hi] and log hi <= hi - 1; a disc inside adds
+   0.  A rung settles once the widths sum to at most tolerance/2, so no
+   root is ever assumed to lie on the circle; at the cap, climb raises
+   CertificationError with the roots that did certify.
 """
 
 from __future__ import annotations
@@ -52,25 +54,30 @@ def split_unit_circle(P: IntPoly) -> tuple[IntPoly, IntPoly]:
 
 
 @functools.cache
-def _cyclotomic_indices(degree: int) -> tuple[int, ...]:
-    """Every n with totient(n) <= degree, ascending: the Phi_n of degree <= degree."""
+def _cyclotomics(degree: int) -> tuple[tuple[int, IntPoly, int], ...]:
+    """(n, Phi_n, Phi_n(2)) for every n with totient(n) <= degree, ascending."""
     # totient(n) >= sqrt(n/2), so totient(n) <= degree forces n <= 2*degree^2
     tot = totients(2 * degree * degree + 2)
-    return tuple(n for n in range(1, len(tot)) if tot[n] <= degree)
+    phis = ((n, cyclotomic(n)) for n in range(1, len(tot)) if tot[n] <= degree)
+    return tuple((n, phi, phi.evaluate(2)) for n, phi in phis)
 
 
 def extract_cyclotomic(P: IntPoly) -> tuple[dict[int, int], IntPoly]:
-    """Divide out all cyclotomic factors exactly: returns ({n: mult}, rest)."""
+    """Divide out all cyclotomic factors exactly: returns ({n: mult}, rest).
+
+    Phi_n | rest in Z[x] forces Phi_n(2) | rest(2), so a division is tried
+    only when that holds; rest(2) is tracked exactly across the divisions.
+    """
     rest = P
+    rest_at_2 = P.evaluate(2)
     factors: dict[int, int] = {}
-    for n in _cyclotomic_indices(P.degree):
-        phi = cyclotomic(n)
-        while phi.degree <= rest.degree:
+    for n, phi, phi_at_2 in _cyclotomics(P.degree):
+        while phi.degree <= rest.degree and rest_at_2 % phi_at_2 == 0:
             q = rest.divide(phi)
             if q is None:
                 break
             factors[n] = factors.get(n, 0) + 1
-            rest = q
+            rest, rest_at_2 = q, rest_at_2 // phi_at_2
     return factors, rest
 
 
@@ -101,14 +108,22 @@ def _cyclotomic_intervals(factors: dict[int, int]) -> list[RootInterval]:
 @dataclass(frozen=True)
 class MahlerResult:
     value: float
-    certified: bool
     archimedean: float
     log_lead: float
     roots: ComplexRootSet
-    assumed_roots: int
     # every nonzero root is a root of unity: the candidate factor is all
     # cyclotomic and the cofactor is constant
     roots_of_unity_only: bool
+
+    @property
+    def certified(self) -> bool:
+        """Always True: a measure that cannot be certified raises CertificationError."""
+        return True
+
+    @property
+    def assumed_roots(self) -> int:
+        """Always 0: no root is assumed.  Kept only for the benchmark's tracer hook."""
+        return 0
 
 
 def mahler_measure(
@@ -131,8 +146,8 @@ def mahler_measure(
     cyclo, candidate = extract_cyclotomic(candidate)
     intervals.extend(_cyclotomic_intervals(cyclo))
     # one precision ladder over the candidate/cofactor split
-    assess = functools.partial(_assess, assume_cap=tolerance / (2 * P.degree), tolerance=tolerance)
-    arch, assumed, numeric = climb([candidate, cofactor], max(64, precision), max_precision, assess)
+    settle = functools.partial(_settle, tolerance=tolerance)
+    arch, numeric = climb([candidate, cofactor], max(64, precision), max_precision, settle)
     intervals.extend(numeric)
 
     result_roots = ComplexRootSet(tuple(intervals))
@@ -140,42 +155,28 @@ def mahler_measure(
         raise InvariantError(f"{result_roots.total_multiplicity} roots for degree {P.degree}")
     return MahlerResult(
         value=log_lead + arch,
-        certified=(assumed == 0),
         archimedean=arch,
         log_lead=log_lead,
         roots=result_roots,
-        assumed_roots=assumed,
         roots_of_unity_only=candidate.degree == 0 and cofactor.degree == 0,
     )
 
 
-def _assess(root_lists, at_cap, assume_cap, tolerance):
-    """Decide whether the current discs settle the measure.
-
-    Returns (arch, assumed, intervals) when every root is classified and the
-    total log-width of the outside contributions is within tolerance; None
-    when another ladder rung is needed.  Which side of the unit circle a
-    disc lies on is decided exactly; a root outside contributes the log of
-    its centre, and its log-width log(hi/lo) is bounded by (hi - lo)/lo.
-    """
-    cand_roots, cof_roots = root_lists
-    outside, assumed, plain = [], [], []
-    for roots, candidate in ((cof_roots, False), (cand_roots, True)):
-        for root in roots:
-            side = root.side()
-            if side == 0 and not at_cap:
-                # log(hi) <= hi - 1: a candidate root this tight is assumed on the circle
-                one = 1 << root.k
-                if not (candidate and (root.mod_bounds()[1] - one) / one <= assume_cap):
-                    return None
-            (assumed if side == 0 else outside if side > 0 else plain).append(root)
+def _settle(root_lists, tolerance):
+    """(arch, intervals) when the discs settle step 4's budget, else None.
+    Here lo <= 2^k |z| <= hi are integers; cofactor roots are summed first."""
+    roots = root_lists[1] + root_lists[0]  # cofactor, then candidate
     width = total = 0.0
-    for root in outside:
+    for root in roots:
+        side = root.side()
+        if side < 0:
+            continue
         lo, hi = root.mod_bounds()
+        if side > 0:
+            total += root.multiplicity * root.log_modulus()
+        else:
+            lo = 1 << root.k  # log+|z| lies in [0, log(hi/2^k)]
         width += root.multiplicity * (hi - lo) / lo
-        total += root.multiplicity * root.log_modulus()
-    if width > tolerance / 2 and not at_cap:
+    if width > tolerance / 2:
         return None
-    intervals = [to_interval(r) for r in _sorted_roots(plain + outside)]
-    intervals += [to_interval(r, assumed=True) for r in _sorted_roots(assumed)]
-    return total, sum(r.multiplicity for r in assumed), intervals
+    return total, [to_interval(r) for r in _sorted_roots(roots)]

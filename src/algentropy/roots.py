@@ -53,7 +53,6 @@ class RootInterval:
     mod_lo: float
     mod_hi: float
     multiplicity: int
-    on_circle_assumed: bool = False
 
 
 @dataclass(frozen=True)
@@ -311,7 +310,7 @@ def solve_with_multiplicity(P: IntPoly, prec: int, warm=None):
     return (out if ok else None), warms
 
 
-def to_interval(root: _CertRoot, assumed: bool = False) -> RootInterval:
+def to_interval(root: _CertRoot) -> RootInterval:
     lo, hi = root.mod_bounds()
     return RootInterval(
         re=_float(root.a, root.k),
@@ -319,20 +318,19 @@ def to_interval(root: _CertRoot, assumed: bool = False) -> RootInterval:
         mod_lo=max(0.0, math.nextafter(_float(lo, root.k), -math.inf)),
         mod_hi=math.nextafter(_float(hi, root.k), math.inf),
         multiplicity=root.multiplicity,
-        on_circle_assumed=assumed,
     )
 
 
 def climb(polys, start_bits: int, max_bits: int, settle):
     """The precision ladder: solve every polynomial per rung, warm-started,
     doubling the bits from `start_bits` to `max_bits`, until
-    `settle(root_lists, at_cap)` returns something other than None.
-    A rung at the cap whose roots do not certify raises CertificationError.
+    `settle(root_lists)` returns something other than None.  A rung at the
+    cap that does not settle raises CertificationError, whose `partial` holds
+    the roots of every polynomial that certified on that rung.
     """
     prec = min(start_bits, max_bits)
     warm = [None] * len(polys)
     while True:
-        at_cap = prec >= max_bits
         root_lists = []
         for i, P in enumerate(polys):
             roots = []
@@ -340,11 +338,13 @@ def climb(polys, start_bits: int, max_bits: int, settle):
                 roots, warm[i] = solve_with_multiplicity(P, prec, warm[i])
             root_lists.append(roots)
         if all(roots is not None for roots in root_lists):
-            result = settle(root_lists, at_cap)
+            result = settle(root_lists)
             if result is not None:
                 return result
-        if at_cap:
-            raise CertificationError(f"root iteration did not certify within {max_bits} bits")
+        if prec >= max_bits:
+            found = [to_interval(r) for roots in root_lists if roots for r in _sorted_roots(roots)]
+            message = f"roots did not settle within {max_bits} bits"
+            raise CertificationError(message, ComplexRootSet(tuple(found)))
         prec = min(2 * prec, max_bits)
 
 
@@ -364,19 +364,13 @@ def find_roots(P: IntPoly, precision: int = 128, max_precision: int = 4096) -> C
     if stripped.degree == 0:
         return ComplexRootSet(tuple(intervals))
 
-    def settle(root_lists, at_cap):
+    def settle(root_lists):
         (roots,) = root_lists
-        done = all(r.r << precision <= max(math.isqrt(r.a**2 + r.b**2), 1 << r.k) for r in roots)
-        if not (done or at_cap):
+        if any(r.r << precision > max(math.isqrt(r.a**2 + r.b**2), 1 << r.k) for r in roots):
             return None
         found = ComplexRootSet(
             tuple(intervals) + tuple(to_interval(r) for r in _sorted_roots(roots))
         )
-        if not done:
-            raise CertificationError(
-                f"roots not certified to 2^-{precision} within {max_precision} bits",
-                partial=found,
-            )
         if found.total_multiplicity != P.degree:
             raise InvariantError(f"{found.total_multiplicity} roots for degree {P.degree}")
         return found

@@ -318,7 +318,40 @@ def test_certification_failure_exit_3(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "mahler", "--poly", "[-3,2]")
     assert code == 3
     doc = json.loads(out)
-    assert doc["certified"] is False and "error" in doc
+    assert doc == {"error": "forced for the exit-code contract", "certified": False, "roots": []}
+
+
+LEHMER = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
+
+
+def test_exit_3_emits_the_certified_roots(capsys):
+    # cofactor roots 1 + 2^-5000 and 1 + 2^-4999 stay unresolved at the
+    # 4096-bit cap; Lehmer's 10 roots certify, and the document lists them
+    big = 2**5000
+    poly = IntPoly(LEHMER) * IntPoly([-big - 1, big]) * IntPoly([-big - 2, big])
+    code, out, _ = run_cli(capsys, "mahler", "--poly", json.dumps([str(c) for c in poly.coeffs]))
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["certified"] is False and "4096 bits" in doc["error"]
+    roots = doc["roots"]
+    assert len(roots) == 10 and sum(r["multiplicity"] for r in roots) == 10
+    for r in roots:
+        assert abs(IntPoly(LEHMER).evaluate(complex(r["re"], r["im"]))) < 1e-9
+    assert sum(r["mod_lo"] > 1 for r in roots) == 1
+    assert sum(r["mod_lo"] <= 1 <= r["mod_hi"] for r in roots) == 8
+
+
+def test_cofactor_root_next_to_the_circle_is_certified(capsys):
+    # the root 1 + 10^-1300 is off the circle, but no rung up to the 4096-bit
+    # cap separates its disc from it; its log+ (about 1e-1300) lies within
+    # the proven budget on the first rung
+    poly = json.dumps([str(10**1300 + 1), str(-(10**1300))])
+    code, out, _ = run_cli(capsys, "mahler", "--poly", poly)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["certified"] is True and doc["value"] == doc["log_lead"]
+    assert doc["value"] == pytest.approx(1300 * math.log(10), rel=1e-15)
+    assert "assumed_roots" not in doc
 
 
 def test_invariant_failure_exit_5(capsys, monkeypatch):

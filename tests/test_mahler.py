@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -7,6 +8,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpc
 
 from algentropy import mahler, roots
@@ -17,8 +20,8 @@ from algentropy.mahler import (
     split_unit_circle,
 )
 from algentropy.ratpoly import IntPoly, InvariantError, cyclotomic
-from algentropy.roots import find_roots
-from algentropy.verify import cyclotomic_product_corpus
+from algentropy.roots import CertificationError, find_roots
+from algentropy.verify import cyclotomic_product_corpus, non_cyclotomic_corpus
 
 from oracles import eig_moduli, mahler_oracle
 
@@ -42,7 +45,6 @@ def test_find_roots_gaussian_unit():
     assert len(rs.roots) == 2
     for root in rs.roots:
         assert root.mod_lo <= 1.0 <= root.mod_hi
-        assert not root.on_circle_assumed
 
 
 def test_find_roots_lehmer_against_oracle():
@@ -156,7 +158,8 @@ def test_mahler_examples():
 def test_mahler_lehmer():
     r = mahler_measure(LEHMER)
     assert abs(r.value - LEHMER_MEASURE) < 1e-9
-    assert not r.certified and r.assumed_roots == 8
+    # the 8 unit-circle roots are certified by the error budget, not assumed
+    assert r.certified and r.assumed_roots == 0
     assert abs(r.value - mahler_oracle(LEHMER)) < 1e-9
 
 
@@ -191,9 +194,10 @@ def test_mahler_multiplicative_and_reciprocal():
 def test_on_circle_non_cyclotomic_flagged():
     r = mahler_measure(IntPoly([5, -6, 5]))  # roots (3 +/- 4i)/5, modulus 1
     assert abs(r.value - math.log(5)) < 1e-12
-    assert not r.certified and r.assumed_roots == 2
-    flagged = [root for root in r.roots.roots if root.on_circle_assumed]
-    assert len(flagged) == 2
+    # both discs meet the circle; their log+ is proven within the budget
+    assert r.certified and r.assumed_roots == 0
+    touching = [root for root in r.roots.roots if root.mod_lo <= 1 <= root.mod_hi]
+    assert len(touching) == 2
 
 
 def test_extract_cyclotomic():
@@ -255,10 +259,128 @@ def test_certification_cap_behavior():
     # root separates from the circle once the precision ladder climbs
     good = mahler_measure(poly, max_precision=256)
     assert good.certified and abs(good.value - math.log(k) - 1e-30) < 1e-9
-    # at a forced low cap the unresolved root is assumed + flagged, not silent
+    # at a forced low cap the unresolved disc still meets the circle, and
+    # its log+ (about 1e-30) is proven to lie within the error budget
     capped = mahler_measure(poly, max_precision=64)
-    assert not capped.certified and capped.assumed_roots == 1
-    assert abs(capped.value - good.value) < 1e-9
+    assert capped.certified and abs(capped.value - good.value) < 1e-9
+
+
+def _reciprocal_height_1(degree: int):
+    """Every reciprocal X^degree + ... + 1 of even degree with coefficients in {-1, 0, 1}."""
+    half = degree // 2
+    for digits in itertools.product((-1, 0, 1), repeat=half):
+        low = [1, *digits]
+        yield IntPoly(low + low[-2::-1])
+
+
+def test_degree_10_height_1_reciprocal_corpus_all_certified():
+    corpus = list(_reciprocal_height_1(10))
+    assert len(corpus) == 243 and len(set(corpus)) == 243
+    assert all(p.reciprocal() == p for p in corpus)
+    positive = []
+    for poly in corpus:
+        r = mahler_measure(poly)
+        assert r.certified
+        # Kronecker: a monic integer polynomial measures 0 iff it is a
+        # product of cyclotomics (times a power of X)
+        assert (r.value == 0.0) == is_cyclotomic_product(poly), poly
+        if r.value > 0:
+            positive.append(r.value)
+    assert abs(min(positive) - 0.1623576120) <= 1e-9
+
+
+def _trace_to_reciprocal(q) -> IntPoly:
+    """X^d Q(X + 1/X) for Q of degree d, ascending coefficients q."""
+    d = len(q) - 1
+    out = IntPoly([0])
+    for j, c in enumerate(q):
+        # X^(d - j) (X^2 + 1)^j
+        term = IntPoly([c]).shift(d - j)
+        for _ in range(j):
+            term = term * IntPoly([1, 0, 1])
+        out = out + term
+    return out
+
+
+# Q(y) = c y - b with |b| < 2c gives c X^2 - b X + c, whose two roots lie
+# on the unit circle; they are roots of unity only when b = 0 or |b| = c
+_ON_CIRCLE_TRACE = st.integers(1, 6).flatmap(
+    lambda c: st.tuples(st.just(c), st.integers(-2 * c + 1, 2 * c - 1))
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    on_circle=st.lists(_ON_CIRCLE_TRACE, min_size=1, max_size=2),
+    extra=st.lists(st.integers(-4, 4), min_size=1, max_size=2),
+    cyclo=st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 10, 12]), max_size=1),
+    linear=st.lists(
+        st.tuples(st.integers(1, 5), st.integers(-5, 5)).filter(
+            lambda t: t[1] and abs(t[1]) != t[0]
+        ),
+        max_size=2,
+    ),
+)
+def test_salem_type_trace_polynomials_certified(on_circle, extra, cyclo, linear):
+    # Q: factors with roots in (-2, 2) times a monic factor whose roots
+    # outside [-2, 2] put roots off the circle, as in a Salem polynomial
+    q = IntPoly([1])
+    for c, b in on_circle:
+        q = q * IntPoly([-b, c])
+    q = q * IntPoly([*extra, 1])
+    poly = _trace_to_reciprocal(q.coeffs)
+    for n in cyclo:
+        poly = poly * cyclotomic(n)
+    for a, b in linear:
+        poly = poly * IntPoly([-b, a])  # root b/a, off the circle
+    r = mahler_measure(poly)
+    assert r.certified
+    assert abs(r.value - mahler_oracle(poly)) < 1e-9
+
+
+def test_non_cyclotomic_corpus_certified():
+    for poly in non_cyclotomic_corpus(random.Random(7), 40):
+        r = mahler_measure(poly)
+        assert r.certified and r.value > 0.1
+
+
+def test_cap_raises_with_the_certified_roots():
+    # two cofactor roots 1 + 2^-200 and 1 + 2^-199 cannot be told apart
+    # within 128 bits; Lehmer's 10 roots certify on every rung
+    big = 2**200
+    poly = LEHMER * IntPoly([-big - 1, big]) * IntPoly([-big - 2, big])
+    with pytest.raises(CertificationError) as exc:
+        mahler_measure(poly, max_precision=128)
+    partial = exc.value.partial
+    assert partial.total_multiplicity == 10
+    by_center = sorted(partial.roots, key=lambda r: (r.mod_lo + r.mod_hi) / 2)
+    for root, m in zip(by_center, eig_moduli(LEHMER.coeffs)):
+        assert root.mod_lo <= float(m) <= root.mod_hi
+
+
+def _naive_extract_cyclotomic(P):
+    factors, rest = {}, P
+    for n, phi, _ in mahler._cyclotomics(P.degree):
+        while (q := rest.divide(phi)) is not None:
+            factors[n] = factors.get(n, 0) + 1
+            rest = q
+    return factors, rest
+
+
+def test_cyclotomic_pretest_skips_only_impossible_divisions(monkeypatch):
+    rng = random.Random(61)
+    samples = [cyclo.strip_x()[0] for cyclo in cyclotomic_product_corpus(rng, 30)]
+    samples += [p.strip_x()[0] for p in non_cyclotomic_corpus(rng, 30)]
+    # a root at X = 2 makes rest(2) = 0, which every Phi_n(2) divides
+    samples.append(cyclotomic(3) * cyclotomic(6) * IntPoly([-2, 1]))
+    for poly in samples:
+        assert extract_cyclotomic(poly) == _naive_extract_cyclotomic(poly)
+    calls = []
+    real = IntPoly.divide
+    monkeypatch.setattr(IntPoly, "divide", lambda f, g: calls.append(g) or real(f, g))
+    # (X - 3)(X + 9) is -11 at X = 2: only Phi_1 (Phi_1(2) = 1) passes the test
+    assert extract_cyclotomic(IntPoly([-27, 6, 1])) == ({}, IntPoly([-27, 6, 1]))
+    assert calls == [cyclotomic(1)]
 
 
 def test_kronecker_equivalence_small():
