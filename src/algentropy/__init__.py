@@ -45,7 +45,6 @@ from .padic import (
 from .ratpoly import (
     IntPoly,
     InvariantError,
-    RatPoly,
     cyclotomic,
     parse_rational,
     pnorm,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .linalg import RationalMatrix, char_poly
 from .mahler import is_cyclotomic_product, mahler_measure
 from .padic import verify_place_identity
-from .ratpoly import IntPoly, InvariantError, RatPoly, primitivize
+from .ratpoly import IntPoly, InvariantError
 from .roots import ComplexRootSet
 
 INFINITE_PLACE = math.inf
@@ -29,7 +29,6 @@ class EntropyReport:
     log_s: float
     archimedean: float
     finite_places: tuple[tuple[int, int, float], ...]  # (p, vp(s), contribution)
-    char_poly_monic: RatPoly
     char_poly_primitive: IntPoly
     s: int
     roots: ComplexRootSet | None
@@ -57,14 +56,12 @@ def algebraic_entropy(
             log_s=0.0,
             archimedean=0.0,
             finite_places=(),
-            char_poly_monic=RatPoly([1]),
             char_poly_primitive=IntPoly([1]),
             s=1,
             roots=None,
             zero_entropy_exact=True,
         )
-    P = primitivize(char_poly(M))
-    return polynomial_entropy(P, tolerance=tolerance, precision=precision)
+    return polynomial_entropy(char_poly(M), tolerance=tolerance, precision=precision)
 
 
 def polynomial_entropy(
@@ -90,7 +87,6 @@ def polynomial_entropy(
         log_s=math.log(s),
         archimedean=measured.archimedean,
         finite_places=finite,
-        char_poly_monic=P.to_rational().monic(),
         char_poly_primitive=P,
         s=s,
         roots=measured.roots,
@@ -106,7 +102,5 @@ def is_zero_entropy(M: RationalMatrix) -> bool:
     True iff the primitive characteristic polynomial is monic (s = 1) and a
     product of cyclotomic polynomials times a power of X.
     """
-    if M.n == 0:
-        return True
-    P = primitivize(char_poly(M))
+    P = char_poly(M)
     return P.lead == 1 and is_cyclotomic_product(P)

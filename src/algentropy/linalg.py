@@ -3,9 +3,11 @@
 Matrices are immutable tuples of Fraction rows.  `char_poly` runs the
 Hessenberg method modulo 61-bit primes, none of them unlucky, and
 recombines by CRT under a proven Hadamard bound (proof in its docstring).
-The companion matrix convention (ones on the subdiagonal, negated
-coefficients in the last column) is already Hessenberg, and makes
-char_poly(companion(f)) == f a round-trip identity.
+It returns the cleared characteristic polynomial: the primitive integer
+polynomial with positive lead proportional to det(X*I - M).  The companion
+matrix of f is that of f/lead(f) (ones on the subdiagonal, -c_i/lead(f) in
+the last column), already Hessenberg, and char_poly(companion(f)) == f is a
+round-trip identity for every primitive f with positive lead.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .numtheory import word_prime
-from .ratpoly import RatPoly, parse_rational, pnorm
+from .ratpoly import IntPoly, parse_rational, pnorm, primitivize
 
 
 class SingularMatrixError(ZeroDivisionError):
@@ -137,8 +139,9 @@ def _char_poly_mod(B: list, dens: list, p: int) -> list:
     return polys[n]
 
 
-def char_poly(M: RationalMatrix) -> RatPoly:
-    """Monic det(X*I - M), exactly, from its images modulo 61-bit primes.
+def char_poly(M: RationalMatrix) -> IntPoly:
+    """The primitive integer polynomial with positive lead proportional to
+    det(X*I - M), exactly, from its images modulo 61-bit primes.
 
     With D_i the lcm of row i's denominators, B = diag(D) M is integral and
     Delta = prod D_i.  Each principal minor is det B[S,S] / prod_(i in S) D_i,
@@ -149,7 +152,8 @@ def char_poly(M: RationalMatrix) -> RatPoly:
     dividing Delta, M mod p is defined, the determinant commutes with reduction
     mod p, and Hessenberg with pivoting works over any field: no such p is
     unlucky.  CRT combines the images until the modulus exceeds twice the
-    bound, never earlier, and symmetric residues give Delta * det(X*I - M).
+    bound, never earlier, and symmetric residues give Delta * det(X*I - M),
+    whose primitive part is returned (IntPoly([1]) for the 0x0 matrix).
     """
     dens = [math.lcm(*(e.denominator for e in row)) for row in M.rows]
     B = [[e.numerator * (d // e.denominator) for e in row] for d, row in zip(dens, M.rows)]
@@ -166,13 +170,11 @@ def char_poly(M: RationalMatrix) -> RatPoly:
             residues = _char_poly_mod(B, dens, p)
             coeffs = [c + modulus * ((dp * r - c) * inv % p) for c, r in zip(coeffs, residues)]
             modulus *= p
-    return RatPoly([Fraction(c - modulus if 2 * c > modulus else c, delta) for c in coeffs])
+    return primitivize(c - modulus if 2 * c > modulus else c for c in coeffs)
 
 
-def companion(f: RatPoly) -> RationalMatrix:
-    """Companion matrix of a monic polynomial of degree >= 1."""
-    if not f.is_monic:
-        raise ValueError("companion requires a monic polynomial")
+def companion(f: IntPoly) -> RationalMatrix:
+    """Companion matrix of f/lead(f), for f of degree >= 1: char_poly(companion(f)) == f.primitive_part()."""
     n = f.degree
     if n < 1:
         raise ValueError("companion requires degree >= 1")
@@ -180,7 +182,7 @@ def companion(f: RatPoly) -> RationalMatrix:
     for i in range(1, n):
         rows[i][i - 1] = Fraction(1)
     for i in range(n):
-        rows[i][n - 1] = -f.coeffs[i]
+        rows[i][n - 1] = Fraction(-f.coeffs[i], f.lead)
     return RationalMatrix(rows)
 
 

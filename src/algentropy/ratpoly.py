@@ -1,18 +1,19 @@
-"""Exact rational scalars and integer/rational polynomial arithmetic.
+"""Exact rational scalars and integer polynomial arithmetic.
 
 Rational scalars are plain ``fractions.Fraction`` values: the stdlib class
 already keeps gcd(|num|, den) = 1 with den >= 1, is immutable and hashable,
 which is exactly the canonical form the rest of the package relies on for
 set membership of vectors.
 
-Polynomials are stored as coefficient tuples in ascending degree order; the
-same ascending convention is used in every file format of the CLI.  The zero
-polynomial is the single coefficient (0,).  `IntPoly` and `RatPoly` share one
-implementation of the ring arithmetic (`_Poly`) and keep only what depends on
-the ring: content, primitive part, exact division and pseudo-remainder over
-Z; monic form over Q.  The exact core (clearing, gcd, square-free
-decomposition, cyclotomic factors) runs on `IntPoly`: by Gauss's lemma every
-factor it takes of a primitive integer polynomial is again one.
+Polynomials are `IntPoly`s: integer coefficient tuples in ascending degree
+order; the same ascending convention is used in every file format of the
+CLI.  The zero polynomial is the single coefficient (0,).  A rational
+polynomial enters only through `primitivize`, which clears it to the
+primitive integer polynomial with positive lead; the characteristic
+polynomial of a matrix arrives in that form.  The exact core (clearing,
+gcd, square-free decomposition, cyclotomic factors) runs on `IntPoly`: by
+Gauss's lemma every factor it takes of a primitive integer polynomial is
+again one.
 """
 
 from __future__ import annotations
@@ -85,94 +86,6 @@ def parse_rational(text) -> Fraction:
     raise ValueError(f"not a rational: {text!r}")
 
 
-class _Poly:
-    """Arithmetic that does not depend on the coefficient ring.
-
-    A subclass names its coefficient type in ``_scalar`` and the constructor's
-    conversion into it in ``_coerce``, which never truncates.  Integers embed
-    in every ring, so a polynomial combines with polynomials and scalars of
-    type ``int`` or its own ``_scalar``; anything else raises TypeError rather
-    than being converted by the constructor.
-    """
-
-    __slots__ = ("coeffs",)
-    _scalar: type
-
-    def __init__(self, coeffs: Iterable):
-        coerce = self._coerce
-        cs = [coerce(c) for c in coeffs] or [self._scalar(0)]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def lead(self):
-        return self.coeffs[-1]
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeffs == (0,)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def _operand(self, other) -> tuple:
-        """The coefficients of a polynomial this one may combine with."""
-        if not (isinstance(other, _Poly) and other._scalar in (int, self._scalar)):
-            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
-        return other.coeffs
-
-    def __neg__(self):
-        return type(self)([-c for c in self.coeffs])
-
-    def __add__(self, other):
-        a, b = self.coeffs, self._operand(other)
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return type(self)(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, self._scalar)):
-            return type(self)([c * other for c in self.coeffs])
-        b = self._operand(other)
-        if self.is_zero or other.is_zero:
-            return type(self)([0])
-        out = [self._scalar(0)] * (len(self.coeffs) + len(b) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, c in enumerate(b):
-                out[i + j] += a * c
-        return type(self)(out)
-
-    __rmul__ = __mul__
-
-    def derivative(self):
-        if self.degree == 0:
-            return type(self)([0])
-        return type(self)([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def evaluate(self, x):
-        """Horner evaluation; works for any ring element (Fraction, mpc, ...)."""
-        acc = x * 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-
 def _integer(c) -> int:
     """c as an int: an integer or an integral Fraction, else TypeError (never truncated)."""
     if type(c) is int:
@@ -182,15 +95,91 @@ def _integer(c) -> int:
     raise TypeError(f"IntPoly coefficients must be integers, got {c!r}")
 
 
-class IntPoly(_Poly):
-    """Integer polynomial, coefficients ascending by degree."""
+class IntPoly:
+    """Integer polynomial, coefficients ascending by degree.
 
-    __slots__ = ()
-    _scalar = int
-    _coerce = staticmethod(_integer)
+    It combines with `IntPoly`s and ints only; anything else, a Fraction
+    included, raises TypeError rather than being truncated by the
+    constructor.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable):
+        cs = [_integer(c) for c in coeffs] or [0]
+        while len(cs) > 1 and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
 
     def __repr__(self) -> str:
         return f"IntPoly({list(self.coeffs)})"
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def lead(self) -> int:
+        return self.coeffs[-1]
+
+    @property
+    def is_zero(self) -> bool:
+        return self.coeffs == (0,)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def _operand(self, other) -> tuple:
+        """The coefficients of a polynomial this one may combine with."""
+        if not isinstance(other, IntPoly):
+            raise TypeError(f"cannot combine IntPoly with {type(other).__name__}")
+        return other.coeffs
+
+    def __neg__(self) -> "IntPoly":
+        return IntPoly([-c for c in self.coeffs])
+
+    def __add__(self, other) -> "IntPoly":
+        a, b = self.coeffs, self._operand(other)
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return IntPoly(out)
+
+    def __sub__(self, other) -> "IntPoly":
+        return self + (-other)
+
+    def __mul__(self, other) -> "IntPoly":
+        if isinstance(other, int):
+            return IntPoly([c * other for c in self.coeffs])
+        b = self._operand(other)
+        if self.is_zero or other.is_zero:
+            return IntPoly([0])
+        out = [0] * (len(self.coeffs) + len(b) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j, c in enumerate(b):
+                out[i + j] += a * c
+        return IntPoly(out)
+
+    __rmul__ = __mul__
+
+    def derivative(self) -> "IntPoly":
+        if self.degree == 0:
+            return IntPoly([0])
+        return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def evaluate(self, x):
+        """Horner evaluation; works for any ring element (Fraction, mpc, ...)."""
+        acc = x * 0
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
 
     def content(self) -> int:
         """gcd of the coefficients (0 for the zero polynomial)."""
@@ -274,41 +263,22 @@ class IntPoly(_Poly):
                 rem.pop()
         return IntPoly(rem)
 
-    def to_rational(self) -> "RatPoly":
-        return RatPoly([Fraction(c) for c in self.coeffs])
 
+def primitivize(coeffs: Iterable[Rational]) -> IntPoly:
+    """The primitive integer polynomial with positive lead proportional to the
+    polynomial with these ascending ``int``/``Fraction`` coefficients.
 
-class RatPoly(_Poly):
-    """Rational polynomial, coefficients ascending by degree."""
-
-    __slots__ = ()
-    _scalar = Fraction
-    _coerce = Fraction
-
-    def __repr__(self) -> str:
-        return f"RatPoly({[str(c) for c in self.coeffs]})"
-
-    @property
-    def is_monic(self) -> bool:
-        return self.lead == 1
-
-    def monic(self) -> "RatPoly":
-        if self.is_zero:
-            raise ValueError("zero polynomial has no monic form")
-        inv = 1 / self.lead
-        return RatPoly([c * inv for c in self.coeffs])
-
-
-def primitivize(f: RatPoly) -> IntPoly:
-    """The primitive integer polynomial with positive lead proportional to f.
-
-    This is the one denominator-clearing step.  For monic f the multiplier is
-    the lcm of the coefficient denominators, which is also the lead s of the
-    result: some coefficient carries the full power of each prime of that lcm
-    in its denominator, so no prime divides every cleared coefficient.
+    This is the one denominator-clearing step, and `linalg.char_poly` ends
+    with it, so it stays a module-level name: the benchmark's tracer records
+    it as ``ratpoly.primitivize`` on every matrix input.  For monic input
+    the multiplier is the lcm of the coefficient denominators, which is also
+    the lead s of the result: some coefficient carries the full power of each
+    prime of that lcm in its denominator, so no prime divides every cleared
+    coefficient.
     """
-    den = math.lcm(*(c.denominator for c in f.coeffs))
-    return IntPoly([c.numerator * (den // c.denominator) for c in f.coeffs]).primitive_part()
+    coeffs = tuple(coeffs)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return IntPoly([c.numerator * (den // c.denominator) for c in coeffs]).primitive_part()
 
 
 def _coprime_mod(f: IntPoly, g: IntPoly, p: int) -> bool:

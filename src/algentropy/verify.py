@@ -244,7 +244,7 @@ def _suite_kronecker(rng, count):
             ok = claimed == expect and (abs(measure) <= 1e-12) == expect
             if poly.degree >= 1:
                 # same decision through the matrix surface
-                ok = ok and is_zero_entropy(companion(poly.to_rational().monic())) == expect
+                ok = ok and is_zero_entropy(companion(poly)) == expect
             checks.append(
                 Check(
                     name=f"kronecker/{label}/{i}",
@@ -312,14 +312,13 @@ def _suite_bernoulli(rng, count):
 
 
 def _dichotomy_fixtures():
-    phi6 = cyclotomic(6).to_rational()
     return [
         ("doubling", RationalMatrix([[2]]), 12, None),
         ("three-halves", RationalMatrix([["3/2"]]), 12, None),
         ("rotation", RationalMatrix([[0, -1], [1, 0]]), 50, None),
         ("identity", RationalMatrix.identity(2), 12, None),
         ("unipotent", RationalMatrix([[1, 1], [0, 1]]), 12, None),
-        ("sixth-root", companion(phi6), 12, None),
+        ("sixth-root", companion(cyclotomic(6)), 12, None),
         ("fibonacci", RationalMatrix([[0, 1], [1, 1]]), 14, 1_000_000),
         ("nonarch", RationalMatrix([[0, "-1/6"], [1, "5/6"]]), 10, None),
     ]

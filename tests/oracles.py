@@ -7,7 +7,10 @@ exact-core oracles are the slow textbook algorithms the package replaced:
 Faddeev-LeVerrier and the Hessenberg method over Fraction for the
 characteristic polynomial (the package runs Hessenberg modulo primes and
 recombines by CRT under a proven bound), and Euclid over Fraction
-coefficients for the gcd; plain trial division for factorization.
+coefficients for the gcd; plain trial division for factorization.  The
+polynomial oracles use no package polynomial code: they return monic
+polynomials as ascending tuples of Fraction, and `monic` puts a package
+`IntPoly` into the same form.
 """
 
 from fractions import Fraction
@@ -15,17 +18,22 @@ from fractions import Fraction
 from mpmath import mp
 
 from algentropy.linalg import RationalMatrix
-from algentropy.ratpoly import IntPoly, RatPoly
+from algentropy.ratpoly import IntPoly
 
 
-def faddeev_char_poly(M: RationalMatrix) -> RatPoly:
+def monic(P: IntPoly) -> tuple[Fraction, ...]:
+    """P divided by its lead, as an ascending tuple of Fraction."""
+    return tuple(Fraction(c, P.lead) for c in P.coeffs)
+
+
+def faddeev_char_poly(M: RationalMatrix) -> tuple[Fraction, ...]:
     """Monic det(X*I - M) by Faddeev-LeVerrier, O(n^4) exact operations.
 
     M_1 = M, c_k = -tr(M_k)/k, M_(k+1) = M(M_k + c_k I).
     """
     n = M.n
     if n == 0:
-        return RatPoly([1])
+        return (Fraction(1),)
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
     Mk = M
@@ -35,10 +43,10 @@ def faddeev_char_poly(M: RationalMatrix) -> RatPoly:
         coeffs[n - k] = ck
         if k < n:
             Mk = M * (Mk + ident * ck)
-    return RatPoly(coeffs)
+    return tuple(coeffs)
 
 
-def hessenberg_char_poly(M: RationalMatrix) -> RatPoly:
+def hessenberg_char_poly(M: RationalMatrix) -> tuple[Fraction, ...]:
     """Monic det(X*I - M) by the Hessenberg method over Fraction, O(n^3) exact operations.
 
     The package's char_poly runs the same reduction modulo 61-bit primes;
@@ -91,10 +99,10 @@ def hessenberg_char_poly(M: RationalMatrix) -> RatPoly:
                 for k, e in enumerate(polys[i - 1]):
                     p[k] -= c * e
         polys.append(p)
-    return RatPoly(polys[n])
+    return tuple(polys[n])
 
 
-def fraction_euclid_gcd(f, g) -> RatPoly:
+def fraction_euclid_gcd(f, g) -> tuple[Fraction, ...]:
     """Monic gcd over Q by Euclid on Fraction coefficients, with its own
     long division so that it shares no division code with the package."""
     a = [Fraction(c) for c in f.coeffs]
@@ -111,7 +119,7 @@ def fraction_euclid_gcd(f, g) -> RatPoly:
                 a[shift + j] -= c * x
             a.pop()
         a, b = b, a
-    return RatPoly(a).monic()
+    return tuple(c / a[-1] for c in a)
 
 
 def trial_division_factorize(n: int) -> dict[int, int]:

@@ -24,9 +24,9 @@ from algentropy.linalg import (
     inverse,
 )
 from algentropy.mahler import is_cyclotomic_product
-from algentropy.ratpoly import IntPoly, RatPoly
+from algentropy.ratpoly import IntPoly
 
-from oracles import mahler_oracle
+from oracles import mahler_oracle, monic
 
 GOLDEN = 0.4812118250596034  # log((1 + sqrt 5)/2), frozen from the oracle
 
@@ -180,7 +180,7 @@ def test_zero_entropy_decision():
     assert not is_zero_entropy(RationalMatrix([[0, "-1/6"], [1, "5/6"]]))
     assert is_zero_entropy(RationalMatrix([[0, 1], [0, 0]]))  # nilpotent
     assert is_zero_entropy(RationalMatrix([]))
-    assert is_zero_entropy(companion(RatPoly([1, -1, 1])))  # sixth root of unity
+    assert is_zero_entropy(companion(IntPoly([1, -1, 1])))  # sixth root of unity
 
 
 def test_zero_entropy_iff_certified_zero_total():
@@ -199,7 +199,7 @@ def test_zero_dimensional_matrix():
 def test_polynomial_entropy_examples():
     r = polynomial_entropy(IntPoly([-1, 5, -6]))  # -(6X^2 - 5X + 1)
     assert r.char_poly_primitive == IntPoly([1, -5, 6]) and r.s == 6
-    assert r.char_poly_monic == RatPoly([Fraction(1, 6), Fraction(-5, 6), 1])
+    assert monic(r.char_poly_primitive) == (Fraction(1, 6), Fraction(-5, 6), 1)
     assert [(p, v) for p, v, _ in r.finite_places] == [(2, 1), (3, 1)]
     assert abs(r.total - math.log(6)) < 1e-12 and r.archimedean == 0.0
     assert r == algebraic_entropy(RationalMatrix([[0, "-1/6"], [1, "5/6"]]))

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from algentropy.linalg import (
@@ -16,9 +16,9 @@ from algentropy.linalg import (
     operator_norm,
 )
 from algentropy.numtheory import is_prime, word_prime
-from algentropy.ratpoly import RatPoly
+from algentropy.ratpoly import IntPoly, primitivize
 
-from oracles import faddeev_char_poly, hessenberg_char_poly
+from oracles import faddeev_char_poly, hessenberg_char_poly, monic
 
 
 def _random_matrix(rng, n, bound=9):
@@ -64,24 +64,25 @@ def _permuted(rng, M):
     return RationalMatrix([[M[perm[i], perm[j]] for j in range(M.n)] for i in range(M.n)])
 
 
-def _random_monic(rng, deg):
-    return RatPoly(
+def _random_cleared(rng, deg):
+    """A random monic rational polynomial, cleared to its primitive integer multiple."""
+    return primitivize(
         [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(deg)] + [1]
     )
 
 
 def test_char_poly_examples():
-    assert char_poly(RationalMatrix([[1, 1], [0, 1]])) == RatPoly([1, -2, 1])
-    assert char_poly(RationalMatrix([[0, -1], [1, 0]])) == RatPoly([1, 0, 1])
-    assert char_poly(RationalMatrix([["3/2"]])) == RatPoly([Fraction(-3, 2), 1])
-    assert char_poly(RationalMatrix([])) == RatPoly([1])
+    assert char_poly(RationalMatrix([[1, 1], [0, 1]])) == IntPoly([1, -2, 1])
+    assert char_poly(RationalMatrix([[0, -1], [1, 0]])) == IntPoly([1, 0, 1])
+    assert char_poly(RationalMatrix([["3/2"]])) == IntPoly([-3, 2])
+    assert char_poly(RationalMatrix([])) == IntPoly([1])
     # zero pivot in the first column: rows and columns 1 and 2 swap
-    assert char_poly(RationalMatrix([[0, 0, 1], [0, 0, 1], [1, 0, 0]])) == RatPoly([0, -1, 0, 1])
-    assert char_poly(RationalMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])) == RatPoly([-1, 0, 0, 1])
+    assert char_poly(RationalMatrix([[0, 0, 1], [0, 0, 1], [1, 0, 0]])) == IntPoly([0, -1, 0, 1])
+    assert char_poly(RationalMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])) == IntPoly([-1, 0, 0, 1])
     # triangular: every subdiagonal entry is zero
     triangular = RationalMatrix([[1, 2, 3], [0, 4, 5], [0, 0, 6]])
-    assert char_poly(triangular) == RatPoly([-24, 34, -11, 1])
-    assert char_poly(RationalMatrix([[0] * 4] * 4)) == RatPoly([0, 0, 0, 0, 1])
+    assert char_poly(triangular) == IntPoly([-24, 34, -11, 1])
+    assert char_poly(RationalMatrix([[0] * 4] * 4)) == IntPoly([0, 0, 0, 0, 1])
 
 
 def test_char_poly_matches_faddeev_oracle():
@@ -93,7 +94,7 @@ def test_char_poly_matches_faddeev_oracle():
             block = _block_triangular(rng, n)
             cases += [block, _permuted(rng, block)]
         for M in cases:
-            assert char_poly(M) == faddeev_char_poly(M), M
+            assert monic(char_poly(M)) == faddeev_char_poly(M), M
 
 
 # mixed denominators: small ones, up to 40 bits, and the first modulus char_poly tries
@@ -109,8 +110,12 @@ def _rational_matrices(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(_rational_matrices())
+@example(RationalMatrix([]))
+@example(RationalMatrix([[0]]))
 def test_char_poly_matches_hessenberg_oracle(M):
-    assert char_poly(M) == hessenberg_char_poly(M)
+    P = char_poly(M)
+    assert P.content() == 1 and P.lead > 0 and P.degree == M.n
+    assert monic(P) == hessenberg_char_poly(M)
 
 
 def _distinct_primes(rng, bits, count):
@@ -126,14 +131,14 @@ def test_char_poly_skips_a_modulus_dividing_the_denominators():
     q = word_prime(0)
     assert q == 2**61 - 1
     M = RationalMatrix([[Fraction(1, q), 2], [3, Fraction(5, 7)]])
-    assert char_poly(M) == hessenberg_char_poly(M) == RatPoly(
-        [Fraction(5, 7 * q) - 6, -Fraction(1, q) - Fraction(5, 7), 1]
+    assert monic(char_poly(M)) == hessenberg_char_poly(M) == (
+        Fraction(5, 7 * q) - 6, -Fraction(1, q) - Fraction(5, 7), 1
     )
-    assert char_poly(RationalMatrix([[Fraction(-1, q)]])) == RatPoly([Fraction(1, q), 1])
+    assert char_poly(RationalMatrix([[Fraction(-1, q)]])) == IntPoly([1, q])
 
 
-def _power(f: RatPoly, k: int) -> RatPoly:
-    out = RatPoly([1])
+def _power(f: IntPoly, k: int) -> IntPoly:
+    out = IntPoly([1])
     for _ in range(k):
         out = out * f
     return out
@@ -149,7 +154,7 @@ def test_char_poly_meets_the_bound_with_equality():
     assert m9 < 2 * R**8 < 2 * m9 and 2**68 < R < 2**70
     for r in (R, -R):
         M = RationalMatrix([[r if i == j else 0 for j in range(8)] for i in range(8)])
-        assert char_poly(M) == _power(RatPoly([-r, 1]), 8)
+        assert char_poly(M) == _power(IntPoly([-r, 1]), 8)
 
 
 def test_char_poly_rounds_row_norms_up():
@@ -169,7 +174,7 @@ def test_char_poly_rounds_row_norms_up():
             for i in range(8)
         ]
     )
-    assert char_poly(M) == _power(RatPoly([s, -2 * a, 1]), 4)
+    assert char_poly(M) == _power(IntPoly([s, -2 * a, 1]), 4)
 
 
 def test_char_poly_with_distinct_40_bit_prime_denominators():
@@ -178,7 +183,7 @@ def test_char_poly_with_distinct_40_bit_prime_denominators():
     M = RationalMatrix(
         [[Fraction(rng.randint(-99, 99), dens[8 * i + j]) for j in range(8)] for i in range(8)]
     )
-    assert char_poly(M) == hessenberg_char_poly(M)
+    assert monic(char_poly(M)) == hessenberg_char_poly(M)
 
 
 def test_char_poly_det_trace():
@@ -186,15 +191,15 @@ def test_char_poly_det_trace():
     for _ in range(50):
         n = rng.randint(1, 4)
         M = _random_matrix(rng, n)
-        f = char_poly(M)
-        assert f.is_monic and f.degree == n
-        assert -f.coeffs[n - 1] == M.trace()
+        f = monic(char_poly(M))
+        assert len(f) == n + 1 and f[n] == 1
+        assert -f[n - 1] == M.trace()
 
 
 def test_companion_roundtrip():
     rng = random.Random(4)
     for _ in range(60):
-        f = _random_monic(rng, rng.randint(1, 8))
+        f = _random_cleared(rng, rng.randint(1, 8))
         assert char_poly(companion(f)) == f
 
 
@@ -205,17 +210,28 @@ def test_companion_roundtrip():
     )
 )
 def test_char_poly_of_companion_property(lower):
-    g = RatPoly(lower + [1])
+    g = primitivize(lower + [1])
     assert char_poly(companion(g)) == g
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=8),
+    st.integers(-(2**40), 2**40).filter(bool),
+)
+def test_char_poly_of_companion_is_the_primitive_part(lower, lead):
+    # any nonzero lead, negative and non-monic included, and any content
+    f = IntPoly(lower + [lead])
+    assert char_poly(companion(f)) == f.primitive_part()
+
+
 def test_companion_examples():
-    f = RatPoly([Fraction(1, 6), Fraction(-5, 6), 1])
-    C = companion(f)
+    C = companion(IntPoly([1, -5, 6]))
     assert C.rows == ((Fraction(0), Fraction(-1, 6)), (Fraction(1), Fraction(5, 6)))
-    assert companion(RatPoly([Fraction(-3, 2), 1])).rows == ((Fraction(3, 2),),)
+    assert companion(IntPoly([-3, 2])).rows == ((Fraction(3, 2),),)
+    assert companion(IntPoly([3, -2])) == companion(IntPoly([-3, 2]))
     with pytest.raises(ValueError):
-        companion(RatPoly([1, 2]))
+        companion(IntPoly([5]))
 
 
 def test_char_poly_transpose_and_conjugation():
