@@ -53,31 +53,39 @@ def split_unit_circle(P: IntPoly) -> tuple[IntPoly, IntPoly]:
     return g, cofactor
 
 
+# Phi_n(x) != 0 at these points for every n, and rest(x) is tracked at each
+_TEST_POINTS = (2, 3)
+
+
 @functools.cache
-def _cyclotomics(degree: int) -> tuple[tuple[int, IntPoly, int], ...]:
-    """(n, Phi_n, Phi_n(2)) for every n with totient(n) <= degree, ascending."""
+def _cyclotomics(degree: int) -> tuple[tuple[int, IntPoly, tuple[int, ...]], ...]:
+    """(n, Phi_n, Phi_n at the test points) for every n with totient(n) <= degree, ascending."""
     # totient(n) >= sqrt(n/2), so totient(n) <= degree forces n <= 2*degree^2
     tot = totients(2 * degree * degree + 2)
     phis = ((n, cyclotomic(n)) for n in range(1, len(tot)) if tot[n] <= degree)
-    return tuple((n, phi, phi.evaluate(2)) for n, phi in phis)
+    return tuple((n, phi, tuple(phi.evaluate(x) for x in _TEST_POINTS)) for n, phi in phis)
 
 
 def extract_cyclotomic(P: IntPoly) -> tuple[dict[int, int], IntPoly]:
     """Divide out all cyclotomic factors exactly: returns ({n: mult}, rest).
 
-    Phi_n | rest in Z[x] forces Phi_n(2) | rest(2), so a division is tried
-    only when that holds; rest(2) is tracked exactly across the divisions.
+    Phi_n | rest in Z[x] forces Phi_n(x) | rest(x) at every integer x, so a
+    division is tried only when that holds at the test points 2 and 3, whose
+    values of rest are tracked exactly across the divisions.  Phi_1 = X - 1
+    divides rest exactly when rest(1) = 0, which is tested instead.
     """
     rest = P
-    rest_at_2 = P.evaluate(2)
+    rest_at = [P.evaluate(x) for x in _TEST_POINTS]
     factors: dict[int, int] = {}
-    for n, phi, phi_at_2 in _cyclotomics(P.degree):
-        while phi.degree <= rest.degree and rest_at_2 % phi_at_2 == 0:
+    for n, phi, phi_at in _cyclotomics(P.degree):
+        while phi.degree <= rest.degree and (
+            sum(rest.coeffs) == 0 if n == 1 else all(r % v == 0 for r, v in zip(rest_at, phi_at))
+        ):
             q = rest.divide(phi)
             if q is None:
                 break
             factors[n] = factors.get(n, 0) + 1
-            rest, rest_at_2 = q, rest_at_2 // phi_at_2
+            rest, rest_at = q, [r // v for r, v in zip(rest_at, phi_at)]
     return factors, rest
 
 

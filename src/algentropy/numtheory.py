@@ -18,6 +18,9 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # strong pseudoprime to all of them (Sorenson & Webster 2017).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PSI_12 = 3317044064679887385961981
+# Jim Sinclair's seven bases: deterministic below 2^64, each reduced mod n
+# and skipped when that leaves 0
+_MR_WITNESSES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 # squarings Pollard rho may spend per factorization: about 2.3 times what psi_12 needs
 _RHO_BUDGET = 2**22
@@ -73,8 +76,9 @@ def _strong_lucas(n: int) -> bool:
 def is_prime(n: int) -> bool:
     """Primality test: proven below psi_12 = 3317044064679887385961981.
 
-    Below psi_12, Miller-Rabin with the first twelve primes as witnesses is
-    deterministic.  From psi_12 on, a strong Lucas test is added, which makes
+    Below 2^64, Miller-Rabin with Sinclair's seven bases is deterministic;
+    below psi_12, so is Miller-Rabin with the first twelve primes as
+    witnesses.  From psi_12 on, a strong Lucas test is added, which makes
     it the Baillie-PSW test: no composite is known to pass it, but that is
     not a proof.
     """
@@ -90,7 +94,10 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES_64 if n < 1 << 64 else _MR_WITNESSES:
+        a %= n
+        if a == 0:
+            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -1,17 +1,19 @@
 """Certified complex roots of integer polynomials.
 
 The engine is Aberth-Ehrlich simultaneous iteration, float first as in
-MPSolve.  A rung without a warm start converges in numpy complex128
-(vectorised Jacobi sweeps) from a circle whose radius is the Fujiwara
-coefficient bound (deterministic, no RNG).  The iterate is then polished on
-Gaussian integers: each approximation is z = (a + ib)/2^K with Python ints
-a, b, one scale per polynomial and rung, and K reaches below a lower bound
-on the smallest root modulus, so small roots keep their relative precision.
-When the float run is unusable -- a coefficient or an evaluation that
-overflows a double, no convergence, coinciding iterates -- the integer
-iteration starts from the circle itself.  Only the certificate decides, and
-it is exact.  With P(z) = A / 2^(nK) and P'(z) = B / 2^((n-1)K) from one
-Gaussian-integer Horner pass, the radius
+MPSolve.  A rung without a warm start converges on Python complex floats
+(Gauss-Seidel sweeps, each iterate updated in place) from Bini's start, as
+in MPSolve: points on the circles of the Newton polygon of log|a_i|, pushed
+out by a factor 1.3 (deterministic, no RNG).  The iterate is then polished
+on Gaussian integers: each approximation is z = (a + ib)/2^K with Python
+ints a, b, one scale per polynomial and rung, and K reaches below a lower
+bound on the smallest root modulus, so small roots keep their relative
+precision.  When the float run is unusable -- a coefficient or an
+evaluation that overflows a double, no convergence, coinciding iterates --
+the integer iteration starts from the circle whose radius is the Fujiwara
+coefficient bound.  Only the certificate decides, and it is exact.  With
+P(z) = A / 2^(nK) and P'(z) = B / 2^((n-1)K) from one Gaussian-integer
+Horner pass, the radius
 
     r = ceil(sqrt(ceil(n^2 |A|^2 / |B|^2))) / 2^K  >=  n |P(z) / P'(z)|
 
@@ -24,10 +26,9 @@ peeled off beforehand by Yun's square-free decomposition, which is exact.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .ratpoly import IntPoly, InvariantError, squarefree_decomposition
 
@@ -130,38 +131,44 @@ def _small_root_bits(coeffs) -> int:
 
 
 def _float_aberth(coeffs, guesses):
-    """Aberth-Ehrlich in complex128 from `guesses`: Jacobi sweeps, O(n^2) each.
+    """Aberth-Ehrlich on Python complex floats from `guesses`, Gauss-Seidel.
 
-    Returns the converged iterate (a complex128 array), or None when it is not
-    usable as a start: a coefficient or guess that is not a finite double, a
-    sweep that leaves the finite doubles (Horner overflow), no convergence
-    within 60 + 8n sweeps, or two iterates that coincide.  A run whose steps
-    stall below 1e-3 (relative) for 12 sweeps has reached its noise floor
-    and is returned as converged: the integer iteration polishes it.
+    Returns the converged iterate (a list), or None when it is not usable as
+    a start: a coefficient or guess that is not a finite double, an iterate
+    that leaves the finite doubles (Horner overflow), a division by zero or
+    an overflow, no convergence within 60 + 8n sweeps, or two iterates that
+    coincide.  A run whose steps stall below 1e-3 (relative) for 12 sweeps
+    has reached its noise floor and is returned as converged: the integer
+    iteration polishes it.
     """
     n = len(guesses)
     try:
-        p = np.array([float(c) for c in coeffs])
+        p = [float(c) for c in coeffs]
     except OverflowError:
         return None
-    dp = p[1:] * np.arange(1, n + 1)
-    z = np.array([complex(g) for g in guesses])
-    if not np.all(np.isfinite(z)):
+    tail = p[-2::-1]
+    z = [complex(g) for g in guesses]
+    if not all(cmath.isfinite(w) for w in z):
         return None
     best, stale = math.inf, 0
-    with np.errstate(all="ignore"):
+    try:
         for _ in range(60 + 8 * n):
-            powers = np.vander(z, n + 1, increasing=True)
-            newton = (powers @ p) / (powers[:, :-1] @ dp)
-            inv = z[:, None] - z[None, :]
-            np.fill_diagonal(inv, 1)
-            inv = 1 / inv
-            np.fill_diagonal(inv, 0)
-            step = newton / (1 - newton * inv.sum(axis=1))
-            z = z - step
-            if not np.all(np.isfinite(z)):
-                return None
-            worst = np.max(np.abs(step) / np.maximum(np.abs(z), 1))
+            worst = 0.0
+            for i, w in enumerate(z):
+                f, df = p[-1], 0.0
+                for c in tail:
+                    df = df * w + f
+                    f = f * w + c
+                newton = f / df
+                s = 0j  # the Aberth sum S = sum_j 1/(z - z_j)
+                for v in z[:i] + z[i + 1 :]:
+                    s += 1 / (w - v)
+                step = newton / (1 - newton * s)
+                w -= step
+                if not cmath.isfinite(w):
+                    return None
+                z[i] = w
+                worst = max(worst, abs(step) / max(abs(w), 1.0))
             if worst < 1e-14:
                 break
             if worst < 0.75 * best:
@@ -172,22 +179,50 @@ def _float_aberth(coeffs, guesses):
                     break
         else:
             return None
-    if np.unique(z).size < n:
+    except (ZeroDivisionError, OverflowError):
+        return None
+    if len(set(z)) < n:
         return None
     return z
 
 
-def _start(coeffs, k: int):
-    """Start at scale 2^k: the complex128 iterate from the Fujiwara circle,
-    or that circle itself when the float run is unusable."""
+def _bini_guesses(coeffs):
+    """Bini's start: on each edge i -> j of the upper convex hull of the
+    points (i, log|a_i|), j - i points on the circle of radius
+    1.3 (|a_i|/|a_j|)^(1/(j - i)), rotated by 2 pi i/n.  The factor 1.3
+    matters: with 1, a reciprocal polynomial such as Lehmer's starts on the
+    circle its roots lie near and takes about three times the sweeps.  A
+    zero constant term puts its zero roots at 0."""
+    hull = []
+    for j, c in enumerate(coeffs):
+        if not c:
+            continue
+        y = math.log(abs(c))
+        while len(hull) > 1:  # drop the last vertex if it is on or below the chord to (j, y)
+            (i0, y0), (i1, y1) = hull[-2:]
+            if (i1 - i0) * (y - y0) < (y1 - y0) * (j - i0):
+                break
+            hull.pop()
+        hull.append((j, y))
     n = len(coeffs) - 1
-    e = _fujiwara_log2(coeffs)
-    angles = [2 * math.pi * (j + 0.3) / n for j in range(n)]
-    radius = 2.0**e if e < 1000 else math.inf
-    start = _float_aberth(coeffs, [radius * complex(math.cos(t), math.sin(t)) for t in angles])
+    guesses = [0j] * hull[0][0]
+    for (i, yi), (j, yj) in zip(hull, hull[1:]):
+        e = (yi - yj) / (j - i)
+        radius = 1.3 * math.exp(e) if e < 700 else math.inf
+        angles = (2 * math.pi * ((t + 0.3) / (j - i) + i / n) for t in range(j - i))
+        guesses += [cmath.rect(radius, a) for a in angles]
+    return guesses
+
+
+def _start(coeffs, k: int):
+    """Start at scale 2^k: the float iterate from Bini's circles, or the
+    Fujiwara circle itself when the float run is unusable."""
+    start = _float_aberth(coeffs, _bini_guesses(coeffs))
     if start is not None:
-        return [(_fixed(z.real, k), _fixed(z.imag, k)) for z in start.tolist()]
-    shift = k + math.ceil(e)
+        return [(_fixed(z.real, k), _fixed(z.imag, k)) for z in start]
+    n = len(coeffs) - 1
+    shift = k + math.ceil(_fujiwara_log2(coeffs))
+    angles = [2 * math.pi * (j + 0.3) / n for j in range(n)]
     return [(_fixed(math.cos(t), shift), _fixed(math.sin(t), shift)) for t in angles]
 
 

@@ -29,6 +29,10 @@ k threads take in turn, k the cores this process may run on
 the copies, sorts, compares and compactions.  The worker threads start
 when a run first splits a step, and the run joins them before it returns.
 Python ints stay one shard, run inline, since their compares hold the GIL.
+
+numpy is imported inside the functions that build key arrays, so importing
+this module (and with it the CLI) does not load it; the first
+`trajectory_counts` call does.
 """
 
 from __future__ import annotations
@@ -39,12 +43,14 @@ import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .linalg import RationalMatrix, operator_norm
 from .numtheory import prime_divisors
 from .ratpoly import InvariantError, vp
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_BUDGET = 20_000_000
 _INT64_LIMIT = 1 << 62
@@ -280,6 +286,8 @@ class _Union:
     """
 
     def __init__(self, keys: np.ndarray, shift: int, k: int, workers: _Workers):
+        import numpy as np
+
         n = keys.size
         k = max(1, min(k, n))
         own = [j * n // k for j in range(k + 1)]
@@ -292,17 +300,23 @@ class _Union:
         workers.run(self._fill, jobs)
 
     def _fill(self, j: int, own: np.ndarray, moved: np.ndarray, shift: int) -> None:
+        import numpy as np
+
         buf = self.buf[self.bounds[j] : self.bounds[j + 1]]
         buf[: own.size] = own
         np.add(moved, shift, out=buf[own.size :])
 
     def merge(self) -> int:
         """Sort every shard and mark its distinct keys; returns the union's size."""
+        import numpy as np
+
         self.keep = np.empty(self.buf.size, dtype=bool)
         self.counts = self.workers.run(self._merge, [(j,) for j in range(len(self.bounds) - 1)])
         return sum(self.counts)
 
     def _merge(self, j: int) -> int:
+        import numpy as np
+
         # the stable sort is timsort, which merges the two presorted runs in
         # linear time, on int64 and on object (Python int) arrays alike;
         # shards cover disjoint key ranges, so a shard's first key is new
@@ -315,6 +329,8 @@ class _Union:
 
     def distinct(self) -> np.ndarray:
         """The union, sorted (after `merge`)."""
+        import numpy as np
+
         if len(self.counts) == 1:
             return _kept(self.buf, self.keep, self.counts[0])
         out = np.empty(sum(self.counts), dtype=self.buf.dtype)
@@ -324,6 +340,8 @@ class _Union:
         return out
 
     def _compact(self, j: int, out: np.ndarray) -> None:
+        import numpy as np
+
         # block by block, so that the temporaries stay small
         filled = 0
         for a in range(self.bounds[j], self.bounds[j + 1], _BLOCK):
@@ -338,13 +356,13 @@ def _kept(buf: np.ndarray, keep: np.ndarray, count: int, out: np.ndarray | None 
     """buf[keep], count keys, into out if given.
 
     Boolean indexing copies each run of kept keys with one memcpy, which is
-    fast when few keys repeat; on int64 keys np.compress, which gathers by
+    fast when few keys repeat; on int64 keys `compress`, which gathers by
     index, is faster once more than about a fifth of them do (about 40% do
     in most steps).  On Python ints boolean indexing was as fast or faster
     at every share seen in big-int steps (0 to 40%).
     """
     if buf.dtype != object and 5 * (buf.size - count) > buf.size:
-        return np.compress(keep, buf, out=out)
+        return buf.compress(keep, out=out)
     if out is None:
         return buf[keep]
     out[...] = buf[keep]
@@ -354,7 +372,7 @@ def _kept(buf: np.ndarray, keep: np.ndarray, count: int, out: np.ndarray | None 
 class _PackedState:
     """Point set as its sorted int64 keys in the exact box lo..hi."""
 
-    dtype = np.int64
+    dtype = "int64"
     limit = _INT64_LIMIT  # a box with this many keys or more overflows the dtype
 
     def __init__(self, keys: np.ndarray, lo: tuple, hi: tuple):
@@ -419,6 +437,8 @@ def trajectory_counts(
     would exceed the budget is recorded in budget_exhausted_at and the run
     is truncated there (not an error).
     """
+    import numpy as np
+
     if M.n < 1:
         raise ValueError("matrix dimension must be >= 1")
     if m < 1 or n_max < 1:

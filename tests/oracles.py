@@ -7,7 +7,8 @@ exact-core oracles are the slow textbook algorithms the package replaced:
 Faddeev-LeVerrier and the Hessenberg method over Fraction for the
 characteristic polynomial (the package runs Hessenberg modulo primes and
 recombines by CRT under a proven bound), and Euclid over Fraction
-coefficients for the gcd; plain trial division for factorization.  The
+coefficients for the gcd; plain trial division for factorization, and
+Miller-Rabin with the first twelve primes as witnesses for primality.  The
 polynomial oracles use no package polynomial code: they return monic
 polynomials as ascending tuples of Fraction, and `monic` puts a package
 `IntPoly` into the same form.
@@ -134,6 +135,32 @@ def trial_division_factorize(n: int) -> dict[int, int]:
     if n > 1:
         factors[n] = factors.get(n, 0) + 1
     return factors
+
+
+def twelve_witness_is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve primes as witnesses: proven below
+    3317044064679887385961981 (Sorenson & Webster 2017)."""
+    witnesses = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    if n in witnesses:
+        return True
+    if any(n % p == 0 for p in witnesses):
+        return False
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in witnesses:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def eig_moduli(coeffs, dps: int = 60):

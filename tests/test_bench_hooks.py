@@ -7,6 +7,8 @@ that breaks the tracer is caught here instead.
 """
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -65,3 +67,22 @@ def test_bench_tracer_counts_both_trajectory_backends(monkeypatch, capsys):
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
+
+
+def test_cli_import_leaves_numpy_out_and_the_tracer_installs():
+    # a fresh process, as in a one-shot CLI call: numpy is left for the
+    # trajectory oracle to load, but algentropy.trajectory itself is
+    # imported, since the tracer looks up its backends by name
+    code = (
+        "import sys, algentropy.cli\n"
+        "assert 'numpy' not in sys.modules and 'algentropy.trajectory' in sys.modules\n"
+        f"sys.path.insert(0, {str(BENCH)!r})\n"
+        "import run, tracer\n"
+        "t = tracer.Tracer(run.TRACED, run.HOOKS)\n"
+        "t.install()\n"
+        "t.uninstall()\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -273,7 +273,8 @@ def _reciprocal_height_1(degree: int):
         yield IntPoly(low + low[-2::-1])
 
 
-def test_degree_10_height_1_reciprocal_corpus_all_certified():
+def test_degree_10_height_1_reciprocal_corpus_all_certified(monkeypatch):
+    starts = _spy_float_starts(monkeypatch)
     corpus = list(_reciprocal_height_1(10))
     assert len(corpus) == 243 and len(set(corpus)) == 243
     assert all(p.reciprocal() == p for p in corpus)
@@ -287,6 +288,9 @@ def test_degree_10_height_1_reciprocal_corpus_all_certified():
         if r.value > 0:
             positive.append(r.value)
     assert abs(min(positive) - 0.1623576120) <= 1e-9
+    # one float start per square-free factor left after the cyclotomic
+    # extraction, and every one of them converges
+    assert len(starts) == 193 and all(s is not None for s in starts)
 
 
 def _trace_to_reciprocal(q) -> IntPoly:
@@ -371,16 +375,30 @@ def test_cyclotomic_pretest_skips_only_impossible_divisions(monkeypatch):
     rng = random.Random(61)
     samples = [cyclo.strip_x()[0] for cyclo in cyclotomic_product_corpus(rng, 30)]
     samples += [p.strip_x()[0] for p in non_cyclotomic_corpus(rng, 30)]
-    # a root at X = 2 makes rest(2) = 0, which every Phi_n(2) divides
+    # a root at X = 2 or 3 makes rest(2) or rest(3) 0, which every Phi_n value divides
     samples.append(cyclotomic(3) * cyclotomic(6) * IntPoly([-2, 1]))
+    samples.append(cyclotomic(1) * cyclotomic(4) * IntPoly([-2, 1]) * IntPoly([-3, 1]))
     for poly in samples:
         assert extract_cyclotomic(poly) == _naive_extract_cyclotomic(poly)
     calls = []
     real = IntPoly.divide
     monkeypatch.setattr(IntPoly, "divide", lambda f, g: calls.append(g) or real(f, g))
-    # (X - 3)(X + 9) is -11 at X = 2: only Phi_1 (Phi_1(2) = 1) passes the test
+    # (X - 3)(X + 9) is -11 at X = 2 and -20 at X = 1: Phi_1(2) = 1 divides
+    # -11, but Phi_1 is tried only when rest(1) = 0
     assert extract_cyclotomic(IntPoly([-27, 6, 1])) == ({}, IntPoly([-27, 6, 1]))
-    assert calls == [cyclotomic(1)]
+    assert calls == []
+
+
+def test_cyclotomic_pretest_tries_only_the_dividing_factors(monkeypatch):
+    # Lehmer * Phi_2 * Phi_6: at X = 2 Phi_2(2) = 3 still divides the value
+    # after Phi_2 is divided out, and only the value at X = 3 rules out a
+    # second Phi_2; Lehmer(1) = -1 rules out Phi_1
+    calls = []
+    real = IntPoly.divide
+    monkeypatch.setattr(IntPoly, "divide", lambda f, g: calls.append(g) or real(f, g))
+    factors, rest = extract_cyclotomic(LEHMER * cyclotomic(2) * cyclotomic(6))
+    assert (factors, rest) == ({2: 1, 6: 1}, LEHMER)
+    assert calls == [cyclotomic(2), cyclotomic(6)]
 
 
 def test_kronecker_equivalence_small():
@@ -435,15 +453,29 @@ def test_float_start_falls_back_when_doubles_overflow(monkeypatch):
 def test_float_start_random_against_eig_oracle(monkeypatch):
     starts = _spy_float_starts(monkeypatch)
     rng = random.Random(2024)
-    for deg, lead in ((16, 1), (19, 7), (22, 1), (24, -5)):
-        poly = IntPoly([rng.randint(-9, 9) for _ in range(deg)] + [lead])
+    polys = [
+        IntPoly([rng.randint(-9, 9) for _ in range(deg)] + [lead])
+        for deg, lead in ((16, 1), (19, 7), (22, 1), (24, -5), (18, 6))
+    ]
+    # Lehmer's polynomial, and a degree-18 Salem-type product: Lehmer times
+    # the minimal polynomial of the degree-8 Salem number 1.2806...
+    polys += [LEHMER, LEHMER * IntPoly([1, 0, 0, -1, -1, -1, 0, 0, 1])]
+    # Newton-polygon edges longer than 1: X^12 - 2 (one edge), and zero inner
+    # coefficients in X^12 + 1000 X^6 + 1 (two edges of length 6) and
+    # 2 X^9 - 7 X^3 + 3 (edges of length 3 and 6)
+    polys += [
+        IntPoly([-2] + [0] * 11 + [1]),
+        IntPoly([1] + [0] * 5 + [1000] + [0] * 5 + [1]),
+        IntPoly([3, 0, 0, -7, 0, 0, 0, 0, 0, 2]),
+    ]
+    for poly in polys:
         rs = find_roots(poly, precision=64)
-        assert rs.total_multiplicity == deg
+        assert rs.total_multiplicity == poly.degree
         by_center = sorted(rs.roots, key=lambda r: (r.mod_lo + r.mod_hi) / 2)
         for r, m in zip(by_center, eig_moduli(poly.coeffs, dps=60)):
             assert r.mod_lo <= float(m) <= r.mod_hi
-    # the random inputs take the float start, not the fallback
-    assert starts and all(s is not None for s in starts)
+    # every input, square-free, takes one float start and not the fallback
+    assert len(starts) == len(polys) and all(s is not None for s in starts)
 
 
 def test_degree_80_certifies_quickly():

@@ -18,7 +18,7 @@ from algentropy.numtheory import (
     word_prime,
 )
 
-from oracles import trial_division_factorize
+from oracles import trial_division_factorize, twelve_witness_is_prime
 
 # the least strong pseudoprime to the first twelve prime bases
 PSI_12 = 3317044064679887385961981
@@ -43,6 +43,36 @@ def test_is_prime_past_the_deterministic_witnesses():
     assert [is_prime(2**k - 1) for k in (89, 107, 127)] == [True, True, True]
     assert not is_prime((2**89 - 1) * (2**107 - 1))
     assert not is_prime((2**61 - 1) ** 2)
+
+
+# strong pseudoprimes to base 2 below 2^64, among them 3825123056546413051,
+# a strong pseudoprime to the first nine prime bases
+_BASE_2_PSEUDOPRIMES = (2047, 3277, 4033, 1373653, 25326001, 3215031751, 2152302898747,
+                        3474749660383, 341550071728321, 3825123056546413051)
+
+
+_odd_32 = st.integers(1, 2**31 - 1).map(lambda k: 2 * k + 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**64 - 1)
+    | _odd_32
+    | st.tuples(_odd_32, _odd_32).map(lambda t: t[0] * t[1])
+    | st.sampled_from(_BASE_2_PSEUDOPRIMES)
+    | st.integers(1, 200).map(lambda k: 2**61 - 1 - 2 * k)
+)
+def test_is_prime_below_2_64_matches_twelve_witnesses(n):
+    # below 2^64 is_prime uses Sinclair's seven bases, reduced mod n
+    assert is_prime(n) == twelve_witness_is_prime(n)
+
+
+def test_is_prime_seven_bases_reject_strong_pseudoprimes():
+    assert [n for n in _BASE_2_PSEUDOPRIMES if is_prime(n)] == []
+    # a base that is 0 mod a prime (73, 193, 407521, 299210837 divide some)
+    # is skipped; 2^64 - 59 is the largest prime below 2^64
+    primes = (41, 73, 193, 407521, 299210837, 2**31 - 1, 2**61 - 1, 2**64 - 59)
+    assert [p for p in primes if not is_prime(p)] == []
 
 
 def test_strong_lucas_pseudoprimes_below_10000():
@@ -128,6 +158,14 @@ def test_word_primes_descend_from_the_mersenne_prime():
     assert primes[0] == 2**61 - 1
     assert all(is_prime(p) for p in primes) and primes == sorted(primes, reverse=True)
     assert not any(is_prime(n) for n in range(primes[1] + 2, primes[0], 2))
+    # the first 21, as the twelve-witness test finds them
+    expected = [2**61 - 1]
+    while len(expected) < 21:
+        p = expected[-1] - 2
+        while not twelve_witness_is_prime(p):
+            p -= 2
+        expected.append(p)
+    assert [word_prime(i) for i in range(21)] == expected
 
 
 def test_prime_divisors_sorted():
