@@ -53,7 +53,7 @@ from .ratpoly import (
     squarefree_decomposition,
     vp,
 )
-from .roots import CertificationError, ComplexRootSet, RootInterval, find_roots
+from .roots import CertificationError, ComplexRootSet, RootInterval
 from .trajectory import (
     DEFAULT_BUDGET,
     BernoulliRun,

@@ -4,7 +4,9 @@ Subcommands: entropy, mahler, polygon, trajectory, classify, verify.
 Documents are UTF-8 JSON: exact integers (counts, valuations, clearing
 integers, coefficients) are serialized as decimal strings since they
 overflow doubles quickly; floats are serialized at full double precision;
-polynomial coefficients are ascending by degree everywhere.
+polynomial coefficients are ascending by degree everywhere.  A measure's
+one option is `tolerance` (the root ladder always starts at 64 bits), and
+keys a document does not use, such as `precision`, are ignored.
 
 Exit codes: 0 success, 2 input error (also an integer to factor that Pollard
 rho cannot split within its budget), 3 certification failure (partial
@@ -51,7 +53,6 @@ class InputSpec:
     m: int = 1
     n_max: int = 10
     budget: int = DEFAULT_BUDGET
-    precision: int = 128
     tolerance: float = 1e-12
 
 
@@ -105,7 +106,7 @@ def parse_spec(doc: dict) -> InputSpec:
         if parsed[-1] == 0:
             raise InputError("leading (last) polynomial coefficient must be nonzero")
         spec.poly = IntPoly(parsed)
-    for field in ("m", "n_max", "budget", "precision"):
+    for field in ("m", "n_max", "budget"):
         if field in doc:
             setattr(spec, field, _parse_int(doc[field], f"option {field!r}"))
     if "tolerance" in doc:
@@ -118,8 +119,6 @@ def parse_spec(doc: dict) -> InputSpec:
             raise InputError(f"bad option 'tolerance': {value!r}") from exc
     if not 0 < spec.tolerance < float("inf"):
         raise InputError(f"tolerance must be finite and > 0, got {spec.tolerance!r}")
-    if spec.precision < 1:
-        raise InputError(f"precision must be >= 1, got {spec.precision}")
     if spec.m < 0:
         raise InputError(f"m must be >= 0 (0 = admissible), got {spec.m}")
     return spec
@@ -151,7 +150,6 @@ def _spec_from_args(args) -> InputSpec:
         ("m", args.m),
         ("n_max", args.max_n),
         ("budget", args.budget),
-        ("precision", args.precision),
         ("tolerance", args.tolerance),
     ):
         if flag is not None:
@@ -184,9 +182,9 @@ def _emit(doc: dict, pretty: bool) -> None:
 def _cmd_entropy(args) -> int:
     spec = _spec_from_args(args)
     if spec.matrix is not None:
-        report = algebraic_entropy(spec.matrix, tolerance=spec.tolerance, precision=spec.precision)
+        report = algebraic_entropy(spec.matrix, tolerance=spec.tolerance)
     else:
-        report = polynomial_entropy(spec.poly, tolerance=spec.tolerance, precision=spec.precision)
+        report = polynomial_entropy(spec.poly, tolerance=spec.tolerance)
     doc = {
         "entropy": report.total,
         "log_s": report.log_s,
@@ -214,9 +212,7 @@ def _root_docs(roots) -> list[dict]:
 
 def _cmd_mahler(args) -> int:
     spec = _spec_from_args(args)
-    measured = mahler_measure(
-        spec.poly, tolerance=spec.tolerance, precision=spec.precision
-    )
+    measured = mahler_measure(spec.poly, tolerance=spec.tolerance)
     doc = {
         "value": measured.value,
         "certified": measured.certified,
@@ -263,9 +259,7 @@ def _cmd_polygon(args) -> int:
 
 def _trajectory_payload(spec: InputSpec) -> dict:
     run = trajectory_counts(spec.matrix, spec.m, spec.n_max, budget=spec.budget)
-    formula = algebraic_entropy(
-        spec.matrix, tolerance=spec.tolerance, precision=spec.precision
-    ).total
+    formula = algebraic_entropy(spec.matrix, tolerance=spec.tolerance).total
     assessment = (
         classify_growth(run, formula_entropy=formula) if run.levels >= 6 else None
     )
@@ -355,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, default=None, help="grid density (0 = admissible)")
         p.add_argument("--max-n", type=int, default=None, help="trajectory levels")
         p.add_argument("--budget", type=int, default=None, help="stored-point budget")
-        p.add_argument("--precision", type=int, default=None, help="root precision bits")
         p.add_argument("--tolerance", type=float, default=None, help="measure tolerance")
         p.add_argument("--pretty", action="store_true", help="indent the JSON output")
         p.set_defaults(func=fn)

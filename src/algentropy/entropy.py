@@ -46,9 +46,7 @@ class EntropyReport:
         return places
 
 
-def algebraic_entropy(
-    M: RationalMatrix, tolerance: float = 1e-12, precision: int = 64
-) -> EntropyReport:
+def algebraic_entropy(M: RationalMatrix, tolerance: float = 1e-12) -> EntropyReport:
     """Entropy report for a rational matrix: total, places, certification."""
     if M.n == 0:
         return EntropyReport(
@@ -61,12 +59,10 @@ def algebraic_entropy(
             roots=None,
             zero_entropy_exact=True,
         )
-    return polynomial_entropy(char_poly(M), tolerance=tolerance, precision=precision)
+    return polynomial_entropy(char_poly(M), tolerance=tolerance)
 
 
-def polynomial_entropy(
-    P: IntPoly, tolerance: float = 1e-12, precision: int = 64
-) -> EntropyReport:
+def polynomial_entropy(P: IntPoly, tolerance: float = 1e-12) -> EntropyReport:
     """Entropy report for an integer polynomial of degree >= 1, taken as
     its primitive part: s times the monic polynomial, s its positive lead."""
     if P.degree < 1:
@@ -76,7 +72,7 @@ def polynomial_entropy(
     if not identity.all_ok:
         raise InvariantError(f"Newton polygon masses do not match v_p(s) for {P}")
     finite = tuple((p, v, v * math.log(p)) for p, v, *_ in identity.per_prime)
-    measured = mahler_measure(P, tolerance=tolerance, precision=precision)
+    measured = mahler_measure(P, tolerance=tolerance)
     total = measured.archimedean + sum(c for *_, c in finite)
     # redundant cross-check against the all-floating-point route
     if abs(total - measured.value) > 1e-9 * max(1.0, abs(total)):

@@ -12,9 +12,9 @@ circle.  Protocol:
    roots of unity contribute zero with an exact certificate (a root of unity
    has the same multiplicity in P and in its reciprocal, so the candidate
    holds all of them);
-3. the roots of both factors are refined on one precision ladder (64 up to
-   a 4096-bit cap), and each disc's side of the unit circle is decided
-   exactly;
+3. the roots of both factors are refined on the precision ladder of
+   `roots.climb` (64 bits first, up to a 4096-bit cap), and each disc's
+   side of the unit circle is decided exactly;
 4. one proven error budget settles the measure.  With lo <= |z| <= hi the
    disc's modulus bounds, a disc outside the circle adds log|centre|, off
    by at most log(hi/lo) <= (hi - lo)/lo; a disc meeting the circle adds 0,
@@ -33,8 +33,6 @@ from dataclasses import dataclass
 from .numtheory import totients
 from .ratpoly import IntPoly, InvariantError, cyclotomic, poly_gcd
 from .roots import ComplexRootSet, RootInterval, _sorted_roots, climb, to_interval
-
-_PRECISION_CAP = 4096
 
 
 def split_unit_circle(P: IntPoly) -> tuple[IntPoly, IntPoly]:
@@ -134,13 +132,9 @@ class MahlerResult:
         return 0
 
 
-def mahler_measure(
-    P: IntPoly,
-    tolerance: float = 1e-12,
-    precision: int = 64,
-    max_precision: int = _PRECISION_CAP,
-) -> MahlerResult:
-    """Logarithmic Mahler measure of a nonzero polynomial of degree >= 1."""
+def mahler_measure(P: IntPoly, tolerance: float = 1e-12) -> MahlerResult:
+    """Logarithmic Mahler measure of a nonzero polynomial of degree >= 1,
+    within `tolerance`; its `roots` are every root of P with multiplicity."""
     if P.is_zero:
         raise ValueError("zero polynomial")
     if P.degree < 1:
@@ -155,7 +149,7 @@ def mahler_measure(
     intervals.extend(_cyclotomic_intervals(cyclo))
     # one precision ladder over the candidate/cofactor split
     settle = functools.partial(_settle, tolerance=tolerance)
-    arch, numeric = climb([candidate, cofactor], max(64, precision), max_precision, settle)
+    arch, numeric = climb([candidate, cofactor], settle)
     intervals.extend(numeric)
 
     result_roots = ComplexRootSet(tuple(intervals))

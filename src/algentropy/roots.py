@@ -22,6 +22,10 @@ When the n discs are pairwise disjoint (compared as squared integers), each
 holds exactly one root of the square-free polynomial; which side of the
 unit circle a disc lies on is decided the same way.  Multiple roots are
 peeled off beforehand by Yun's square-free decomposition, which is exact.
+
+The rungs form one ladder, `climb`: 64 bits first, doubling up to a
+4096-bit cap, each rung warm-started from the last, until the caller's
+settle rule (the Mahler measure's error budget) accepts the discs.
 """
 
 from __future__ import annotations
@@ -30,10 +34,13 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .ratpoly import IntPoly, InvariantError, squarefree_decomposition
+from .ratpoly import IntPoly, squarefree_decomposition
 
 # bits of the fixed-point scale beyond the rung's precision
 _GUARD_BITS = 16
+# the ladder's first rung and its cap, in bits
+_START_BITS = 64
+_MAX_BITS = 4096
 _LN2 = math.log(2)
 
 
@@ -356,14 +363,14 @@ def to_interval(root: _CertRoot) -> RootInterval:
     )
 
 
-def climb(polys, start_bits: int, max_bits: int, settle):
+def climb(polys, settle):
     """The precision ladder: solve every polynomial per rung, warm-started,
-    doubling the bits from `start_bits` to `max_bits`, until
+    doubling the bits from `_START_BITS` to `_MAX_BITS`, until
     `settle(root_lists)` returns something other than None.  A rung at the
     cap that does not settle raises CertificationError, whose `partial` holds
     the roots of every polynomial that certified on that rung.
     """
-    prec = min(start_bits, max_bits)
+    prec = _START_BITS
     warm = [None] * len(polys)
     while True:
         root_lists = []
@@ -376,41 +383,11 @@ def climb(polys, start_bits: int, max_bits: int, settle):
             result = settle(root_lists)
             if result is not None:
                 return result
-        if prec >= max_bits:
+        if prec >= _MAX_BITS:
             found = [to_interval(r) for roots in root_lists if roots for r in _sorted_roots(roots)]
-            message = f"roots did not settle within {max_bits} bits"
+            message = f"roots did not settle within {_MAX_BITS} bits"
             raise CertificationError(message, ComplexRootSet(tuple(found)))
-        prec = min(2 * prec, max_bits)
-
-
-def find_roots(P: IntPoly, precision: int = 128, max_precision: int = 4096) -> ComplexRootSet:
-    """All roots of P with certified modulus intervals.
-
-    Intervals are refined until each radius is below 2**-precision relative
-    to the root magnitude; raises CertificationError (carrying the partial
-    result) if that cannot be reached by the precision cap.
-    """
-    if P.is_zero or P.degree < 1:
-        raise ValueError("polynomial must have degree >= 1")
-    stripped, k = P.strip_x()
-    intervals: list[RootInterval] = []
-    if k:
-        intervals.append(RootInterval(0.0, 0.0, 0.0, 0.0, multiplicity=k))
-    if stripped.degree == 0:
-        return ComplexRootSet(tuple(intervals))
-
-    def settle(root_lists):
-        (roots,) = root_lists
-        if any(r.r << precision > max(math.isqrt(r.a**2 + r.b**2), 1 << r.k) for r in roots):
-            return None
-        found = ComplexRootSet(
-            tuple(intervals) + tuple(to_interval(r) for r in _sorted_roots(roots))
-        )
-        if found.total_multiplicity != P.degree:
-            raise InvariantError(f"{found.total_multiplicity} roots for degree {P.degree}")
-        return found
-
-    return climb([stripped], max(64, precision + 16), max_precision, settle)
+        prec = min(2 * prec, _MAX_BITS)
 
 
 def _sorted_roots(roots):

@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING
 
 from .linalg import RationalMatrix, operator_norm
 from .numtheory import prime_divisors
-from .ratpoly import InvariantError, vp
+from .ratpoly import InvariantError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -113,21 +113,13 @@ def prime_support(M: RationalMatrix, m: int) -> tuple[int, ...]:
 def admissible_m(M: RationalMatrix) -> int:
     """A grid density m for which the run's limit equals the entropy.
 
-    Conservative rule: c * prod over support primes of p^(e_p), where
-    p^e_p = max_ij |a_ij|_p and c = max(ceil(||M||_inf) + 1, 3).  Any
-    multiple of a valid density is valid, so rounding up is safe.
+    Conservative rule: c * prod over primes p of max(1, max_ij |a_ij|_p),
+    where c = max(ceil(||M||_inf) + 1, 3).  That product is the lcm of the
+    entry denominators.  Any multiple of a valid density is valid, so rounding
+    up is safe.
     """
     c = max(math.ceil(operator_norm(M, math.inf)) + 1, 3)
-    m = c
-    for p in prime_support(M, 1):
-        e = 0
-        for row in M.rows:
-            for entry in row:
-                v = vp(entry, p)
-                if v is not math.inf and v < 0:
-                    e = max(e, -v)
-        m *= p**e
-    return m
+    return c * M.denominator_lcm()
 
 
 def _weights(bases) -> list[int]:

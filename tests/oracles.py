@@ -7,13 +7,15 @@ exact-core oracles are the slow textbook algorithms the package replaced:
 Faddeev-LeVerrier and the Hessenberg method over Fraction for the
 characteristic polynomial (the package runs Hessenberg modulo primes and
 recombines by CRT under a proven bound), and Euclid over Fraction
-coefficients for the gcd; plain trial division for factorization, and
-Miller-Rabin with the first twelve primes as witnesses for primality.  The
+coefficients for the gcd; plain trial division for factorization, the
+admissible grid density as a product of p-adic norms, and Miller-Rabin
+with the first twelve primes as witnesses for primality.  The
 polynomial oracles use no package polynomial code: they return monic
 polynomials as ascending tuples of Fraction, and `monic` puts a package
 `IntPoly` into the same form.
 """
 
+import math
 from fractions import Fraction
 
 from mpmath import mp
@@ -135,6 +137,28 @@ def trial_division_factorize(n: int) -> dict[int, int]:
     if n > 1:
         factors[n] = factors.get(n, 0) + 1
     return factors
+
+
+def product_formula_admissible_m(M: RationalMatrix) -> int:
+    """c * prod over primes p of max(1, max_ij |a_ij|_p^-1), with
+    c = max(ceil(max row sum of |a_ij|) + 1, 3): the admissible grid density
+    as a product of p-adic norms, prime by prime over the primes that trial
+    division finds in the entry denominators."""
+    entries = [e for row in M.rows for e in row]
+    c = max(math.ceil(max((sum(abs(e) for e in row) for row in M.rows), default=0)) + 1, 3)
+    primes = set()
+    for e in entries:
+        primes.update(trial_division_factorize(e.denominator))
+    m = c
+    for p in primes:
+        worst = 0  # max over the entries of max(0, -v_p(a)), read off the denominators
+        for e in entries:
+            den, v = e.denominator, 0
+            while den % p == 0:
+                den, v = den // p, v + 1
+            worst = max(worst, v)
+        m *= p**worst
+    return m
 
 
 def twelve_witness_is_prime(n: int) -> bool:

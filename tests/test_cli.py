@@ -14,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from algentropy import cli, numtheory, padic
+from algentropy import cli, numtheory, padic, roots
 from algentropy.linalg import companion
+from algentropy.mahler import mahler_measure
 from algentropy.numtheory import is_prime
 from algentropy.ratpoly import IntPoly, InvariantError
 from algentropy.roots import CertificationError
@@ -60,29 +61,6 @@ def test_mahler_command(capsys):
     doc = json.loads(out)
     assert code == 0 and abs(doc["value"] - math.log(3)) < 1e-12
     assert len(doc["roots"]) == 1
-
-
-def test_precision_above_the_cap_starts_at_the_cap(capsys):
-    # the ladder's first rung is clamped to the 4096-bit cap, so a huge
-    # --precision costs what the cap costs and reports the same document;
-    # the huge call runs in a child with a timeout, so a regression fails
-    # instead of hanging the suite
-    lehmer = "[1,1,0,-1,-1,-1,-1,-1,0,1,1]"
-    code, at_cap, _ = run_cli(capsys, "mahler", "--poly", lehmer, "--precision", "4096")
-    assert code == 0
-    timed_main = (
-        "import sys, time, algentropy.cli as cli; t = time.perf_counter(); "
-        "code = cli.main(sys.argv[1:]); print(time.perf_counter() - t, file=sys.stderr); "
-        "sys.exit(code)"
-    )
-    src = Path(cli.__file__).resolve().parents[1]
-    done = subprocess.run(
-        [sys.executable, "-c", timed_main, "mahler", "--poly", lehmer, "--precision", "1000000"],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert done.returncode == 0 and float(done.stderr) < 2.0
-    assert done.stdout == at_cap
 
 
 def test_polygon_command(capsys):
@@ -174,13 +152,12 @@ def test_spec_roundtrip():
         "m": 2,
         "n_max": 9,
         "budget": 1000,
-        "precision": 256,
         "tolerance": 1e-10,
     }
     spec = cli.parse_spec(doc)
     assert [[str(e) for e in row] for row in spec.matrix.rows] == doc["matrix"]
     assert spec.poly is None
-    assert (spec.m, spec.n_max, spec.budget, spec.precision, spec.tolerance) == (2, 9, 1000, 256, 1e-10)
+    assert (spec.m, spec.n_max, spec.budget, spec.tolerance) == (2, 9, 1000, 1e-10)
     spec = cli.parse_spec({"poly": ["1", "-5", "6"]})
     assert [str(c) for c in spec.poly.coeffs] == ["1", "-5", "6"]
     assert spec.matrix is None
@@ -192,7 +169,6 @@ def _document(spec: cli.InputSpec) -> dict:
         "m": spec.m,
         "n_max": spec.n_max,
         "budget": spec.budget,
-        "precision": spec.precision,
         "tolerance": spec.tolerance,
     }
     if spec.matrix is not None:
@@ -210,7 +186,7 @@ _JSON = st.recursive(
 _RATIONAL = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
 _ENTRY = st.integers(-50, 50) | _RATIONAL.map(str) | _RATIONAL.map(lambda q: f" {q} ")
 _OPTION = st.integers(-3, 10**6) | st.integers(-3, 10**6).map(str)
-_FIELDS = ("matrix", "poly", "m", "n_max", "budget", "precision", "tolerance")
+_FIELDS = ("matrix", "poly", "m", "n_max", "budget", "tolerance")
 
 
 @st.composite
@@ -222,7 +198,7 @@ def _documents(draw):
         doc["matrix"] = draw(st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n))
     else:
         doc["poly"] = draw(st.lists(st.integers(-20, 20) | st.integers(-20, 20).map(str), min_size=1, max_size=6))
-    for field in ("m", "n_max", "budget", "precision"):
+    for field in ("m", "n_max", "budget"):
         if draw(st.booleans()):
             doc[field] = draw(_OPTION)
     if draw(st.booleans()):
@@ -267,8 +243,6 @@ def test_input_errors_exit_2(capsys, tmp_path):
         ("mahler", "--poly", "[-3,2]", "--tolerance", "-1"),
         ("mahler", "--poly", "[-3,2]", "--tolerance", "inf"),
         ("mahler", "--poly", "[-3,2]", "--tolerance", "nan"),
-        ("entropy", "--poly", "[-3,2]", "--precision", "0"),
-        ("entropy", "--matrix", '[["2"]]', "--precision", "-5"),
         ("verify", "--suite", "oracle", "--count", "-1"),
         ("classify", "--matrix", '[["2"]]', "--m", "1", "--max-n", "5"),
         ("trajectory", "--matrix", '[["2"]]', "--m", "-2"),  # only 0 means admissible
@@ -290,7 +264,6 @@ def test_input_errors_exit_2(capsys, tmp_path):
             {"m": True},
             {"n_max": 6.9},
             {"budget": 1000.5},
-            {"precision": 64.0},
             {"n_max": 6.9, "m": True, "budget": 1000.5},
         )
     ):
@@ -301,6 +274,53 @@ def test_input_errors_exit_2(capsys, tmp_path):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert "error" in err
+
+
+def test_precision_is_not_an_option(capsys, tmp_path):
+    # the root ladder has no knob: a "precision" key is ignored like any
+    # other unknown key, and the --precision flag is an argparse error
+    path = tmp_path / "in.json"
+    for command, doc in (
+        ("mahler", {"poly": [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]}),
+        ("entropy", {"matrix": [["3/2", "1"], ["0", "-1"]]}),
+    ):
+        path.write_text(json.dumps(doc))
+        plain = run_cli(capsys, command, "--input", str(path))
+        assert plain[0] == 0
+        for precision in (64.0, "x"):
+            path.write_text(json.dumps({**doc, "precision": precision}))
+            assert run_cli(capsys, command, "--input", str(path)) == plain
+    for argv in (
+        ("mahler", "--poly", "[-3,2]", "--precision", "64"),
+        ("entropy", "--poly", "[-3,2]", "--precision", "0"),
+        ("entropy", "--matrix", '[["2"]]', "--precision", "-5"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2
+        assert "--precision" in capsys.readouterr().err
+
+
+def test_every_measure_starts_on_one_64_bit_rung(capsys, monkeypatch):
+    rungs = []
+    real = roots.solve_with_multiplicity
+
+    def recording(P, prec, warm=None):
+        rungs.append(prec)
+        return real(P, prec, warm)
+
+    monkeypatch.setattr(roots, "solve_with_multiplicity", recording)
+    lehmer = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
+    for argv in (
+        ("mahler", "--poly", json.dumps(lehmer)),
+        ("entropy", "--matrix", '[["3/2","1"],["0","-1"]]'),
+    ):
+        rungs.clear()
+        assert run_cli(capsys, *argv)[0] == 0
+        assert rungs == [64], argv
+    rungs.clear()
+    assert mahler_measure(IntPoly(lehmer)).certified
+    assert rungs == [64]
 
 
 def test_both_matrix_and_poly_rejected():

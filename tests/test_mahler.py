@@ -20,7 +20,7 @@ from algentropy.mahler import (
     split_unit_circle,
 )
 from algentropy.ratpoly import IntPoly, InvariantError, cyclotomic
-from algentropy.roots import CertificationError, find_roots
+from algentropy.roots import CertificationError
 from algentropy.verify import cyclotomic_product_corpus, non_cyclotomic_corpus
 
 from oracles import eig_moduli, mahler_oracle
@@ -34,21 +34,21 @@ LEHMER_BOTTOM_MODULUS = 0.8501371309270424
 
 
 def test_find_roots_linear():
-    rs = find_roots(IntPoly([-3, 2]))
+    rs = mahler_measure(IntPoly([-3, 2])).roots
     (root,) = rs.roots
     assert root.mod_lo <= 1.5 <= root.mod_hi
     assert root.mod_hi - root.mod_lo < 1e-12
 
 
 def test_find_roots_gaussian_unit():
-    rs = find_roots(IntPoly([1, 0, 1]))
+    rs = mahler_measure(IntPoly([1, 0, 1])).roots
     assert len(rs.roots) == 2
     for root in rs.roots:
         assert root.mod_lo <= 1.0 <= root.mod_hi
 
 
 def test_find_roots_lehmer_against_oracle():
-    rs = find_roots(LEHMER, precision=128)
+    rs = mahler_measure(LEHMER).roots
     assert rs.total_multiplicity == 10
     outside = [r for r in rs.roots if r.mod_lo > 1]
     inside = [r for r in rs.roots if r.mod_hi < 1]
@@ -65,14 +65,14 @@ def test_find_roots_lehmer_against_oracle():
 def test_find_roots_multiplicities():
     cube = IntPoly([2, 1]) * IntPoly([2, 1]) * IntPoly([2, 1])
     poly = IntPoly([-1, 1]) * IntPoly([-1, 1]) * cube
-    rs = find_roots(poly)
+    rs = mahler_measure(poly).roots
     assert rs.total_multiplicity == 5
     mults = sorted(r.multiplicity for r in rs.roots)
     assert mults == [2, 3]
 
 
 def test_find_roots_zero_roots():
-    rs = find_roots(IntPoly([0, 0, -3, 2]))
+    rs = mahler_measure(IntPoly([0, 0, -3, 2])).roots
     zero = [r for r in rs.roots if r.mod_hi == 0.0]
     assert len(zero) == 1 and zero[0].multiplicity == 2
 
@@ -86,7 +86,7 @@ def test_find_roots_residual_consistency():
         poly = IntPoly(coeffs)
         if poly.coeffs[0] == 0 or poly.degree < 2:
             continue
-        rs = find_roots(poly, precision=96)
+        rs = mahler_measure(poly).roots
         with mp.workprec(256):
             for root in rs.roots:
                 z = mpc(root.re, root.im)
@@ -102,7 +102,7 @@ def test_find_roots_ill_conditioned_integer_roots():
     poly = IntPoly([1])
     for j in range(1, 13):
         poly = poly * IntPoly([-j, 1])
-    rs = find_roots(poly, precision=96)
+    rs = mahler_measure(poly).roots
     mods = sorted((r.mod_lo + r.mod_hi) / 2 for r in rs.roots)
     assert all(abs(m - j) < 1e-20 for m, j in zip(mods, range(1, 13)))
     got = mahler_measure(poly).value
@@ -246,22 +246,22 @@ def test_is_cyclotomic_product():
     assert not is_cyclotomic_product(LEHMER)
 
 
-def test_certification_cap_behavior():
-    # roots 1 and 1 + 1e-30: cannot be separated within a 64-bit cap
+def test_certification_cap_behavior(monkeypatch):
+    # roots 2 and 2 + 1e-30: cannot be separated within a 64-bit cap
     k = 10**30
+    monkeypatch.setattr(roots, "_MAX_BITS", 64)
+    with pytest.raises(CertificationError):
+        mahler_measure(IntPoly([2 * k + 1, -k]) * IntPoly([-2, 1]))
+    # roots 1 and 1 + 1e-30: the measure resolves, as (X - 1) leaves exactly,
+    # and the leftover root separates from the circle once the ladder climbs
     poly = IntPoly([k + 1, -k]) * IntPoly([-1, 1])
-    with pytest.raises(Exception) as exc:
-        find_roots(poly, precision=64, max_precision=64)
-    from algentropy.roots import CertificationError
-
-    assert isinstance(exc.value, CertificationError)
-    # the measure still resolves: (X - 1) leaves exactly, and the leftover
-    # root separates from the circle once the precision ladder climbs
-    good = mahler_measure(poly, max_precision=256)
+    monkeypatch.setattr(roots, "_MAX_BITS", 256)
+    good = mahler_measure(poly)
     assert good.certified and abs(good.value - math.log(k) - 1e-30) < 1e-9
     # at a forced low cap the unresolved disc still meets the circle, and
     # its log+ (about 1e-30) is proven to lie within the error budget
-    capped = mahler_measure(poly, max_precision=64)
+    monkeypatch.setattr(roots, "_MAX_BITS", 64)
+    capped = mahler_measure(poly)
     assert capped.certified and abs(capped.value - good.value) < 1e-9
 
 
@@ -348,13 +348,14 @@ def test_non_cyclotomic_corpus_certified():
         assert r.certified and r.value > 0.1
 
 
-def test_cap_raises_with_the_certified_roots():
+def test_cap_raises_with_the_certified_roots(monkeypatch):
     # two cofactor roots 1 + 2^-200 and 1 + 2^-199 cannot be told apart
     # within 128 bits; Lehmer's 10 roots certify on every rung
     big = 2**200
     poly = LEHMER * IntPoly([-big - 1, big]) * IntPoly([-big - 2, big])
+    monkeypatch.setattr(roots, "_MAX_BITS", 128)
     with pytest.raises(CertificationError) as exc:
-        mahler_measure(poly, max_precision=128)
+        mahler_measure(poly)
     partial = exc.value.partial
     assert partial.total_multiplicity == 10
     by_center = sorted(partial.roots, key=lambda r: (r.mod_lo + r.mod_hi) / 2)
@@ -469,7 +470,7 @@ def test_float_start_random_against_eig_oracle(monkeypatch):
         IntPoly([3, 0, 0, -7, 0, 0, 0, 0, 0, 2]),
     ]
     for poly in polys:
-        rs = find_roots(poly, precision=64)
+        rs = mahler_measure(poly).roots
         assert rs.total_multiplicity == poly.degree
         by_center = sorted(rs.roots, key=lambda r: (r.mod_lo + r.mod_hi) / 2)
         for r, m in zip(by_center, eig_moduli(poly.coeffs, dps=60)):

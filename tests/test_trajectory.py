@@ -29,7 +29,7 @@ from algentropy.trajectory import (
     trajectory_counts,
 )
 
-from oracles import naive_trajectory_counts
+from oracles import naive_trajectory_counts, product_formula_admissible_m
 
 DOUBLING = RationalMatrix([[2]])
 THREE_HALVES = RationalMatrix([["3/2"]])
@@ -59,6 +59,20 @@ def test_admissible_m_examples():
     assert admissible_m(DOUBLING) == 3
     assert admissible_m(RationalMatrix.identity(2)) == 3
     assert admissible_m(NONARCH) == 18
+
+
+_SMALL_ENTRY = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 60))
+_SQUARE_ROWS = st.integers(0, 3).flatmap(
+    lambda n: st.lists(st.lists(_SMALL_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SQUARE_ROWS)
+def test_admissible_m_is_the_product_formula(rows):
+    # c * lcm(denominators) is the product over primes of max_ij |a_ij|_p^-1
+    M = RationalMatrix(rows)
+    assert admissible_m(M) == product_formula_admissible_m(M)
 
 
 def test_counts_closed_forms():
