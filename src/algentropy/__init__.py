@@ -10,7 +10,6 @@ the polynomial/exponential growth dichotomy at desk scale.
 """
 
 from .entropy import (
-    INFINITE_PLACE,
     EntropyReport,
     algebraic_entropy,
     is_zero_entropy,
@@ -34,12 +33,9 @@ from .mahler import (
 )
 from .padic import (
     NewtonPolygon,
-    PlaceContribution,
     PlaceIdentityReport,
     Segment,
     newton_polygon,
-    place_contribution,
-    relevant_primes,
     verify_place_identity,
 )
 from .ratpoly import (

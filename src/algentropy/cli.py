@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
@@ -28,7 +29,7 @@ from .entropy import algebraic_entropy, polynomial_entropy
 from .linalg import RationalMatrix
 from .mahler import mahler_measure
 from .numtheory import FactorizationError
-from .padic import place_contribution, verify_place_identity
+from .padic import verify_place_identity
 from .ratpoly import IntPoly, InvariantError, parse_rational
 from .roots import CertificationError
 from .trajectory import (
@@ -231,8 +232,7 @@ def _cmd_polygon(args) -> int:
     primitive = poly.primitive_part()
     identity = verify_place_identity(primitive)
     primes = []
-    for (p, v_s, *_), polygon in zip(identity.per_prime, identity.polygons):
-        contrib = place_contribution(polygon)
+    for (p, v_s, mass, _), polygon in zip(identity.per_prime, identity.polygons):
         primes.append(
             {
                 "p": p,
@@ -240,8 +240,8 @@ def _cmd_polygon(args) -> int:
                 "segments": [
                     {"slope": str(s.slope), "length": s.length} for s in polygon.segments
                 ],
-                "contribution_exact": str(contrib.exact),
-                "contribution": contrib.value,
+                "contribution_exact": str(mass),
+                "contribution": float(mass) * math.log(p),
                 "v_s": v_s,
             }
         )

@@ -20,8 +20,6 @@ from .padic import verify_place_identity
 from .ratpoly import IntPoly, InvariantError
 from .roots import ComplexRootSet
 
-INFINITE_PLACE = math.inf
-
 
 @dataclass(frozen=True)
 class EntropyReport:
@@ -38,12 +36,6 @@ class EntropyReport:
     def certified(self) -> bool:
         """Always True: an entropy that cannot be certified raises CertificationError."""
         return True
-
-    def place_list(self) -> list[tuple[float, float]]:
-        """[(place, contribution)] with math.inf marking the archimedean place."""
-        places = [(float(p), c) for p, _, c in self.finite_places]
-        places.append((INFINITE_PLACE, self.archimedean))
-        return places
 
 
 def algebraic_entropy(M: RationalMatrix, tolerance: float = 1e-12) -> EntropyReport:

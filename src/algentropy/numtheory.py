@@ -1,9 +1,11 @@
 """Small deterministic integer number theory: primality, factorization, totient.
 
 Everything here is exact and seed-free.  Factorization uses trial division
-for small factors, a perfect-power test, and Brent's cycle-finding variant of
-Pollard rho (with a fixed parameter schedule and a fixed budget) for anything
-left over, so results are reproducible across runs and platforms.
+for small factors, then a perfect-power test, a primality test, and Brent's
+cycle-finding variant of Pollard rho (with a fixed parameter schedule and a
+fixed budget) for anything left over, so results are reproducible across
+runs and platforms.  A prime power reaches the primality test only as its
+root.
 """
 
 from __future__ import annotations
@@ -190,10 +192,11 @@ def _iroot(n: int, k: int) -> int:
 def _perfect_power(n: int) -> tuple[int, int] | None:
     """(r, k) with n = r^k and k prime, for n with no prime factor below 2^10; else None.
 
-    Such an r is at least 2^10, so k is below log2(n) / 10.
+    Such an r is at least 2^10, so k is below log2(n) / 10.  The prime k
+    are read off a totient sieve, phi(k) = k - 1, not tested one by one.
     """
-    for k in range(2, (n.bit_length() - 1) // 10 + 1):
-        if is_prime(k) and (r := _iroot(n, k)) ** k == n:
+    for k, phi in enumerate(totients((n.bit_length() - 1) // 10)):
+        if phi == k - 1 and (r := _iroot(n, k)) ** k == n:
             return r, k
     return None
 
@@ -202,9 +205,10 @@ def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| as an ordered {prime: exponent} dict.
 
     Trial division by the primes below 2^10; then each cofactor is either
-    prime, a perfect k-th power (k prime, so every prime power is found
-    without rho), or split by Pollard rho.  Rho spends at most _RHO_BUDGET
-    squarings per call, enough for psi_12's two 13-digit factors; past it
+    a perfect k-th power (k prime), prime, or split by Pollard rho.  The
+    power test comes first, so a prime power p^k reaches `is_prime` only as
+    p and never reaches rho.  Rho spends at most _RHO_BUDGET squarings per
+    call, enough for psi_12's two 13-digit factors; past it
     FactorizationError is raised.
     """
     n = abs(n)
@@ -221,16 +225,15 @@ def factorize(n: int) -> dict[int, int]:
     stack = [(n, 1)] if n > 1 else []
     while stack:
         n, e = stack.pop()
-        if is_prime(n):
-            factors[n] = factors.get(n, 0) + e
-            continue
         if root := _perfect_power(n):
             stack.append((root[0], e * root[1]))
-            continue
-        d, spent = _pollard_rho(n, budget)
-        budget -= spent
-        stack.append((d, e))
-        stack.append((n // d, e))
+        elif is_prime(n):
+            factors[n] = factors.get(n, 0) + e
+        else:
+            d, spent = _pollard_rho(n, budget)
+            budget -= spent
+            stack.append((d, e))
+            stack.append((n // d, e))
     return dict(sorted(factors.items()))
 
 

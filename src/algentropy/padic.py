@@ -6,6 +6,9 @@ segment of slope sigma and length ell certifies exactly ell roots (in a
 finite extension of Q_p, with multiplicity) of valuation -sigma, i.e. of
 p-adic norm p**sigma; so "positive slope <=> contributes entropy" is
 literal.  Everything in this module is exact integer/rational arithmetic.
+
+The primes of the clearing integer s and their exponents come from one
+`factorize(s)`; a polygon reads each coefficient's exponent by division.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .numtheory import is_prime, prime_divisors
-from .ratpoly import IntPoly, vp
+from .numtheory import factorize, is_prime
+from .ratpoly import IntPoly, valuation
 
 
 class Segment(NamedTuple):
@@ -52,11 +55,6 @@ class NewtonPolygon:
         return out
 
 
-class PlaceContribution(NamedTuple):
-    exact: Fraction
-    value: float
-
-
 @dataclass(frozen=True)
 class PlaceIdentityReport:
     """Exact per-prime comparison of polygon mass against vp(s)."""
@@ -80,7 +78,7 @@ def newton_polygon(P: IntPoly, p: int) -> NewtonPolygon:
         raise ValueError("polynomial must have degree >= 1")
     if P.content() != 1:
         raise ValueError("polynomial must be primitive (content 1)")
-    pts = [(i, vp(c, p)) for i, c in enumerate(P.coeffs) if c != 0]
+    pts = [(i, valuation(c, p)) for i, c in enumerate(P.coeffs) if c != 0]
     # monotone-chain lower hull over points already sorted by abscissa
     hull: list[tuple[int, int]] = []
     for pt in pts:
@@ -100,28 +98,14 @@ def newton_polygon(P: IntPoly, p: int) -> NewtonPolygon:
     return NewtonPolygon(p=p, points=tuple(pts), segments=segments)
 
 
-def place_contribution(NP: NewtonPolygon) -> PlaceContribution:
-    """Entropy contributed at prime p: (sum of positive slope mass) * log p."""
-    exact = NP.positive_mass()
-    return PlaceContribution(exact=exact, value=float(exact) * math.log(NP.p))
-
-
-def relevant_primes(P: IntPoly) -> list[int]:
-    """Ascending prime divisors of the leading coefficient.
-
-    These are exactly the primes whose polygon has a positive slope.
-    """
-    if P.content() != 1:
-        raise ValueError("polynomial must be primitive (content 1)")
-    return prime_divisors(P.lead)
-
-
 def verify_place_identity(P: IntPoly) -> PlaceIdentityReport:
     """Check, prime by prime, that the polygon mass equals vp(lead) exactly.
 
-    Keeps the polygons it builds, so callers need not build them again.
-    Also reconstructs |lead| as the product of p**vp(lead) over its prime
-    divisors and reports the floating-point gap of the log identity.
+    The primes of s = |lead| and their exponents come from one
+    `factorize(s)`.  Keeps the polygons it builds, so callers need not
+    build them again.  Also reconstructs s as the product of p**vp(s),
+    which checks those exponents, and reports the floating-point gap of
+    the log identity.
     """
     if P.content() != 1:
         raise ValueError("polynomial must be primitive (content 1)")
@@ -130,8 +114,7 @@ def verify_place_identity(P: IntPoly) -> PlaceIdentityReport:
     polygons = []
     product = 1
     log_sum = 0.0
-    for p in relevant_primes(P):
-        v = vp(s, p)
+    for p, v in factorize(s).items():
         polygon = newton_polygon(P, p)
         mass = polygon.positive_mass()
         rows.append((p, v, mass, mass == v))

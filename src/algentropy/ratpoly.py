@@ -51,15 +51,15 @@ def vp(x: Rational, p: int):
     x = Fraction(x)
     if x == 0:
         return INF
+    return valuation(x.numerator, p) - valuation(x.denominator, p)
+
+
+def valuation(n: int, p: int) -> int:
+    """The exponent of p in the nonzero integer n; p is not checked for primality."""
     v = 0
-    num = abs(x.numerator)
-    while num % p == 0:
-        num //= p
+    while n % p == 0:
+        n //= p
         v += 1
-    den = x.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
     return v
 
 

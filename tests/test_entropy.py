@@ -9,9 +9,8 @@ from pathlib import Path
 import pytest
 
 import algentropy
-from algentropy import verify
+from algentropy import numtheory, padic, ratpoly, verify
 from algentropy.entropy import (
-    INFINITE_PLACE,
     algebraic_entropy,
     is_zero_entropy,
     polynomial_entropy,
@@ -97,20 +96,45 @@ def test_ks_matches_total_on_integer_matrices():
 
 
 def test_place_decomposition():
-    places = algebraic_entropy(RationalMatrix([["3/2"]])).place_list()
-    assert places[0][0] == 2.0 and abs(places[0][1] - math.log(2)) < 1e-15
-    assert places[1][0] == INFINITE_PLACE
-    assert abs(places[1][1] - math.log(1.5)) < 1e-12
+    report = algebraic_entropy(RationalMatrix([["3/2"]]))
+    [(p, _, c)] = report.finite_places
+    assert p == 2 and abs(c - math.log(2)) < 1e-15
+    assert abs(report.archimedean - math.log(1.5)) < 1e-12
 
-    places = algebraic_entropy(RationalMatrix([[2]])).place_list()
-    assert len(places) == 1 and places[0][0] == INFINITE_PLACE
+    report = algebraic_entropy(RationalMatrix([[2]]))
+    assert report.finite_places == ()
 
-    places = algebraic_entropy(RationalMatrix([[0, "-1/6"], [1, "5/6"]])).place_list()
-    assert [(p, round(c, 10)) for p, c in places] == [
-        (2.0, round(math.log(2), 10)),
-        (3.0, round(math.log(3), 10)),
-        (INFINITE_PLACE, 0.0),
+    report = algebraic_entropy(RationalMatrix([[0, "-1/6"], [1, "5/6"]]))
+    assert [(p, round(c, 10)) for p, _, c in report.finite_places] == [
+        (2, round(math.log(2), 10)),
+        (3, round(math.log(3), 10)),
     ]
+    assert round(report.archimedean, 10) == 0.0
+
+
+def test_each_prime_of_s_is_proven_once(monkeypatch):
+    p = 10**60 + 7  # the first prime past 10^60
+    n = 8
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = Fraction(1, p)
+        if i + 1 < n:
+            rows[i][i + 1] = 1
+    rows[n - 1][0] = 3
+    real = numtheory.is_prime
+    tested = []
+
+    def recording_is_prime(m):
+        tested.append(m)
+        return real(m)
+
+    for module in (numtheory, padic, ratpoly):
+        monkeypatch.setattr(module, "is_prime", recording_is_prime)
+    report = algebraic_entropy(RationalMatrix(rows))
+    assert [q for q, *_ in report.finite_places] == [p]
+    # once by factorize(s), once by newton_polygon's input check; never as p^k
+    assert tested.count(p) <= 2
+    assert [m for m in tested if m % p == 0 and m != p] == []
 
 
 def test_place_sum_equals_total():
@@ -118,7 +142,7 @@ def test_place_sum_equals_total():
     for _ in range(30):
         M = _random_matrix(rng)
         r = algebraic_entropy(M)
-        assert abs(sum(c for _, c in r.place_list()) - r.total) <= 1e-12
+        assert abs(sum(c for *_, c in r.finite_places) + r.archimedean - r.total) <= 1e-12
 
 
 def test_block_additivity():

@@ -129,11 +129,22 @@ def test_factorize_matches_trial_division(parts):
     assert list(factorize(n)) == sorted(expected)
 
 
+def _is_perfect_power(n: int) -> bool:
+    return any(numtheory._iroot(n, k) ** k == n for k in range(2, n.bit_length() + 1))
+
+
 def test_factorize_finds_prime_powers_without_rho(monkeypatch):
     def no_rho(n, budget):
         raise AssertionError(f"rho called on {n}")
 
+    tested = []
+
+    def recording_is_prime(n):
+        tested.append(n)
+        return is_prime(n)
+
     monkeypatch.setattr(numtheory, "_pollard_rho", no_rho)
+    monkeypatch.setattr(numtheory, "is_prime", recording_is_prime)
     q = 2**61 - 1
     assert factorize(46349**2) == {46349: 2}
     assert factorize(1031**7) == {1031: 7}
@@ -141,6 +152,9 @@ def test_factorize_finds_prime_powers_without_rho(monkeypatch):
     assert factorize(q**3) == {q: 3}
     assert factorize(7 * q**2) == {7: 1, q: 2}
     assert factorize(1021**2 * 1019) == {1019: 1, 1021: 2}  # trial division alone
+    # the power test runs first, so a prime power reaches is_prime only as its root
+    assert sorted(tested) == [1031, 1033, 46349, q, q]
+    assert not any(_is_perfect_power(n) for n in tested)
 
 
 def test_rho_budget_raises_a_named_error(monkeypatch):

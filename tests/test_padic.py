@@ -1,17 +1,14 @@
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from algentropy.padic import (
-    newton_polygon,
-    place_contribution,
-    relevant_primes,
-    verify_place_identity,
-)
+from algentropy import cli
+from algentropy.padic import newton_polygon, verify_place_identity
 from algentropy.ratpoly import IntPoly, vp
 
 
@@ -56,6 +53,23 @@ def test_polygon_shape_invariants():
         assert polygon.points[-1] == (poly.degree, vp(poly.lead, p))
 
 
+# primes below 2^64 and past it, where is_prime switches to Baillie-PSW
+_POLYGON_PRIMES = (2, 3, 7, 1009, 2**61 - 1, 2**89 - 1, 2**127 - 1)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(_POLYGON_PRIMES),
+    st.lists(st.tuples(st.integers(-10**6, 10**6), st.integers(0, 4)), min_size=2, max_size=9),
+)
+def test_polygon_points_are_coefficient_valuations(p, terms):
+    # each coefficient u * p^e, u of any sign and possibly divisible by p
+    poly = IntPoly([u * p**e for u, e in terms]).primitive_part()
+    assume(poly.degree >= 1)
+    polygon = newton_polygon(poly, p)
+    assert list(polygon.points) == [(i, vp(c, p)) for i, c in enumerate(poly.coeffs) if c != 0]
+
+
 def test_polygon_against_linear_factor_oracle():
     # P = prod (q_i X - r_i) with coprime pairs: the polygon's root
     # valuations at p must equal the multiset {vp(r_i / q_i)}
@@ -77,19 +91,32 @@ def test_polygon_against_linear_factor_oracle():
         assert sorted(polygon.root_valuations()) == expected
 
 
-def test_place_contribution_examples():
-    c = place_contribution(newton_polygon(IntPoly([-3, 2]), 2))
-    assert c.exact == 1 and abs(c.value - math.log(2)) < 1e-15
-    c = place_contribution(newton_polygon(IntPoly([1, 0, 1]), 2))
-    assert c.exact == 0 and c.value == 0.0
-    c = place_contribution(newton_polygon(IntPoly([1, -5, 6]), 3))
-    assert c.exact == 1 and abs(c.value - math.log(3)) < 1e-15
+def _polygon_contributions(capsys, coeffs) -> dict[int, tuple[str, float]]:
+    """{p: (contribution_exact, contribution)} from the polygon subcommand."""
+    assert cli.main(["polygon", "--poly", json.dumps(coeffs)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    return {row["p"]: (row["contribution_exact"], row["contribution"]) for row in doc["primes"]}
+
+
+def test_place_contribution_examples(capsys):
+    assert newton_polygon(IntPoly([-3, 2]), 2).positive_mass() == 1
+    [(exact, value)] = _polygon_contributions(capsys, [-3, 2]).values()
+    assert exact == "1" and abs(value - math.log(2)) < 1e-15
+    assert newton_polygon(IntPoly([1, 0, 1]), 2).positive_mass() == 0
+    assert _polygon_contributions(capsys, [1, 0, 1]) == {}  # monic: no prime row
+    assert newton_polygon(IntPoly([1, -5, 6]), 3).positive_mass() == 1
+    exact, value = _polygon_contributions(capsys, [1, -5, 6])[3]
+    assert exact == "1" and abs(value - math.log(3)) < 1e-15
+
+
+def _relevant_primes(P: IntPoly) -> list[int]:
+    return [p for p, *_ in verify_place_identity(P).per_prime]
 
 
 def test_relevant_primes():
-    assert relevant_primes(IntPoly([1, -5, 6])) == [2, 3]
-    assert relevant_primes(IntPoly([-2, 0, 1])) == []
-    assert relevant_primes(IntPoly([-1, 10])) == [2, 5]
+    assert _relevant_primes(IntPoly([1, -5, 6])) == [2, 3]
+    assert _relevant_primes(IntPoly([-2, 0, 1])) == []
+    assert _relevant_primes(IntPoly([-1, 10])) == [2, 5]
 
 
 def test_relevant_primes_match_positive_slopes():
@@ -100,7 +127,7 @@ def test_relevant_primes_match_positive_slopes():
         poly = IntPoly(coeffs).primitive_part()
         if poly.degree < 1:
             continue
-        declared = set(relevant_primes(poly))
+        declared = set(_relevant_primes(poly))
         by_polygon = {
             p
             for p in {2, 3, 5, 7, 11, 13}
