@@ -4,9 +4,13 @@ Subcommands: entropy, mahler, polygon, trajectory, classify, verify.
 Documents are UTF-8 JSON: exact integers (counts, valuations, clearing
 integers, coefficients) are serialized as decimal strings since they
 overflow doubles quickly; floats are serialized at full double precision;
-polynomial coefficients are ascending by degree everywhere.  A measure's
-one option is `tolerance` (the root ladder always starts at 64 bits), and
-keys a document does not use, such as `precision`, are ignored.
+polynomial coefficients are ascending by degree everywhere.
+
+A computing subcommand reads only its keys in `_READS`, each from `--input`
+or its flag (`--max-n` for `n_max`): entropy matrix or poly, tolerance;
+mahler poly, tolerance; polygon poly; trajectory and classify matrix, m,
+n_max, budget, tolerance.  Any other flag exits 2 (argparse), and any other
+key, `precision` among them, is ignored (the root ladder starts at 64 bits).
 
 Exit codes: 0 success, 2 input error (also an integer to factor that Pollard
 rho cannot split within its budget), 3 certification failure (partial
@@ -41,6 +45,23 @@ from .trajectory import (
 from .verify import SUITES, run_suite
 
 _ENTRY_LIMIT = 10**1000  # per numerator and denominator of a matrix entry
+
+# the document keys each computing subcommand reads, and the flag of each key
+_READS = {
+    "entropy": ("matrix", "poly", "tolerance"),
+    "mahler": ("poly", "tolerance"),
+    "polygon": ("poly",),
+    "trajectory": ("matrix", "m", "n_max", "budget", "tolerance"),
+    "classify": ("matrix", "m", "n_max", "budget", "tolerance"),
+}
+_FLAGS = {
+    "matrix": ("--matrix", "inline matrix JSON, e.g. '[[\"3/2\"]]'"),
+    "poly": ("--poly", "inline ascending integer coefficients, e.g. '[1,-5,6]'"),
+    "m": ("--m", "grid density (0 = admissible)"),
+    "n_max": ("--max-n", "trajectory levels"),
+    "budget": ("--budget", "stored-point budget"),
+    "tolerance": ("--tolerance", "measure tolerance"),
+}
 
 
 class InputError(ValueError):
@@ -83,15 +104,16 @@ def _parse_int(value, what: str) -> int:
     raise InputError(f"bad {what}: {value!r}")
 
 
-def parse_spec(doc: dict) -> InputSpec:
+def parse_spec(doc: dict, command: str) -> InputSpec:
+    """The input of `command`: the keys it reads, validated; other keys are ignored."""
     if not isinstance(doc, dict):
         raise InputError("input document must be a JSON object")
-    has_matrix = "matrix" in doc
-    has_poly = "poly" in doc
-    if has_matrix == has_poly:
-        raise InputError("exactly one of 'matrix' or 'poly' must be present")
+    doc = {key: doc[key] for key in _READS[command] if key in doc}
+    inputs = [key for key in ("matrix", "poly") if key in _READS[command]]
+    if sum(key in doc for key in inputs) != 1:
+        raise InputError(f"{command} needs exactly one of {' or '.join(map(repr, inputs))}")
     spec = InputSpec()
-    if has_matrix:
+    if "matrix" in doc:
         rows = doc["matrix"]
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise InputError("'matrix' must be an array of rows")
@@ -135,42 +157,30 @@ def _spec_from_args(args) -> InputSpec:
             raise InputError(f"cannot read input file: {exc}") from exc
         if not isinstance(doc, dict):
             raise InputError("input document must be a JSON object")
-    if args.matrix is not None:
-        doc.pop("poly", None)
-        try:
-            doc["matrix"] = json.loads(args.matrix)
-        except ValueError as exc:
-            raise InputError(f"bad --matrix JSON: {exc}") from exc
-    if args.poly is not None:
-        doc.pop("matrix", None)
-        try:
-            doc["poly"] = json.loads(args.poly)
-        except ValueError as exc:
-            raise InputError(f"bad --poly JSON: {exc}") from exc
-    for field, flag in (
-        ("m", args.m),
-        ("n_max", args.max_n),
-        ("budget", args.budget),
-        ("tolerance", args.tolerance),
-    ):
-        if flag is not None:
-            doc[field] = flag
-    spec = parse_spec(doc)
+    for key in _READS[args.command]:
+        value = getattr(args, key)
+        if value is None:
+            continue
+        if key in ("matrix", "poly"):  # an inline input replaces the file's
+            doc.pop("poly" if key == "matrix" else "matrix", None)
+            try:
+                value = json.loads(value)
+            except ValueError as exc:
+                raise InputError(f"bad {_FLAGS[key][0]} JSON: {exc}") from exc
+        doc[key] = value
+    spec = parse_spec(doc, args.command)
     # each subcommand's checks on its input: a ValueError from the library
     # past this point is a defect, not an input error
     if args.command in ("trajectory", "classify"):
-        if spec.matrix is None:
-            raise InputError("this subcommand needs a matrix input")
         if spec.matrix.n < 1:
             raise InputError("matrix dimension must be >= 1")
-        if spec.n_max < 1:
-            raise InputError("m and n_max must be >= 1")
+        least = 6 if args.command == "classify" else 1  # classify_growth needs 6 levels
+        if spec.n_max < least:
+            raise InputError(f"{args.command} needs n_max >= {least}, got {spec.n_max}")
         spec.m = spec.m or admissible_m(spec.matrix)
         grid_size = (2 * spec.m + 1) ** spec.matrix.n
         if spec.budget < grid_size:
             raise InputError(f"budget {spec.budget} below the grid size {grid_size}")
-    if args.command in ("mahler", "polygon") and spec.poly is None:
-        raise InputError("this subcommand needs a polynomial input")
     if args.command in ("entropy", "mahler") and spec.poly is not None and spec.poly.degree < 1:
         raise InputError("polynomial must have degree >= 1")
     return spec
@@ -306,12 +316,6 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.suite != "all" and args.suite not in SUITES:
-        print(
-            f"unknown suite {args.suite!r}; known: all, {', '.join(sorted(SUITES))}",
-            file=sys.stderr,
-        )
-        return 2
     if args.count is not None and args.count < 0:
         raise InputError(f"--count must be >= 0, got {args.count}")
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
@@ -342,19 +346,16 @@ def build_parser() -> argparse.ArgumentParser:
         ("trajectory", _cmd_trajectory),
         ("classify", _cmd_classify),
     ):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)  # else entropy's --m is --matrix
         p.add_argument("--input", help="JSON input document")
-        p.add_argument("--matrix", help="inline matrix JSON, e.g. '[[\"3/2\"]]'")
-        p.add_argument("--poly", help="inline ascending integer coefficients, e.g. '[1,-5,6]'")
-        p.add_argument("--m", type=int, default=None, help="grid density (0 = admissible)")
-        p.add_argument("--max-n", type=int, default=None, help="trajectory levels")
-        p.add_argument("--budget", type=int, default=None, help="stored-point budget")
-        p.add_argument("--tolerance", type=float, default=None, help="measure tolerance")
+        for key in _READS[name]:
+            flag, text = _FLAGS[key]
+            p.add_argument(flag, dest=key, help=text)
         p.add_argument("--pretty", action="store_true", help="indent the JSON output")
         p.set_defaults(func=fn)
 
-    v = sub.add_parser("verify")
-    v.add_argument("--suite", required=True, help="suite name or 'all'")
+    v = sub.add_parser("verify", allow_abbrev=False)
+    v.add_argument("--suite", required=True, choices=["all", *sorted(SUITES)])
     v.add_argument("--count", type=int, default=None, help="number of random checks")
     v.add_argument("--seed", type=int, default=None, help="RNG seed")
     v.set_defaults(func=_cmd_verify)

@@ -14,11 +14,10 @@ import functools
 import math
 from decimal import Decimal
 
+# the trial-division screen of is_prime, and its Miller-Rabin witnesses from
+# 2^64 on: deterministic below psi_12, the least strong pseudoprime to all
+# twelve (Sorenson & Webster 2017)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-# Miller-Rabin with these witnesses is deterministic below psi_12, the least
-# strong pseudoprime to all of them (Sorenson & Webster 2017).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PSI_12 = 3317044064679887385961981
 # Jim Sinclair's seven bases: deterministic below 2^64, each reduced mod n
 # and skipped when that leaves 0
@@ -96,7 +95,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES_64 if n < 1 << 64 else _MR_WITNESSES:
+    for a in _MR_WITNESSES_64 if n < 1 << 64 else _SMALL_PRIMES:
         a %= n
         if a == 0:
             continue

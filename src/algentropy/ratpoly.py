@@ -43,8 +43,8 @@ class InvariantError(ArithmeticError):
 def vp(x: Rational, p: int):
     """p-adic valuation of a rational: |x|_p = p**(-vp(x)), vp(0) = +inf.
 
-    The +inf sentinel (rather than an error) gives Newton polygons their
-    "point absent" semantics for zero coefficients.
+    The +inf sentinel (rather than an error) lets `pnorm` give |0|_p = 0;
+    `newton_polygon` skips zero coefficients and reads `valuation` instead.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")

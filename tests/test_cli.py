@@ -154,13 +154,39 @@ def test_spec_roundtrip():
         "budget": 1000,
         "tolerance": 1e-10,
     }
-    spec = cli.parse_spec(doc)
+    spec = cli.parse_spec(doc, "trajectory")
     assert [[str(e) for e in row] for row in spec.matrix.rows] == doc["matrix"]
     assert spec.poly is None
     assert (spec.m, spec.n_max, spec.budget, spec.tolerance) == (2, 9, 1000, 1e-10)
-    spec = cli.parse_spec({"poly": ["1", "-5", "6"]})
+    spec = cli.parse_spec({"poly": ["1", "-5", "6"]}, "mahler")
     assert [str(c) for c in spec.poly.coeffs] == ["1", "-5", "6"]
     assert spec.matrix is None
+    # options the command does not read keep their defaults
+    matrix = cli.parse_spec(doc, "trajectory").matrix
+    assert cli.parse_spec(doc, "entropy") == cli.InputSpec(matrix=matrix, tolerance=1e-10)
+    assert cli.parse_spec({**doc, "poly": [1, 1]}, "polygon") == cli.InputSpec(poly=IntPoly([1, 1]))
+
+
+# the document keys each computing subcommand reads, a valid document for
+# it, and a valid value for each key's flag (--max-n for n_max)
+READ_KEYS = {
+    "entropy": ("matrix", "poly", "tolerance"),
+    "mahler": ("poly", "tolerance"),
+    "polygon": ("poly",),
+    "trajectory": ("matrix", "m", "n_max", "budget", "tolerance"),
+    "classify": ("matrix", "m", "n_max", "budget", "tolerance"),
+}
+VALID_DOCS = {
+    "entropy": {"matrix": [["3/2"]]},
+    "mahler": {"poly": [-3, 2]},
+    "polygon": {"poly": [1, -5, 6]},
+    "trajectory": {"matrix": [["2"]], "m": 1, "n_max": 6},
+    "classify": {"matrix": [["2"]], "m": 1, "n_max": 6},
+}
+FLAG_VALUES = {
+    "matrix": '[["2"]]', "poly": "[1,2]", "m": "1", "n_max": "6", "budget": "1000",
+    "tolerance": "1e-3",
+}
 
 
 def _document(spec: cli.InputSpec) -> dict:
@@ -209,17 +235,17 @@ def _documents(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_documents())
-@example({"poly": [1, 2], "tolerance": 10**400})  # float() raises OverflowError
-@example({"matrix": [["1/0"]], "m": "x"})
-def test_parse_spec_accepts_and_round_trips_or_raises_input_error(doc):
+@given(_documents(), st.sampled_from(sorted(READ_KEYS)))
+@example({"poly": [1, 2], "tolerance": 10**400}, "mahler")  # float() raises OverflowError
+@example({"matrix": [["1/0"]], "m": "x"}, "trajectory")
+def test_parse_spec_accepts_and_round_trips_or_raises_input_error(doc, command):
     # a malformed entry is an InputError (exit 2), never a bare ValueError,
     # TypeError or OverflowError, which main would report as a defect
     try:
-        spec = cli.parse_spec(doc)
+        spec = cli.parse_spec(doc, command)
     except cli.InputError:
         return
-    assert cli.parse_spec(_document(spec)) == spec
+    assert cli.parse_spec(_document(spec), command) == spec
 
 
 def test_huge_integer_tolerance_is_an_input_error(capsys, tmp_path):
@@ -237,8 +263,6 @@ def test_input_errors_exit_2(capsys, tmp_path):
         ("entropy", "--matrix", '[["1","2"]]'),  # not square
         ("entropy", "--poly", "[1,2,0]"),  # zero leading coefficient
         ("entropy", "--poly", "[0.5,1]"),  # float coefficient
-        ("trajectory", "--poly", "[1,2]"),  # needs a matrix
-        ("mahler", "--matrix", '[["2"]]'),  # needs a polynomial
         ("mahler", "--poly", "[-3,2]", "--tolerance", "0"),
         ("mahler", "--poly", "[-3,2]", "--tolerance", "-1"),
         ("mahler", "--poly", "[-3,2]", "--tolerance", "inf"),
@@ -325,9 +349,15 @@ def test_every_measure_starts_on_one_64_bit_rung(capsys, monkeypatch):
 
 def test_both_matrix_and_poly_rejected():
     with pytest.raises(cli.InputError):
-        cli.parse_spec({"matrix": [["1"]], "poly": ["1", "1"]})
-    with pytest.raises(cli.InputError):
-        cli.parse_spec({})
+        cli.parse_spec({"matrix": [["1"]], "poly": ["1", "1"]}, "entropy")
+    for command in READ_KEYS:
+        with pytest.raises(cli.InputError):
+            cli.parse_spec({}, command)
+    # an input the subcommand does not read is no input for it
+    with pytest.raises(cli.InputError, match="'matrix'"):
+        cli.parse_spec({"poly": ["1", "1"]}, "trajectory")
+    with pytest.raises(cli.InputError, match="'poly'"):
+        cli.parse_spec({"matrix": [["1"]]}, "mahler")
 
 
 def test_certification_failure_exit_3(capsys, monkeypatch):
@@ -438,6 +468,63 @@ def test_partitions_option_is_gone(capsys, tmp_path):
     assert outs[0] == outs[1]
 
 
+def _flag(key: str) -> str:
+    return "--max-n" if key == "n_max" else f"--{key}"
+
+
+def test_each_subcommand_has_a_flag_for_each_key_it_reads_and_no_other(capsys, tmp_path):
+    assert sorted(READ_KEYS) == sorted(cli._READS)
+    path = tmp_path / "in.json"
+    for command, doc in VALID_DOCS.items():
+        path.write_text(json.dumps(doc))
+        for key, value in FLAG_VALUES.items():
+            argv = [command, "--input", str(path), _flag(key), value]
+            if key in READ_KEYS[command]:
+                assert run_cli(capsys, *argv)[0] == 0, argv
+                continue
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2, argv
+            assert f"unrecognized arguments: {_flag(key)}" in capsys.readouterr().err
+
+
+def test_each_subcommand_ignores_the_keys_it_does_not_read(capsys, tmp_path):
+    # a junk value under a key the subcommand does not read leaves its exit
+    # code and output byte-identical; under a key it reads, it exits 2
+    path = tmp_path / "in.json"
+    for command, doc in VALID_DOCS.items():
+        path.write_text(json.dumps(doc))
+        plain = run_cli(capsys, command, "--input", str(path))
+        assert plain[0] == 0 and plain[2] == ""
+        for key in FLAG_VALUES:
+            path.write_text(json.dumps({**doc, key: "x"}))
+            code, out, err = run_cli(capsys, command, "--input", str(path))
+            if key in READ_KEYS[command]:
+                assert code == 2 and out == "" and "input error" in err, (command, key)
+            else:
+                assert (code, out, err) == plain, (command, key)
+
+
+def test_classify_refuses_too_few_levels_before_it_runs(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("classify ran a trajectory too short to classify")
+
+    monkeypatch.setattr(cli, "trajectory_counts", unreachable)
+    code, out, err = run_cli(
+        capsys, "classify", "--matrix", '[["0","-1/6"],["1","5/6"]]', "--m", "18", "--max-n", "5"
+    )
+    assert code == 2 and out == "" and "n_max >= 6" in err
+
+
+def test_polygon_identity_failure_exit_4(capsys, monkeypatch):
+    # a wrong exponent of s = 6: the polygon mass at 2 is 1, not the claimed 2
+    monkeypatch.setattr(padic, "factorize", lambda s: {2: 2, 3: 1})
+    code, out, _ = run_cli(capsys, "polygon", "--poly", "[1,-5,6]")
+    doc = json.loads(out)
+    assert code == 4 and doc["identity"]["pass"] is False
+    assert [(f["p"], f["v_s"]) for f in doc["primes"]] == [(2, 2), (3, 1)]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(-12, 12), min_size=1, max_size=8), st.integers(1, 12))
 def test_entropy_poly_matches_companion_matrix(lower, lead):
@@ -459,8 +546,9 @@ def test_verify_command(capsys):
     assert code == 0
     assert "SUITE place-identity: 20/20 passed" in out
 
-    code, _, err = run_cli(capsys, "verify", "--suite", "no-such-suite")
-    assert code == 2 and "unknown suite" in err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "no-such-suite"])
+    assert exc.value.code == 2 and "invalid choice: 'no-such-suite'" in capsys.readouterr().err
 
 
 def test_verify_failure_exit_4(capsys, monkeypatch):
