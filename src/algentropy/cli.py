@@ -38,6 +38,7 @@ from .ratpoly import IntPoly, InvariantError, parse_rational
 from .roots import CertificationError
 from .trajectory import (
     DEFAULT_BUDGET,
+    MIN_LEVELS,
     admissible_m,
     classify_growth,
     trajectory_counts,
@@ -157,12 +158,12 @@ def _spec_from_args(args) -> InputSpec:
             raise InputError(f"cannot read input file: {exc}") from exc
         if not isinstance(doc, dict):
             raise InputError("input document must be a JSON object")
-    for key in _READS[args.command]:
-        value = getattr(args, key)
-        if value is None:
-            continue
-        if key in ("matrix", "poly"):  # an inline input replaces the file's
-            doc.pop("poly" if key == "matrix" else "matrix", None)
+    given = {key: getattr(args, key) for key in _READS[args.command]}
+    inline = {key: value for key, value in given.items() if value is not None}
+    if inline.keys() & {"matrix", "poly"}:  # an inline input replaces the file's; two stay two
+        doc = {key: value for key, value in doc.items() if key not in ("matrix", "poly")}
+    for key, value in inline.items():
+        if key in ("matrix", "poly"):
             try:
                 value = json.loads(value)
             except ValueError as exc:
@@ -172,17 +173,13 @@ def _spec_from_args(args) -> InputSpec:
     # each subcommand's checks on its input: a ValueError from the library
     # past this point is a defect, not an input error
     if args.command in ("trajectory", "classify"):
-        if spec.matrix.n < 1:
-            raise InputError("matrix dimension must be >= 1")
-        least = 6 if args.command == "classify" else 1  # classify_growth needs 6 levels
+        least = MIN_LEVELS if args.command == "classify" else 1
         if spec.n_max < least:
             raise InputError(f"{args.command} needs n_max >= {least}, got {spec.n_max}")
         spec.m = spec.m or admissible_m(spec.matrix)
         grid_size = (2 * spec.m + 1) ** spec.matrix.n
         if spec.budget < grid_size:
             raise InputError(f"budget {spec.budget} below the grid size {grid_size}")
-    if args.command in ("entropy", "mahler") and spec.poly is not None and spec.poly.degree < 1:
-        raise InputError("polynomial must have degree >= 1")
     return spec
 
 
@@ -271,7 +268,7 @@ def _trajectory_payload(spec: InputSpec) -> dict:
     run = trajectory_counts(spec.matrix, spec.m, spec.n_max, budget=spec.budget)
     formula = algebraic_entropy(spec.matrix, tolerance=spec.tolerance).total
     assessment = (
-        classify_growth(run, formula_entropy=formula) if run.levels >= 6 else None
+        classify_growth(run, formula_entropy=formula) if run.levels >= MIN_LEVELS else None
     )
     return {
         "m": spec.m,
@@ -298,9 +295,9 @@ def _cmd_trajectory(args) -> int:
 def _cmd_classify(args) -> int:
     spec = _spec_from_args(args)
     payload = _trajectory_payload(spec)
-    if len(payload["counts"]) < 6:
+    if len(payload["counts"]) < MIN_LEVELS:
         raise InputError(
-            f"classify needs at least 6 computed levels, got {len(payload['counts'])}: "
+            f"classify needs at least {MIN_LEVELS} computed levels, got {len(payload['counts'])}: "
             "raise --max-n or --budget"
         )
     doc = {

@@ -29,7 +29,7 @@ class EntropyReport:
     finite_places: tuple[tuple[int, int, float], ...]  # (p, vp(s), contribution)
     char_poly_primitive: IntPoly
     s: int
-    roots: ComplexRootSet | None
+    roots: ComplexRootSet
     zero_entropy_exact: bool
 
     @property
@@ -40,25 +40,12 @@ class EntropyReport:
 
 def algebraic_entropy(M: RationalMatrix, tolerance: float = 1e-12) -> EntropyReport:
     """Entropy report for a rational matrix: total, places, certification."""
-    if M.n == 0:
-        return EntropyReport(
-            total=0.0,
-            log_s=0.0,
-            archimedean=0.0,
-            finite_places=(),
-            char_poly_primitive=IntPoly([1]),
-            s=1,
-            roots=None,
-            zero_entropy_exact=True,
-        )
     return polynomial_entropy(char_poly(M), tolerance=tolerance)
 
 
 def polynomial_entropy(P: IntPoly, tolerance: float = 1e-12) -> EntropyReport:
-    """Entropy report for an integer polynomial of degree >= 1, taken as
-    its primitive part: s times the monic polynomial, s its positive lead."""
-    if P.degree < 1:
-        raise ValueError("polynomial must have degree >= 1")
+    """Entropy report for a nonzero integer polynomial, taken as its
+    primitive part: s times the monic polynomial, s its positive lead."""
     P = P.primitive_part()
     identity = verify_place_identity(P)
     if not identity.all_ok:

@@ -174,10 +174,10 @@ def char_poly(M: RationalMatrix) -> IntPoly:
 
 
 def companion(f: IntPoly) -> RationalMatrix:
-    """Companion matrix of f/lead(f), for f of degree >= 1: char_poly(companion(f)) == f.primitive_part()."""
+    """Companion of f/lead(f), 0x0 for a constant: char_poly(companion(f)) == f.primitive_part()."""
+    if f.is_zero:
+        raise ValueError("zero polynomial")
     n = f.degree
-    if n < 1:
-        raise ValueError("companion requires degree >= 1")
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(1, n):
         rows[i][i - 1] = Fraction(1)

@@ -133,12 +133,10 @@ class MahlerResult:
 
 
 def mahler_measure(P: IntPoly, tolerance: float = 1e-12) -> MahlerResult:
-    """Logarithmic Mahler measure of a nonzero polynomial of degree >= 1,
-    within `tolerance`; its `roots` are every root of P with multiplicity."""
+    """Logarithmic Mahler measure of a nonzero P within `tolerance`, log|c|
+    for a constant c; its `roots` are every root of P with multiplicity."""
     if P.is_zero:
         raise ValueError("zero polynomial")
-    if P.degree < 1:
-        raise ValueError("polynomial must have degree >= 1")
     log_lead = math.log(abs(P.lead))
     stripped, k = P.strip_x()
     intervals: list[RootInterval] = []

@@ -71,11 +71,10 @@ class PlaceIdentityReport:
 
 
 def newton_polygon(P: IntPoly, p: int) -> NewtonPolygon:
-    """Lower convex hull of (i, vp(b_i)) for a primitive polynomial."""
+    """Lower convex hull of (i, vp(b_i)) for a primitive polynomial; a
+    constant, +/-1, has the one point (0, 0) and no segment."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if P.is_zero or P.degree < 1:
-        raise ValueError("polynomial must have degree >= 1")
     if P.content() != 1:
         raise ValueError("polynomial must be primitive (content 1)")
     pts = [(i, valuation(c, p)) for i, c in enumerate(P.coeffs) if c != 0]

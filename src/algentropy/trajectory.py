@@ -69,6 +69,7 @@ INCONCLUSIVE = "Inconclusive"
 
 _EPS_EXP = 0.02  # nats; exponential-growth floor for the trailing window
 _WINDOW = 5
+MIN_LEVELS = _WINDOW + 1  # the fewest levels classify_growth takes
 
 
 @dataclass(frozen=True)
@@ -95,9 +96,9 @@ class GrowthAssessment:
 
 
 def fraction_grid(dim: int, m: int) -> set[tuple[Fraction, ...]]:
-    """The (2m+1)^dim grid of vectors with coordinates j/m, |j| <= m."""
-    if dim < 1 or m < 1:
-        raise ValueError("dim and m must be >= 1")
+    """The (2m+1)^dim grid of vectors with coordinates j/m, |j| <= m; {()} for dim 0."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     rng = [Fraction(j, m) for j in range(-m, m + 1)]
     return set(itertools.product(rng, repeat=dim))
 
@@ -409,8 +410,6 @@ class _ExactState(_PackedState):
 
 def _log_ratio(a: int, b: int) -> float:
     """log(a/b) for exact big integers, exact when the ratio is integral."""
-    if b == 1:
-        return math.log(a)
     if a % b == 0:
         return math.log(a // b)
     return math.log(a) - math.log(b)
@@ -431,8 +430,6 @@ def trajectory_counts(
     """
     import numpy as np
 
-    if M.n < 1:
-        raise ValueError("matrix dimension must be >= 1")
     if m < 1 or n_max < 1:
         raise ValueError("m and n_max must be >= 1")
     grid_size = (2 * m + 1) ** M.n
@@ -507,8 +504,8 @@ def classify_growth(run: TrajectoryRun, formula_entropy: float | None = None) ->
     flagged as a discrepancy.
     """
     levels = run.levels
-    if levels < 6:
-        raise ValueError("classification needs at least 6 computed levels")
+    if levels < MIN_LEVELS:
+        raise ValueError(f"classification needs at least {MIN_LEVELS} computed levels")
     w = _WINDOW
     window = run.h_inc[-w:]
     counts = run.counts
@@ -551,8 +548,8 @@ def minor_trajectory_counts(M: RationalMatrix, m: int, n_max: int) -> tuple[int,
 
     Bounded by |E|^2 for every n, so it never grows in the discrete case.
     """
-    if M.n < 1 or m < 1 or n_max < 1:
-        raise ValueError("dimension, m and n_max must be >= 1")
+    if m < 1 or n_max < 1:
+        raise ValueError("m and n_max must be >= 1")
     grid = sorted(fraction_grid(M.n, m))
     counts = []
     power = RationalMatrix.identity(M.n)

@@ -27,7 +27,7 @@ from .linalg import (
 from .mahler import is_cyclotomic_product, mahler_measure
 from .padic import verify_place_identity
 from .ratpoly import IntPoly, cyclotomic, pnorm
-from .trajectory import bernoulli_counts, classify_growth, trajectory_counts
+from .trajectory import MIN_LEVELS, bernoulli_counts, classify_growth, trajectory_counts
 
 
 @dataclass(frozen=True)
@@ -241,10 +241,8 @@ def _suite_kronecker(rng, count):
         for i, poly in enumerate(corpus):
             claimed = is_cyclotomic_product(poly)
             measure = mahler_measure(poly).value
-            ok = claimed == expect and (abs(measure) <= 1e-12) == expect
-            if poly.degree >= 1:
-                # same decision through the matrix surface
-                ok = ok and is_zero_entropy(companion(poly)) == expect
+            decisions = (claimed, abs(measure) <= 1e-12, is_zero_entropy(companion(poly)))
+            ok = all(decision == expect for decision in decisions)
             checks.append(
                 Check(
                     name=f"kronecker/{label}/{i}",
@@ -340,7 +338,7 @@ def _suite_dichotomy(rng, count):
     for i in range(count):
         M = RationalMatrix([[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)])
         run = trajectory_counts(M, 1, 12, budget=1_000_000)
-        if run.levels < 6:
+        if run.levels < MIN_LEVELS:
             checks.append(Check(f"dichotomy/random-{i}", False, "too few levels"))
             continue
         formula = algebraic_entropy(M).total

@@ -15,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from algentropy import cli, numtheory, padic, roots
-from algentropy.linalg import companion
+from algentropy.entropy import algebraic_entropy, polynomial_entropy
+from algentropy.linalg import RationalMatrix, char_poly, companion
 from algentropy.mahler import mahler_measure
 from algentropy.numtheory import is_prime
 from algentropy.ratpoly import IntPoly, InvariantError
@@ -272,12 +273,9 @@ def test_input_errors_exit_2(capsys, tmp_path):
         ("trajectory", "--matrix", '[["2"]]', "--m", "-2"),  # only 0 means admissible
         ("classify", "--matrix", '[["2"]]', "--m", "-1", "--max-n", "8"),
         ("trajectory", "--input", str(negative_m)),
-        ("entropy", "--poly", "[5]"),  # constant polynomial
-        ("mahler", "--poly", "[5]"),
     ]
     for command in ("trajectory", "classify"):
         cases += [
-            (command, "--matrix", "[]"),
             (command, "--matrix", '[["2"]]', "--max-n", "0"),
             (command, "--matrix", '[["2"]]', "--m", "1", "--budget", "2"),  # grid size 3
         ]
@@ -417,8 +415,32 @@ def test_invariant_failure_exit_5(capsys, monkeypatch):
 def test_input_checks_keep_valid_edge_inputs(capsys):
     code, out, _ = run_cli(capsys, "polygon", "--poly", "[5]")
     assert code == 0 and json.loads(out)["content"] == "5"
-    code, out, _ = run_cli(capsys, "entropy", "--matrix", "[]")
-    assert code == 0 and json.loads(out)["entropy"] == 0.0
+    # Q^0 has characteristic polynomial 1, and a constant c measures log|c|
+    empty = run_cli(capsys, "entropy", "--matrix", "[]")
+    assert empty[0] == 0 and json.loads(empty[1])["entropy"] == 0.0
+    assert run_cli(capsys, "entropy", "--poly", "[5]") == empty
+    code, out, _ = run_cli(capsys, "mahler", "--poly", "[5]")
+    doc = json.loads(out)
+    assert code == 0 and doc["value"] == math.log(5) and doc["roots"] == []
+    code, out, _ = run_cli(capsys, "trajectory", "--matrix", "[]", "--max-n", "8")
+    assert code == 0 and json.loads(out)["counts"] == ["1"] * 8
+    code, out, _ = run_cli(capsys, "classify", "--matrix", "[]")
+    doc = json.loads(out)
+    assert code == 0 and doc["classification"] == "Polynomial" and doc["discrepancy"] is False
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_two_inline_inputs_exit_2(capsys, tmp_path, order):
+    # two inline inputs are two inputs, in either order: neither replaces the other
+    flags = [("--matrix", '[["2"]]'), ("--poly", "[1,3]")]
+    argv = [arg for flag in flags[order:] + flags[:order] for arg in flag]
+    code, out, err = run_cli(capsys, "entropy", *argv)
+    assert code == 2 and out == "" and "exactly one" in err
+    # one inline input still replaces the file's, whichever it holds
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"matrix": [["5"]]}))
+    code, out, _ = run_cli(capsys, "entropy", "--input", str(path), *flags[order])
+    assert code == 0 and math.isclose(json.loads(out)["entropy"], math.log(2 + order))
 
 
 def test_library_value_error_exit_5(capsys, monkeypatch):
@@ -536,6 +558,30 @@ def test_entropy_poly_matches_companion_matrix(lower, lead):
     rows = [[str(e) for e in row] for row in companion(f).rows]
     with contextlib.redirect_stdout(by_matrix):
         assert cli.main(["entropy", "--matrix", json.dumps(rows)]) == 0
+    assert by_poly.getvalue() == by_matrix.getvalue()
+
+
+def _square_matrices(max_dim):
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    return st.integers(0, max_dim).flatmap(
+        lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    ).map(RationalMatrix)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_square_matrices(4))
+@example(RationalMatrix([]))
+def test_entropy_poly_of_the_char_poly_matches_the_matrix(M):
+    # one entropy path: Q^0 included, where the characteristic polynomial is 1
+    report = algebraic_entropy(M)
+    assert polynomial_entropy(char_poly(M)) == report
+    rows = json.dumps([[str(e) for e in row] for row in M.rows])
+    by_matrix, by_poly = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(by_matrix):
+        assert cli.main(["entropy", "--matrix", rows]) == 0
+    printed = json.loads(by_matrix.getvalue())["char_poly_primitive"]
+    with contextlib.redirect_stdout(by_poly):
+        assert cli.main(["entropy", "--poly", json.dumps(printed)]) == 0
     assert by_poly.getvalue() == by_matrix.getvalue()
 
 

@@ -228,8 +228,8 @@ def test_polynomial_entropy_examples():
     assert abs(r.total - math.log(6)) < 1e-12 and r.archimedean == 0.0
     assert r == algebraic_entropy(RationalMatrix([[0, "-1/6"], [1, "5/6"]]))
     assert polynomial_entropy(IntPoly([2, 0, 2])).zero_entropy_exact  # content 2
-    with pytest.raises(ValueError):
-        polynomial_entropy(IntPoly([5]))
+    # a constant's primitive part is 1, the characteristic polynomial of Q^0
+    assert polynomial_entropy(IntPoly([5])) == algebraic_entropy(RationalMatrix([]))
 
 
 def test_zero_entropy_exact_is_the_cyclotomic_decision():

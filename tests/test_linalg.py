@@ -216,11 +216,13 @@ def test_char_poly_of_companion_property(lower):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=8),
+    st.lists(st.integers(-(2**40), 2**40), max_size=8),
     st.integers(-(2**40), 2**40).filter(bool),
 )
+@example([], -5)
 def test_char_poly_of_companion_is_the_primitive_part(lower, lead):
-    # any nonzero lead, negative and non-monic included, and any content
+    # any nonzero lead, negative and non-monic included, any content, and
+    # degree 0, whose companion is the 0x0 matrix
     f = IntPoly(lower + [lead])
     assert char_poly(companion(f)) == f.primitive_part()
 
@@ -230,8 +232,9 @@ def test_companion_examples():
     assert C.rows == ((Fraction(0), Fraction(-1, 6)), (Fraction(1), Fraction(5, 6)))
     assert companion(IntPoly([-3, 2])).rows == ((Fraction(3, 2),),)
     assert companion(IntPoly([3, -2])) == companion(IntPoly([-3, 2]))
+    assert companion(IntPoly([5])) == RationalMatrix([])
     with pytest.raises(ValueError):
-        companion(IntPoly([5]))
+        companion(IntPoly([0]))
 
 
 def test_char_poly_transpose_and_conjugation():

@@ -151,8 +151,8 @@ def test_mahler_examples():
     assert r.archimedean == 0.0
     with pytest.raises(ValueError):
         mahler_measure(IntPoly([0]))
-    with pytest.raises(ValueError):
-        mahler_measure(IntPoly([7]))
+    r = mahler_measure(IntPoly([7]))  # a constant c measures log|c|
+    assert r.value == math.log(7) and r.roots.roots == ()
 
 
 def test_mahler_lehmer():

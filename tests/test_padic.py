@@ -32,7 +32,10 @@ def test_polygon_validation():
     with pytest.raises(ValueError):
         newton_polygon(IntPoly([-3, 2]), 6)  # not prime
     with pytest.raises(ValueError):
-        newton_polygon(IntPoly([7]), 5)  # constant
+        newton_polygon(IntPoly([7]), 5)  # content 7
+    # the constant 1 is primitive: one point and no segment
+    polygon = newton_polygon(IntPoly([1]), 5)
+    assert polygon.points == ((0, 0),) and polygon.segments == ()
 
 
 def test_polygon_shape_invariants():

@@ -316,8 +316,10 @@ def test_bernoulli():
 
 
 def test_validation_errors():
-    with pytest.raises(ValueError):
-        trajectory_counts(RationalMatrix([]), 1, 3)
+    # Q^0 is no error: its grid is {()}, so every count is 1
+    for force_exact in (False, True):
+        run = trajectory_counts(RationalMatrix([]), 1, 3, force_exact=force_exact)
+        assert run.counts == (1, 1, 1) and run.h_inc == (0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         trajectory_counts(DOUBLING, 0, 3)
     with pytest.raises(ValueError):
