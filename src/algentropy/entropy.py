@@ -46,6 +46,8 @@ def algebraic_entropy(M: RationalMatrix, tolerance: float = 1e-12) -> EntropyRep
 def polynomial_entropy(P: IntPoly, tolerance: float = 1e-12) -> EntropyReport:
     """Entropy report for a nonzero integer polynomial, taken as its
     primitive part: s times the monic polynomial, s its positive lead."""
+    if P.is_zero:
+        raise ValueError("zero polynomial")
     P = P.primitive_part()
     identity = verify_place_identity(P)
     if not identity.all_ok:

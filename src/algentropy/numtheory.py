@@ -74,6 +74,7 @@ def _strong_lucas(n: int) -> bool:
     return False
 
 
+@functools.lru_cache(maxsize=32)
 def is_prime(n: int) -> bool:
     """Primality test: proven below psi_12 = 3317044064679887385961981.
 
@@ -81,7 +82,8 @@ def is_prime(n: int) -> bool:
     below psi_12, so is Miller-Rabin with the first twelve primes as
     witnesses.  From psi_12 on, a strong Lucas test is added, which makes
     it the Baillie-PSW test: no composite is known to pass it, but that is
-    not a proof.
+    not a proof.  The last few answers are kept, so a prime that `factorize`
+    has just proven is not proven again by `newton_polygon`'s input check.
     """
     if n < 2:
         return False

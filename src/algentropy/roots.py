@@ -1,19 +1,21 @@
 """Certified complex roots of integer polynomials.
 
 The engine is Aberth-Ehrlich simultaneous iteration, float first as in
-MPSolve.  A rung without a warm start converges on Python complex floats
-(Gauss-Seidel sweeps, each iterate updated in place) from Bini's start, as
-in MPSolve: points on the circles of the Newton polygon of log|a_i|, pushed
-out by a factor 1.3 (deterministic, no RNG).  The iterate is then polished
-on Gaussian integers: each approximation is z = (a + ib)/2^K with Python
-ints a, b, one scale per polynomial and rung, and K reaches below a lower
-bound on the smallest root modulus, so small roots keep their relative
-precision.  When the float run is unusable -- a coefficient or an
-evaluation that overflows a double, no convergence, coinciding iterates --
-the integer iteration starts from the circle whose radius is the Fujiwara
-coefficient bound.  Only the certificate decides, and it is exact.  With
-P(z) = A / 2^(nK) and P'(z) = B / 2^((n-1)K) from one Gaussian-integer
-Horner pass, the radius
+MPSolve: float approximations get exact inclusion discs, and multiprecision
+runs only where those fail.  A centre is z = (a + ib)/2^K with Python ints
+a, b, one scale per polynomial and rung, and K reaches below a lower bound
+on the smallest root modulus, so small roots keep their relative precision.
+A rung without a warm start converges on Python complex floats (Gauss-Seidel
+sweeps) from Bini's start: points on the circles of the Newton polygon of
+log|a_i|, pushed out by a factor 1.3 (deterministic, no RNG).  Rounded to
+the scale 2^K, that iterate is certified as it stands.  The Aberth
+iteration on Gaussian integers runs only on a warm rung, from the last
+rung's centres, and from the circle whose radius is the Fujiwara
+coefficient bound when the float run is unusable -- a coefficient or an
+evaluation that overflows a double, no convergence, coinciding iterates.
+A degree-1 factor takes its exact floor root.  Only the certificate
+decides, and it is exact.  With P(z) = A / 2^(nK) and P'(z) = B / 2^((n-1)K)
+from one Gaussian-integer Horner pass, the radius
 
     r = ceil(sqrt(ceil(n^2 |A|^2 / |B|^2))) / 2^K  >=  n |P(z) / P'(z)|
 
@@ -25,7 +27,8 @@ peeled off beforehand by Yun's square-free decomposition, which is exact.
 
 The rungs form one ladder, `climb`: 64 bits first, doubling up to a
 4096-bit cap, each rung warm-started from the last, until the caller's
-settle rule (the Mahler measure's error budget) accepts the discs.
+settle rule (the Mahler measure's error budget) accepts the discs; so a
+float iterate too noisy to settle at 64 bits climbs to the warm 128-bit rung.
 """
 
 from __future__ import annotations
@@ -145,8 +148,8 @@ def _float_aberth(coeffs, guesses):
     that leaves the finite doubles (Horner overflow), a division by zero or
     an overflow, no convergence within 60 + 8n sweeps, or two iterates that
     coincide.  A run whose steps stall below 1e-3 (relative) for 12 sweeps
-    has reached its noise floor and is returned as converged: the integer
-    iteration polishes it.
+    has reached its noise floor and is returned as converged: the
+    certificate judges it, and a rung it does not settle climbs.
     """
     n = len(guesses)
     try:
@@ -221,20 +224,23 @@ def _bini_guesses(coeffs):
     return guesses
 
 
-def _start(coeffs, k: int):
-    """Start at scale 2^k: the float iterate from Bini's circles, or the
-    Fujiwara circle itself when the float run is unusable."""
+def _start(coeffs, k: int, prec: int):
+    """Cold centres at scale 2^k: the float iterate from Bini's circles,
+    rounded to the scale as it stands, or, when the float run is unusable,
+    the Gaussian-integer iteration from the Fujiwara circle."""
     start = _float_aberth(coeffs, _bini_guesses(coeffs))
     if start is not None:
         return [(_fixed(z.real, k), _fixed(z.imag, k)) for z in start]
     n = len(coeffs) - 1
     shift = k + math.ceil(_fujiwara_log2(coeffs))
     angles = [2 * math.pi * (j + 0.3) / n for j in range(n)]
-    return [(_fixed(math.cos(t), shift), _fixed(math.sin(t), shift)) for t in angles]
+    circle = [(_fixed(math.cos(t), shift), _fixed(math.sin(t), shift)) for t in angles]
+    return _aberth_fixed(coeffs, circle, k, prec)
 
 
 def _aberth_fixed(coeffs, zs, k: int, prec: int):
-    """Aberth-Ehrlich on Gaussian integers at scale 2^k (serial updates).
+    """Aberth-Ehrlich on Gaussian integers at scale 2^k (serial updates),
+    from a warm rung's centres or, on a cold rung, the Fujiwara circle.
 
     Updates are applied in place (Gauss-Seidel style), which is what makes
     the iteration converge reliably from symmetric circle starts.  Every
@@ -320,17 +326,17 @@ def _certify(coeffs, zs, k: int):
 
 def _solve_squarefree(coeffs, prec: int, warm=None):
     """One rung for a square-free polynomial: (k, centres at scale 2^k, which
-    warm-start the next rung, their discs from `_certify` or None)."""
-    n = len(coeffs) - 1
+    warm-start the next rung, their discs from `_certify` or None).  The
+    centres: a degree-1 factor's exact floor root, the integer iteration
+    from the warm start, or else the cold centres of `_start`."""
     k = prec + _GUARD_BITS + _small_root_bits(coeffs)
-    if warm:
-        k0, zs = warm
-        zs = [(a << (k - k0), b << (k - k0)) for a, b in zs]
-    elif n == 1:
+    if len(coeffs) == 2:
         zs = [((-coeffs[0] << k) // coeffs[1], 0)]
+    elif warm:
+        k0, zs = warm
+        zs = _aberth_fixed(coeffs, [(a << (k - k0), b << (k - k0)) for a, b in zs], k, prec)
     else:
-        zs = _start(coeffs, k)
-    zs = _aberth_fixed(coeffs, zs, k, prec)
+        zs = _start(coeffs, k, prec)
     return k, zs, _certify(coeffs, zs, k)
 
 

@@ -128,12 +128,23 @@ def test_each_prime_of_s_is_proven_once(monkeypatch):
         tested.append(m)
         return real(m)
 
+    # every proof of a number past psi_12 ends in one strong Lucas test
+    real_lucas = numtheory._strong_lucas
+    proven = []
+
+    def recording_lucas(m):
+        proven.append(m)
+        return real_lucas(m)
+
     for module in (numtheory, padic, ratpoly):
         monkeypatch.setattr(module, "is_prime", recording_is_prime)
+    monkeypatch.setattr(numtheory, "_strong_lucas", recording_lucas)
+    real.cache_clear()
     report = algebraic_entropy(RationalMatrix(rows))
     assert [q for q, *_ in report.finite_places] == [p]
-    # once by factorize(s), once by newton_polygon's input check; never as p^k
-    assert tested.count(p) <= 2
+    # proven once, by factorize(s): newton_polygon's input check reads the
+    # answer is_prime kept; and never tested as p^k
+    assert proven.count(p) == 1
     assert [m for m in tested if m % p == 0 and m != p] == []
 
 
@@ -230,6 +241,12 @@ def test_polynomial_entropy_examples():
     assert polynomial_entropy(IntPoly([2, 0, 2])).zero_entropy_exact  # content 2
     # a constant's primitive part is 1, the characteristic polynomial of Q^0
     assert polynomial_entropy(IntPoly([5])) == algebraic_entropy(RationalMatrix([]))
+
+
+def test_polynomial_entropy_names_the_zero_polynomial():
+    # the error mahler_measure gives, not a primitivity complaint about 0
+    with pytest.raises(ValueError, match="^zero polynomial$"):
+        polynomial_entropy(IntPoly([0]))
 
 
 def test_zero_entropy_exact_is_the_cyclotomic_decision():

@@ -436,19 +436,37 @@ def _spy_float_starts(monkeypatch):
     return starts
 
 
+def _spy_fixed_runs(monkeypatch):
+    """Record the precision of every Gaussian-integer Aberth run."""
+    runs = []
+    real = roots._aberth_fixed
+
+    def spy(coeffs, zs, k, prec):
+        runs.append(prec)
+        return real(coeffs, zs, k, prec)
+
+    monkeypatch.setattr(roots, "_aberth_fixed", spy)
+    return runs
+
+
 def test_float_start_falls_back_when_doubles_overflow(monkeypatch):
     starts = _spy_float_starts(monkeypatch)
+    fixed = _spy_fixed_runs(monkeypatch)
     # 10**400 does not convert to a double
     r = mahler_measure(IntPoly([3, 0, 10**400, 1]))
     assert r.certified and r.value == pytest.approx(400 * math.log(10), rel=1e-15)
     assert starts and all(s is None for s in starts)
+    # the Fujiwara circle is no root approximation: the cold rung's integer iteration runs from it
+    assert fixed[:1] == [64]
     # every coefficient fits a double, but Horner at |z| ~ 1e200 overflows
     starts.clear()
+    fixed.clear()
     poly = IntPoly([-(10**200), 1]) * IntPoly([2, 1, 1])
     r = mahler_measure(poly)
     assert r.certified
     assert r.value == pytest.approx(200 * math.log(10) + math.log(2), rel=1e-15)
     assert starts and all(s is None for s in starts)
+    assert fixed[:1] == [64]
 
 
 def test_float_start_random_against_eig_oracle(monkeypatch):
@@ -521,10 +539,37 @@ def test_float_start_survives_its_noise_floor(monkeypatch):
         [3136, -56, -10278, 16185, -15859, -4553, 37680, -60848, 75908, -78121,
          50806, -13260, -5765, 6172, -2042, 180, 57, -15, 1]
     )
+    rungs = []
+    real = roots._solve_squarefree
+
+    def spy(coeffs, prec, warm=None):
+        rungs.append((prec, warm is not None))
+        return real(coeffs, prec, warm)
+
+    monkeypatch.setattr(roots, "_solve_squarefree", spy)
     r = mahler_measure(poly)
     assert r.certified and r.roots.total_multiplicity == 18
     assert abs(r.value - mahler_oracle(poly)) < 1e-9
     assert starts and all(s is not None for s in starts)
+    # the float iterate's discs certify at 64 bits but are too wide to
+    # settle; the 128-bit rung starts from those centres, not afresh
+    assert rungs == [(64, False), (128, True)]
+
+
+def test_cold_rung_certifies_the_float_iterate(monkeypatch):
+    # the converged float iterate, rounded to the scale, is the 64-bit
+    # rung's centres: no Gaussian-integer Aberth run comes before the
+    # certificate, and none comes after it when the rung settles
+    def no_fixed(*args):
+        raise AssertionError("_aberth_fixed ran")
+
+    monkeypatch.setattr(roots, "_aberth_fixed", no_fixed)
+    rng = random.Random(16)
+    random_16 = IntPoly([rng.randint(-9, 9) for _ in range(16)] + [1])
+    for poly in (LEHMER, random_16):
+        certified, _ = roots.solve_with_multiplicity(poly, 64)
+        assert certified is not None and len(certified) == poly.degree
+        assert abs(mahler_measure(poly).value - mahler_oracle(poly)) < 1e-9
 
 
 def test_package_does_not_use_mpmath():
