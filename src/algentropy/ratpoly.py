@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import re
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -81,9 +80,16 @@ def parse_rational(text) -> Fraction:
         raise ValueError(f"not a rational: {text!r}")
     if isinstance(text, int):
         return Fraction(text)
-    if isinstance(text, str) and (m := re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", text.strip())):
-        return Fraction(int(m[1]), int(m[2] or 1))
+    if isinstance(text, str):
+        num, slash, den = text.strip().partition("/")
+        if _digits(num[1:] if num[:1] in ("+", "-") else num) and (not slash or _digits(den)):
+            return Fraction(int(num), int(den or 1))
     raise ValueError(f"not a rational: {text!r}")
+
+
+def _digits(text: str) -> bool:
+    """text is one or more ASCII digits."""
+    return text.isascii() and text.isdigit()
 
 
 def _integer(c) -> int:

@@ -397,4 +397,25 @@ def climb(polys, settle):
 
 
 def _sorted_roots(roots):
-    return sorted(roots, key=lambda r: (_float(r.a, r.k), _float(r.b, r.k)))
+    """The roots ascending by real part, then by imaginary part.
+
+    Real parts count as equal while the discs' extents on the real axis chain
+    into one interval.  The extents of conjugate roots, or of any roots with
+    one real part, all hold that real part, so the noise in the centres' last
+    bits cannot order them.
+    """
+    top = max((r.k for r in roots), default=0)
+
+    def real(r):  # the disc's extent on the real axis, times 2^top
+        return (r.a - r.r) << (top - r.k), (r.a + r.r) << (top - r.k)
+
+    runs, reach = [], None
+    for r in sorted(roots, key=real):
+        lo, hi = real(r)
+        if runs and lo <= reach:
+            runs[-1].append(r)
+            reach = max(reach, hi)
+        else:
+            runs.append([r])
+            reach = hi
+    return [r for run in runs for r in sorted(run, key=lambda r: r.b << (top - r.k))]

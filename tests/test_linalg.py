@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from algentropy import linalg
 from algentropy.linalg import (
     RationalMatrix,
     SingularMatrixError,
@@ -183,6 +184,70 @@ def test_char_poly_with_distinct_40_bit_prime_denominators():
     M = RationalMatrix(
         [[Fraction(rng.randint(-99, 99), dens[8 * i + j]) for j in range(8)] for i in range(8)]
     )
+    assert monic(char_poly(M)) == hessenberg_char_poly(M)
+
+
+def _counting_passes(monkeypatch) -> list:
+    """Record the modulus of every `_char_poly_mod` pass, splits included."""
+    moduli, run = [], linalg._char_poly_mod
+
+    def counting(B, dens, q):
+        moduli.append(q)
+        return run(B, dens, q)
+
+    monkeypatch.setattr(linalg, "_char_poly_mod", counting)
+    return moduli
+
+
+@pytest.mark.parametrize("primes", [1, 6, 7, 13])
+def test_char_poly_runs_one_pass_per_product_of_primes(monkeypatch, primes):
+    # [[R]] has Delta = 1 and bound [1, R]: with R the product of the first
+    # primes - 1 word primes, exactly `primes` of them make the modulus exceed 2R
+    R = math.prod(word_prime(i) for i in range(primes - 1))
+    moduli = _counting_passes(monkeypatch)
+    assert char_poly(RationalMatrix([[R]])) == IntPoly([-R, 1])
+    K = linalg._PRIMES_PER_MODULUS
+    assert len(moduli) == -(-primes // K)
+    assert math.prod(moduli) == math.prod(word_prime(i) for i in range(primes))
+
+
+def test_char_poly_over_several_products_matches_the_oracle(monkeypatch):
+    rng = random.Random(22)
+    M = RationalMatrix(
+        [[Fraction(rng.randint(-(10**40), 10**40), rng.randint(1, 10**6)) for _ in range(7)] for _ in range(7)]
+    )
+    moduli = _counting_passes(monkeypatch)
+    assert monic(char_poly(M)) == hessenberg_char_poly(M)
+    assert len(moduli) >= 3
+
+
+def test_char_poly_splits_the_modulus_at_a_zero_divisor_pivot(monkeypatch):
+    # the column-0 pivot 2^61 - 1 = word_prime(0) is nonzero but no unit modulo
+    # the product of the first primes: the pass splits off that prime
+    q0 = word_prime(0)
+    M = RationalMatrix([[0, 1, 0], [q0, 0, 1], [1, 1, 10**30]])
+    moduli = _counting_passes(monkeypatch)
+    assert monic(char_poly(M)) == hessenberg_char_poly(M)
+    assert char_poly(M) == IntPoly(
+        [2305843009213693950999999999999999999999999999999, -2305843009213693952, -(10**30), 1]
+    )
+    assert q0 in moduli and moduli[0] % q0 == 0 and moduli[0] != q0
+
+
+# entries that vanish modulo one of the first word primes, so that pivots are zero divisors
+_WORD_PRIME_MULTIPLE = st.builds(lambda c, i: c * word_prime(i), st.integers(-3, 3), st.integers(0, 2))
+_PLAIN_ENTRY = st.integers(-9, 9) | st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(_WORD_PRIME_MULTIPLE | _PLAIN_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n
+    )
+))
+@example([[0, 1, 0], [word_prime(0) * word_prime(1), 0, 1], [1, 1, 10**30]])  # splits off two primes
+def test_char_poly_with_word_prime_multiples_matches_the_oracle(rows):
+    M = RationalMatrix(rows)
     assert monic(char_poly(M)) == hessenberg_char_poly(M)
 
 

@@ -47,6 +47,25 @@ def test_find_roots_gaussian_unit():
         assert root.mod_lo <= 1.0 <= root.mod_hi
 
 
+def test_root_order_does_not_follow_the_centres_noise():
+    # discs (a + ib)/2^k of radius r/2^k: a conjugate pair whose centres' real
+    # parts differ by one unit either way, a second pair on the same real part,
+    # one root stored at another scale, and a real root.  Ordering by the
+    # centres' real parts would let those units order each pair
+    for da in (-1, 1):
+        discs = [
+            roots._CertRoot(-20 + da, 30, 2, 4, 1),
+            roots._CertRoot(-40, -60, 4, 5, 1),
+            roots._CertRoot(-20, 50, 2, 4, 1),
+            roots._CertRoot(-20 - da, -50, 2, 4, 1),
+            roots._CertRoot(40, 1, 2, 4, 1),
+        ]
+        for perm in itertools.permutations(discs):
+            assert [r.b / 2**r.k for r in roots._sorted_roots(list(perm))] == [
+                -50 / 16, -30 / 16, 30 / 16, 50 / 16, 1 / 16
+            ]
+
+
 def test_find_roots_lehmer_against_oracle():
     rs = mahler_measure(LEHMER).roots
     assert rs.total_multiplicity == 10
