@@ -22,7 +22,6 @@ from .linalg import (
     char_poly,
     companion,
     inverse,
-    operator_norm,
 )
 from .mahler import (
     MahlerResult,
@@ -43,11 +42,9 @@ from .ratpoly import (
     InvariantError,
     cyclotomic,
     parse_rational,
-    pnorm,
     poly_gcd,
     primitivize,
     squarefree_decomposition,
-    vp,
 )
 from .roots import CertificationError, ComplexRootSet, RootInterval
 from .trajectory import (
@@ -58,8 +55,6 @@ from .trajectory import (
     admissible_m,
     bernoulli_counts,
     classify_growth,
-    fraction_grid,
-    minor_trajectory_counts,
     prime_support,
     trajectory_counts,
 )

@@ -32,11 +32,6 @@ class EntropyReport:
     roots: ComplexRootSet
     zero_entropy_exact: bool
 
-    @property
-    def certified(self) -> bool:
-        """Always True: an entropy that cannot be certified raises CertificationError."""
-        return True
-
 
 def algebraic_entropy(M: RationalMatrix, tolerance: float = 1e-12) -> EntropyReport:
     """Entropy report for a rational matrix: total, places, certification."""

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .numtheory import word_prime
-from .ratpoly import IntPoly, parse_rational, pnorm, primitivize
+from .ratpoly import IntPoly, parse_rational, primitivize
 
 
 class SingularMatrixError(ZeroDivisionError):
@@ -262,15 +262,3 @@ def inverse(M: RationalMatrix) -> RationalMatrix:
                 aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
     return RationalMatrix([row[n:] for row in aug])
 
-
-def operator_norm(M: RationalMatrix, place) -> Fraction:
-    """max over rows of the sum of place-norms of the entries.
-
-    ``place`` is a prime or math.inf; finite-place entry norms p**(-vp) are
-    exact rationals.
-    """
-    if M.n == 0:
-        return Fraction(0)
-    if place == math.inf:
-        return max(sum(abs(e) for e in row) for row in M.rows)
-    return max(sum(pnorm(e, place) for e in row) for row in M.rows)

@@ -101,9 +101,11 @@ def is_cyclotomic_product(P: IntPoly) -> bool:
 
 
 def _cyclotomic_intervals(factors: dict[int, int]) -> list[RootInterval]:
+    """The roots of unity, n ascending; each conjugate pair lists its lower
+    member first, as `_sorted_roots` does."""
     out = []
     for n, mult in sorted(factors.items()):
-        for j in range(1, n + 1):
+        for j in sorted(range(1, n + 1), key=lambda i: (min(i, n - i), -i)):
             if math.gcd(j, n) != 1:
                 continue
             theta = 2 * math.pi * j / n
@@ -120,11 +122,6 @@ class MahlerResult:
     # every nonzero root is a root of unity: the candidate factor is all
     # cyclotomic and the cofactor is constant
     roots_of_unity_only: bool
-
-    @property
-    def certified(self) -> bool:
-        """Always True: a measure that cannot be certified raises CertificationError."""
-        return True
 
     @property
     def assumed_roots(self) -> int:

@@ -24,11 +24,9 @@ import numbers
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .numtheory import divisors, is_prime, word_prime
+from .numtheory import divisors, word_prime
 
 Rational = Union[int, Fraction]
-
-INF = math.inf
 
 
 class InvariantError(ArithmeticError):
@@ -39,20 +37,6 @@ class InvariantError(ArithmeticError):
     """
 
 
-def vp(x: Rational, p: int):
-    """p-adic valuation of a rational: |x|_p = p**(-vp(x)), vp(0) = +inf.
-
-    The +inf sentinel (rather than an error) lets `pnorm` give |0|_p = 0;
-    `newton_polygon` skips zero coefficients and reads `valuation` instead.
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    x = Fraction(x)
-    if x == 0:
-        return INF
-    return valuation(x.numerator, p) - valuation(x.denominator, p)
-
-
 def valuation(n: int, p: int) -> int:
     """The exponent of p in the nonzero integer n; p is not checked for primality."""
     v = 0
@@ -60,14 +44,6 @@ def valuation(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-def pnorm(x: Rational, p: int) -> Fraction:
-    """Exact p-adic norm |x|_p = p**(-vp(x)) as a Fraction; |0|_p = 0."""
-    v = vp(x, p)
-    if v is INF:
-        return Fraction(0)
-    return Fraction(p) ** (-v)
 
 
 def parse_rational(text) -> Fraction:

@@ -42,10 +42,9 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .linalg import RationalMatrix, operator_norm
+from .linalg import RationalMatrix
 from .numtheory import prime_divisors
 from .ratpoly import InvariantError
 
@@ -95,14 +94,6 @@ class GrowthAssessment:
     discrepancy: bool
 
 
-def fraction_grid(dim: int, m: int) -> set[tuple[Fraction, ...]]:
-    """The (2m+1)^dim grid of vectors with coordinates j/m, |j| <= m; {()} for dim 0."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    rng = [Fraction(j, m) for j in range(-m, m + 1)]
-    return set(itertools.product(rng, repeat=dim))
-
-
 def prime_support(M: RationalMatrix, m: int) -> tuple[int, ...]:
     """Primes dividing m or any entry denominator of M, ascending; the
     infinite place is implicit."""
@@ -119,7 +110,8 @@ def admissible_m(M: RationalMatrix) -> int:
     entry denominators.  Any multiple of a valid density is valid, so rounding
     up is safe.
     """
-    c = max(math.ceil(operator_norm(M, math.inf)) + 1, 3)
+    norm = max((sum(abs(e) for e in row) for row in M.rows), default=0)  # ||M||_inf
+    c = max(math.ceil(norm) + 1, 3)
     return c * M.denominator_lcm()
 
 
@@ -541,24 +533,6 @@ def classify_growth(run: TrajectoryRun, formula_entropy: float | None = None) ->
         formula_entropy=formula_entropy,
         discrepancy=discrepancy,
     )
-
-
-def minor_trajectory_counts(M: RationalMatrix, m: int, n_max: int) -> tuple[int, ...]:
-    """|E + phi^(n-1) E| for n = 1..n_max: the two-term lower-bound device.
-
-    Bounded by |E|^2 for every n, so it never grows in the discrete case.
-    """
-    if m < 1 or n_max < 1:
-        raise ValueError("m and n_max must be >= 1")
-    grid = sorted(fraction_grid(M.n, m))
-    counts = []
-    power = RationalMatrix.identity(M.n)
-    for _ in range(n_max):
-        image = [power.apply(e) for e in grid]
-        sums = {tuple(a + b for a, b in zip(x, y)) for x in grid for y in image}
-        counts.append(len(sums))
-        power = M * power
-    return tuple(counts)
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,10 @@ from .linalg import (
     char_poly,
     companion,
     inverse,
-    operator_norm,
 )
 from .mahler import is_cyclotomic_product, mahler_measure
 from .padic import verify_place_identity
-from .ratpoly import IntPoly, cyclotomic, pnorm
+from .ratpoly import IntPoly, cyclotomic
 from .trajectory import MIN_LEVELS, bernoulli_counts, classify_growth, trajectory_counts
 
 
@@ -351,35 +350,6 @@ def _suite_dichotomy(rng, count):
     return checks
 
 
-def _suite_norms(rng, count):
-    checks = []
-    for i in range(count):
-        A = random_rational_matrix(rng, max_n=4, bound=9)
-        B = RationalMatrix(
-            [
-                [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(A.n)]
-                for _ in range(A.n)
-            ]
-        )
-        sub = operator_norm(A * B, math.inf) <= operator_norm(A, math.inf) * operator_norm(
-            B, math.inf
-        )
-        p = rng.choice([2, 3, 5, 7])
-        x = tuple(Fraction(rng.randint(-20, 20)) for _ in range(A.n))
-        image = A.apply(x)
-        vec_norm = max((pnorm(c, p) for c in x), default=Fraction(0))
-        img_norm = max((pnorm(c, p) for c in image), default=Fraction(0))
-        bound = img_norm <= operator_norm(A, p) * vec_norm
-        checks.append(
-            Check(
-                name=f"norms/{i}",
-                passed=sub and bound,
-                detail=f"p={p} submultiplicative={sub} vector-bound={bound}",
-            )
-        )
-    return checks
-
-
 SUITES = {
     "place-identity": (_suite_place_identity, 200),
     "multiplicativity": (_suite_multiplicativity, 50),
@@ -392,7 +362,6 @@ SUITES = {
     "oracle": (_suite_oracle, 1),
     "bernoulli": (_suite_bernoulli, 1),
     "dichotomy": (_suite_dichotomy, 10),
-    "norms": (_suite_norms, 100),
 }
 
 

@@ -8,7 +8,8 @@ Faddeev-LeVerrier and the Hessenberg method over Fraction for the
 characteristic polynomial (the package runs Hessenberg modulo primes and
 recombines by CRT under a proven bound), and Euclid over Fraction
 coefficients for the gcd; plain trial division for factorization, the
-admissible grid density as a product of p-adic norms, and Miller-Rabin
+admissible grid density as a product of p-adic norms, the p-adic
+valuation by testing p^(e+1) | n for e = 0, 1, ..., and Miller-Rabin
 with the first twelve primes as witnesses for primality.  The
 polynomial oracles use no package polynomial code: they return monic
 polynomials as ascending tuples of Fraction, and `monic` puts a package
@@ -137,6 +138,22 @@ def trial_division_factorize(n: int) -> dict[int, int]:
     if n > 1:
         factors[n] = factors.get(n, 0) + 1
     return factors
+
+
+def vp(x, p: int) -> int:
+    """The p-adic valuation of a nonzero rational: the largest e with p^e
+    dividing its numerator, less the same for its denominator."""
+    x = Fraction(x)
+    if x == 0:
+        raise ValueError("vp(0) is infinite")
+
+    def exponent(n: int) -> int:
+        e = 0
+        while n % p ** (e + 1) == 0:
+            e += 1
+        return e
+
+    return exponent(x.numerator) - exponent(x.denominator)
 
 
 def product_formula_admissible_m(M: RationalMatrix) -> int:

@@ -341,7 +341,7 @@ def test_every_measure_starts_on_one_64_bit_rung(capsys, monkeypatch):
         assert run_cli(capsys, *argv)[0] == 0
         assert rungs == [64], argv
     rungs.clear()
-    assert mahler_measure(IntPoly(lehmer)).certified
+    mahler_measure(IntPoly(lehmer))
     assert rungs == [64]
 
 
@@ -592,9 +592,10 @@ def test_verify_command(capsys):
     assert code == 0
     assert "SUITE place-identity: 20/20 passed" in out
 
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--suite", "no-such-suite"])
-    assert exc.value.code == 2 and "invalid choice: 'no-such-suite'" in capsys.readouterr().err
+    for suite in ("no-such-suite", "norms"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", suite])
+        assert exc.value.code == 2 and f"invalid choice: '{suite}'" in capsys.readouterr().err
 
 
 def test_verify_failure_exit_4(capsys, monkeypatch):

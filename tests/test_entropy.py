@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import algentropy
-from algentropy import numtheory, padic, ratpoly, verify
+from algentropy import numtheory, padic, verify
 from algentropy.entropy import (
     algebraic_entropy,
     is_zero_entropy,
@@ -46,7 +46,7 @@ def test_entropy_examples():
     assert r.s == 2
     assert [(p, v) for p, v, _ in r.finite_places] == [(2, 1)]
     assert abs(r.archimedean - math.log(Fraction(3, 2))) < 1e-12
-    assert r.certified and not r.zero_entropy_exact
+    assert not r.zero_entropy_exact
 
     r = algebraic_entropy(RationalMatrix.identity(2))
     assert r.total == 0.0 and r.zero_entropy_exact
@@ -136,7 +136,7 @@ def test_each_prime_of_s_is_proven_once(monkeypatch):
         proven.append(m)
         return real_lucas(m)
 
-    for module in (numtheory, padic, ratpoly):
+    for module in (numtheory, padic):
         monkeypatch.setattr(module, "is_prime", recording_is_prime)
     monkeypatch.setattr(numtheory, "_strong_lucas", recording_lucas)
     real.cache_clear()
@@ -223,12 +223,12 @@ def test_zero_entropy_iff_certified_zero_total():
     for _ in range(40):
         M = _random_matrix(rng, max_n=3, bound=6)
         r = algebraic_entropy(M)
-        assert is_zero_entropy(M) == (r.certified and abs(r.total) <= 1e-12)
+        assert is_zero_entropy(M) == (abs(r.total) <= 1e-12)
 
 
 def test_zero_dimensional_matrix():
     r = algebraic_entropy(RationalMatrix([]))
-    assert r.total == 0.0 and r.s == 1 and r.zero_entropy_exact and r.certified
+    assert r.total == 0.0 and r.s == 1 and r.zero_entropy_exact
 
 
 def test_polynomial_entropy_examples():

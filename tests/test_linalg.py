@@ -14,7 +14,6 @@ from algentropy.linalg import (
     char_poly,
     companion,
     inverse,
-    operator_norm,
 )
 from algentropy.numtheory import is_prime, word_prime
 from algentropy.ratpoly import IntPoly, primitivize
@@ -348,30 +347,6 @@ def test_inverse():
             continue
         assert M * Minv == RationalMatrix.identity(M.n)
         checked += 1
-
-
-def test_operator_norm_examples():
-    assert operator_norm(RationalMatrix([["3/2"]]), math.inf) == Fraction(3, 2)
-    assert operator_norm(RationalMatrix([["3/2"]]), 2) == 2
-    assert operator_norm(RationalMatrix([[1, 1], [0, 1]]), math.inf) == 2
-
-
-def test_operator_norm_submultiplicative_and_vector_bound():
-    from algentropy.ratpoly import pnorm
-
-    rng = random.Random(12)
-    for _ in range(80):
-        n = rng.randint(1, 4)
-        A = _random_matrix(rng, n)
-        B = _random_matrix(rng, n)
-        assert operator_norm(A * B, math.inf) <= operator_norm(A, math.inf) * operator_norm(
-            B, math.inf
-        )
-        p = rng.choice([2, 3, 5])
-        x = tuple(Fraction(rng.randint(-30, 30)) for _ in range(n))
-        image_norm = max((pnorm(c, p) for c in A.apply(x)), default=Fraction(0))
-        vec_norm = max((pnorm(c, p) for c in x), default=Fraction(0))
-        assert image_norm <= operator_norm(A, p) * vec_norm
 
 
 def test_matrix_power_and_validation():

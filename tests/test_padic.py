@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from algentropy import cli
 from algentropy.padic import newton_polygon, verify_place_identity
-from algentropy.ratpoly import IntPoly, vp
+from algentropy.ratpoly import IntPoly
+
+from oracles import vp
 
 
 def test_polygon_examples():

@@ -15,7 +15,6 @@ import algentropy
 from algentropy import trajectory
 from algentropy.entropy import algebraic_entropy
 from algentropy.linalg import RationalMatrix
-from algentropy.ratpoly import vp
 from algentropy.trajectory import (
     EXPONENTIAL,
     INCONCLUSIVE,
@@ -23,28 +22,16 @@ from algentropy.trajectory import (
     admissible_m,
     bernoulli_counts,
     classify_growth,
-    fraction_grid,
-    minor_trajectory_counts,
     prime_support,
     trajectory_counts,
 )
 
-from oracles import naive_trajectory_counts, product_formula_admissible_m
+from oracles import naive_trajectory_counts, product_formula_admissible_m, vp
 
 DOUBLING = RationalMatrix([[2]])
 THREE_HALVES = RationalMatrix([["3/2"]])
 ROTATION = RationalMatrix([[0, -1], [1, 0]])
 NONARCH = RationalMatrix([[0, "-1/6"], [1, "5/6"]])
-
-
-def test_fraction_grid():
-    assert fraction_grid(1, 1) == {(-1,), (0,), (1,)}
-    g = fraction_grid(1, 2)
-    assert g == {(Fraction(j, 2),) for j in range(-2, 3)} and len(g) == 5
-    assert len(fraction_grid(2, 1)) == 9
-    grid = fraction_grid(2, 3)
-    assert all(tuple(-c for c in v) in grid for v in grid)
-    assert (Fraction(0), Fraction(0)) in grid
 
 
 def test_prime_support():
@@ -59,6 +46,10 @@ def test_admissible_m_examples():
     assert admissible_m(DOUBLING) == 3
     assert admissible_m(RationalMatrix.identity(2)) == 3
     assert admissible_m(NONARCH) == 18
+    # c = ceil(||M||_inf) + 1, the largest row sum of absolute values
+    assert admissible_m(RationalMatrix([[1, 1], [0, 1]])) == 3
+    assert admissible_m(RationalMatrix([["7/2"]])) == 10
+    assert admissible_m(RationalMatrix([[-5, "1/3"], [0, 1]])) == 21
 
 
 _SMALL_ENTRY = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 60))
@@ -290,18 +281,6 @@ def test_classification():
 
     with pytest.raises(ValueError):
         classify_growth(trajectory_counts(DOUBLING, 1, 5))
-
-
-def test_minor_trajectory():
-    counts = minor_trajectory_counts(DOUBLING, 1, 5)
-    assert counts[4] == 9  # |{-1,0,1} + {-16,0,16}|
-    assert counts[0] <= 5  # |E + E| for m=1, N=1
-    grid = 3**2
-    assert all(c <= grid for c in counts)
-    ident = minor_trajectory_counts(RationalMatrix.identity(2), 1, 6)
-    assert len(set(ident)) == 1  # constant in n
-    rot = minor_trajectory_counts(ROTATION, 1, 8)
-    assert all(c <= 9**2 for c in rot)
 
 
 def test_bernoulli():
