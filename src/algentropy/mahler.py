@@ -102,14 +102,19 @@ def is_cyclotomic_product(P: IntPoly) -> bool:
 
 def _cyclotomic_intervals(factors: dict[int, int]) -> list[RootInterval]:
     """The roots of unity, n ascending; each conjugate pair lists its lower
-    member first, as `_sorted_roots` does."""
+    member first, as `_sorted_roots` does.  1 and -1 are exact, and the two
+    members of a pair share one cos and sin of 2*pi*j/n, j < n/2, so they
+    are exact conjugates."""
     out = []
     for n, mult in sorted(factors.items()):
-        for j in sorted(range(1, n + 1), key=lambda i: (min(i, n - i), -i)):
-            if math.gcd(j, n) != 1:
-                continue
-            theta = 2 * math.pi * j / n
-            out.append(RootInterval(math.cos(theta), math.sin(theta), 1.0, 1.0, mult))
+        if n <= 2:
+            out.append(RootInterval(1.0 if n == 1 else -1.0, 0.0, 1.0, 1.0, mult))
+            continue
+        for j in range(1, (n + 1) // 2):
+            if math.gcd(j, n) == 1:
+                theta = 2 * math.pi * j / n
+                re, im = math.cos(theta), math.sin(theta)
+                out.extend(RootInterval(re, s, 1.0, 1.0, mult) for s in (-im, im))
     return out
 
 

@@ -13,14 +13,25 @@ along the N image axes, so one level expands axis by axis with doubling
 of (2m+1)^N sumset passes.  Points are stored as mixed-radix keys in the
 level's per-axis box, and the box is carried from level to level: it is
 exact (the minimum of a Minkowski sum of products is the sum of the
-minima), so nothing is reduced over the points to find it.  Moving a level
-to the next box rewrites each key by one increasing affine-plus-carries map
-(`_Level.rekey`), and a doubling step is a shift of every key.  The keys
-are one sorted array, and each step is a linear-time union of two sorted
-runs (one stable timsort of the concatenation, then adjacent-unique keys).
-While the box has fewer than 2^62 keys the array is int64; past that the
-same code runs on an object array of Python ints, so both backends compute
-the same sets and the counts are exact either way.
+minima), so nothing is reduced over the points to find it.  Each step is
+a linear-time union of two sorted runs (one stable timsort of the
+concatenation, then adjacent-unique points), and the points take one of
+three layouts, the narrowest that holds the level's box:
+
+- while the box has fewer than 2^62 keys, one sorted int64 array of keys.
+  Moving a level to the next box rewrites each key by one increasing
+  affine-plus-carries map (`_Level.rekey`), and a doubling step is a shift
+  of every key;
+- past that, while every axis extent stays below 2^62, an (n, N) int64
+  array of per-axis digits x_j - lo_j, rows in lexicographic order, which
+  is the order of the keys.  The move is one multiply-add per column, a
+  doubling step adds a row vector, and the sort compares each row as one
+  big-endian byte string;
+- past that, the keys as an object array of Python ints, run by the same
+  code as the int64 keys.
+
+A level widens to the next layout when its move would overflow the one it
+is in, so every layout computes the same sets and the counts are exact.
 
 A union step on more than 2^17 int64 keys is split into contiguous
 key-range shards of at most 2^17 source keys each (`_Union`), which up to
@@ -28,7 +39,7 @@ k threads take in turn, k the cores this process may run on
 (`os.sched_getaffinity`, else `os.cpu_count`): numpy releases the GIL in
 the copies, sorts, compares and compactions.  The worker threads start
 when a run first splits a step, and the run joins them before it returns.
-Python ints stay one shard, run inline, since their compares hold the GIL.
+Python-int keys and digit columns stay one shard, run inline.
 
 numpy is imported inside the functions that build key arrays, so importing
 this module (and with it the CLI) does not load it; the first
@@ -129,14 +140,17 @@ def _weights(bases) -> list[int]:
 
 
 class _Level:
-    """The move from one level's keys to the next's, shared by both backends.
+    """The move from one level's points to the next's, shared by every layout.
 
     lo/hi bound the next level exactly: the minimum of a Minkowski sum is the
-    sum of the minima, so d*lo - m*sum_i |v_i| is attained on each axis, and
-    size is the number of keys in that box.  `rekey` maps the key of a stored
-    point x to the key, in the new box, of d*x - m*(v_1 + ... + v_N); the
-    map is increasing, so sorted keys stay sorted.  deltas[i] is the key
-    shift of one unit along the axis v_i (axes that are 0 are left out).
+    sum of the minima, so d*lo - m*sum_i |v_i| is attained on each axis;
+    bases are its per-axis extents and size is the number of keys in that
+    box.  A stored point x moves to d*x - m*(v_1 + ... + v_N): its digit
+    x_j - lo_j becomes d * digit + starts[j] in the new box, with
+    starts[j] = m * sum_i (|v_ij| - v_ij) >= 0, so no digit of the move
+    exceeds the new extent.  `rekey` maps the key of x to the key of its
+    move; the map is increasing, so sorted keys stay sorted.  `axes` are the
+    nonzero v_i, and deltas[i] is the key shift of one unit along axes[i].
     """
 
     def __init__(self, lo, hi, d: int, axes, m: int):
@@ -147,8 +161,11 @@ class _Level:
         old_b = [h - l + 1 for l, h in zip(lo, hi)]
         new_b = [h - l + 1 for l, h in zip(self.lo, self.hi)]
         old_w, new_w = _weights(old_b), _weights(new_b)
+        self.bases = new_b
         self.size = math.prod(new_b)
         self.scale = d
+        self.starts = [d * lo[j] - m * sum(v[j] for v in axes) - self.lo[j] for j in range(dim)]
+        self.axes = [v for v in axes if any(v)]
         # digit j of the new key is d * (digit j of the old key) + a constant,
         # so the new key is d * (the old digits read in the new weights) +
         # offset.  With the prefixes P_j = k // old_w[j], digit j is
@@ -160,12 +177,8 @@ class _Level:
             for j in range(dim - 1)
             if new_b[j + 1] != old_b[j + 1]
         ]
-        self.offset = sum(
-            (d * lo[j] - m * sum(v[j] for v in axes) - self.lo[j]) * new_w[j]
-            for j in range(dim)
-        )
-        shifts = (sum(v[j] * new_w[j] for j in range(dim)) for v in axes)
-        self.deltas = [delta for delta in shifts if delta]
+        self.offset = sum(s * w for s, w in zip(self.starts, new_w))
+        self.deltas = [sum(v[j] * new_w[j] for j in range(dim)) for v in self.axes]
 
     def rekey(self, keys):
         """Elementwise on int64 arrays and on Python ints alike."""
@@ -196,7 +209,8 @@ def _shard_total(keys: np.ndarray) -> int:
     """How many key-range shards a union step on these keys is split into.
 
     Python ints stay one shard: their compares hold the GIL.  int64 keys
-    are split into shards of at most _SHARD_KEYS source keys.
+    are split into shards of at most _SHARD_KEYS source keys.  (Digit
+    columns do not come here: their steps are one shard, run inline.)
     """
     return 1 if keys.dtype == object else -(-keys.size // _SHARD_KEYS)
 
@@ -206,9 +220,10 @@ class _Workers:
 
     numpy releases the GIL while it copies, adds, sorts, compares and
     compacts int64 arrays, so the shards of one step run on that many cores
-    at once.  The thread pool (and the `concurrent.futures` import) starts
-    the first time a step has more than one shard, and `close` joins its
-    threads.
+    at once.  Only int64 keys are split: Python-int keys and digit columns
+    run each step as one shard on the calling thread.  The thread pool (and
+    the `concurrent.futures` import) starts the first time a step has more
+    than one shard, and `close` joins its threads.
     """
 
     def __init__(self, threads: int):
@@ -355,7 +370,12 @@ def _kept(buf: np.ndarray, keep: np.ndarray, count: int, out: np.ndarray | None 
 
 
 class _PackedState:
-    """Point set as its sorted int64 keys in the exact box lo..hi."""
+    """Point set as its sorted int64 keys in the exact box lo..hi.
+
+    `expand` is written once for every layout: a layout supplies how a level
+    overflows it, how its points move to the next box, the shift of one unit
+    along each axis and the union of its points with their shift.
+    """
 
     dtype = "int64"
     limit = _INT64_LIMIT  # a box with this many keys or more overflows the dtype
@@ -366,16 +386,16 @@ class _PackedState:
         self.hi = hi
 
     def __len__(self) -> int:
-        return self.keys.size
+        return len(self.keys)
 
     def expand(self, d: int, axes, m: int, budget: int, workers: _Workers):
         level = _Level(self.lo, self.hi, d, axes, m)
-        if level.size >= self.limit:
+        if self._overflows(level):
             return None, "overflow"
-        keys = level.rekey(self.keys)
-        for delta in level.deltas:
+        keys = self._move(level)
+        for delta in self._deltas(level):
             for step in _doubling_steps(2 * m):
-                union = _Union(keys, step * delta, _shard_total(keys), workers)
+                union = self._union(keys, step * delta, workers)
                 # the old keys are dropped before the merge, and the merged
                 # buffer before the next step allocates; a step past the
                 # budget stops before its keys are compacted
@@ -386,18 +406,127 @@ class _PackedState:
                 del union
         return type(self)(keys, level.lo, level.hi), "ok"
 
-    def to_exact(self) -> "_ExactState":
-        return _ExactState(self.keys.astype(object), self.lo, self.hi)
+    def _overflows(self, level: _Level) -> bool:
+        return level.size >= self.limit
+
+    def _move(self, level: _Level):
+        return level.rekey(self.keys)
+
+    def _deltas(self, level: _Level):
+        return level.deltas
+
+    def _union(self, keys: np.ndarray, shift, workers: _Workers):
+        return _Union(keys, shift, _shard_total(keys), workers)
+
+    def widen(self) -> "_ColumnState":
+        """The same points as per-axis digits: N int64 divmods of the keys."""
+        import numpy as np
+
+        keys = self.keys
+        rows = np.empty((keys.size, len(self.lo)), dtype=np.int64)
+        for j in reversed(range(len(self.lo))):
+            keys, rows[:, j] = np.divmod(keys, self.hi[j] - self.lo[j] + 1)
+        return _ColumnState(rows, self.lo, self.hi)
 
 
 class _ExactState(_PackedState):
-    """The same sorted keys as Python ints in an object array (boxes past int64)."""
+    """The same sorted keys as Python ints in an object array (any box)."""
 
     dtype = object
-    limit = math.inf
+    limit = math.inf  # never overflows, so it never widens
     # its own class-dict entry: bench/tracer.py hooks each backend's expand
-    # there to count the levels run on Python ints apart from the int64 ones
+    # there to count the levels past 2^62 keys apart from the int64 ones
     expand = _PackedState.expand
+
+
+class _ColumnState(_ExactState):
+    """Point set as an (n, N) int64 array of per-axis digits x_j - lo_j.
+
+    `keys` holds one row of digits per point, in lexicographic order, which
+    is the order of the points' mixed-radix keys.  This layout holds boxes
+    of 2^62 keys or more whose every axis extent stays below 2^62, so no
+    digit, and no sum a step forms, leaves int64.  Its steps run as one
+    shard on the calling thread.  It derives from `_ExactState` for that
+    class's `expand`, so the bench tracer's hook there counts every level
+    past 2^62 keys, on digit columns or on Python ints.
+    """
+
+    dtype = "int64"
+    limit = _INT64_LIMIT  # an axis extent this large or larger overflows the dtype
+
+    def _overflows(self, level: _Level) -> bool:
+        return max(level.bases, default=0) >= self.limit
+
+    def _move(self, level: _Level):
+        import numpy as np
+
+        # one multiply-add per column, with no carries between the digits
+        rows = self.keys * level.scale
+        rows += np.array(level.starts, dtype=np.int64)
+        return rows
+
+    def _deltas(self, level: _Level):
+        import numpy as np
+
+        return [np.array(v, dtype=np.int64) for v in level.axes]
+
+    def _union(self, rows: np.ndarray, shift: np.ndarray, workers: _Workers):
+        return _ColumnUnion(rows, shift)
+
+    def widen(self) -> _ExactState:
+        """The same points as Python-int keys: Horner over the extents."""
+        import numpy as np
+
+        keys = np.zeros(len(self), dtype=object)
+        for j, (lo, hi) in enumerate(zip(self.lo, self.hi)):
+            keys = keys * (hi - lo + 1) + self.keys[:, j].astype(object)
+        return _ExactState(keys, self.lo, self.hi)
+
+
+class _ColumnUnion:
+    """rows | (rows + shift) for rows of digits in lexicographic order.
+
+    The interface of `_Union`, as one shard: the constructor copies both
+    sorted runs into one buffer, `merge` sorts it and marks the distinct
+    rows, `distinct` compacts them.  The buffer holds big-endian words and
+    timsort sorts each row as one byte string: the digits are non-negative,
+    so the byte order of their big-endian words is their numeric order on
+    any host, and the two presorted runs merge in linear time.
+    """
+
+    def __init__(self, rows: np.ndarray, shift: np.ndarray):
+        import numpy as np
+
+        n, dim = rows.shape
+        self.buf = np.empty((2 * n, dim), dtype=">i8")
+        self.buf[:n] = rows
+        np.add(rows, shift, out=self.buf[n:])
+
+    def merge(self) -> int:
+        """Sort the rows and mark the distinct ones; returns their number."""
+        import numpy as np
+
+        rows, dim = self.buf.shape
+        self.buf.view(f"S{8 * dim}").reshape(-1).sort(kind="stable")
+        # equal rows are equal bit for bit, so the words compare in host
+        # order without a swap; a row is new unless every column equals the
+        # row above, and comparing the columns one by one is about eight
+        # times faster than np.any over the rows
+        words = self.buf.view(np.int64)
+        self.keep = np.empty(rows, dtype=bool)
+        self.keep[0] = True
+        np.not_equal(words[1:, 0], words[:-1, 0], out=self.keep[1:])
+        differs = np.empty(rows - 1, dtype=bool)
+        for j in range(1, dim):
+            np.not_equal(words[1:, j], words[:-1, j], out=differs)
+            self.keep[1:] |= differs
+        return int(np.count_nonzero(self.keep))
+
+    def distinct(self) -> np.ndarray:
+        """The union in lexicographic order, as host int64 rows (after `merge`)."""
+        import numpy as np
+
+        return self.buf.compress(self.keep, axis=0).astype(np.int64, copy=False)
 
 
 def _log_ratio(a: int, b: int) -> float:
@@ -449,9 +578,12 @@ def trajectory_counts(
                 for i in range(dim)
             ]
             axes = [tuple(power[i][j] for i in range(dim)) for j in range(dim)]
+            # each layout checks the new box before any int64 arithmetic
+            # (numpy wraps silently) and widens the level it holds on overflow:
+            # int64 keys -> int64 digit columns -> Python-int keys
             new_state, reason = state.expand(d, axes, m, budget, workers)
-            if reason == "overflow":
-                state = state.to_exact()
+            while reason == "overflow":
+                state = state.widen()
                 new_state, reason = state.expand(d, axes, m, budget, workers)
             if reason == "budget":
                 exhausted = level + 1

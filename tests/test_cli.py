@@ -695,6 +695,21 @@ def test_integers_past_the_str_digit_limit(capsys, tmp_path):
     assert [Decimal(c) for c in json.loads(out)["char_poly_primitive"]] == expected
 
 
+def test_wide_trajectory_levels_count_under_python_O():
+    # level 3 passes 2^62 keys: with 1/46351 it runs on digit columns, with
+    # 1/(2^31 - 1), whose axes pass 2^62 as well, on Python ints
+    src = Path(cli.__file__).resolve().parents[1]
+    for p in (46351, 2**31 - 1):
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "algentropy.cli", "trajectory",
+             "--matrix", f'[["0","1/{p}"],["1/{p}","0"]]', "--max-n", "3"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["counts"] == ["9", "81", "729"]
+
+
 def test_unfactorable_clearing_integer_exits_2():
     # s = pq with two 21-digit primes: Pollard rho runs out of its budget
     p, q = 10**20 + 39, 10**20 + 129

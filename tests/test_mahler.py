@@ -263,6 +263,20 @@ def test_conjugate_pairs_list_the_lower_member_first():
                 assert lower and lower[0] < i, (poly, roots)
 
 
+def test_roots_of_unity_are_exact_conjugate_pairs():
+    # 1 and -1 carry no float noise, and each other root of unity follows
+    # its exact conjugate, the lower member first
+    poly = IntPoly([1])
+    for n in (1, 2, 3, 4, 5, 6, 7, 8, 12):
+        poly = poly * cyclotomic(n)
+    roots = list(mahler_measure(poly).roots.roots)
+    assert (roots[0].re, roots[0].im) == (1.0, 0.0) and (roots[1].re, roots[1].im) == (-1.0, 0.0)
+    pairs = roots[2:]
+    assert len(pairs) == poly.degree - 2
+    for lower, upper in zip(pairs[::2], pairs[1::2]):
+        assert upper.im > 0 and (lower.re, lower.im) == (upper.re, -upper.im)
+
+
 def test_is_cyclotomic_product():
     assert is_cyclotomic_product(IntPoly([1, 1, 1]))
     assert not is_cyclotomic_product(IntPoly([-1, -1, 1]))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -128,7 +129,7 @@ def test_int64_overflow_falls_back_to_exact():
 def _expanded_levels(monkeypatch, *args, **kwargs):
     """Run trajectory_counts; also return the state of every expanded level."""
     levels = []
-    for cls in (trajectory._PackedState, trajectory._ExactState):
+    for cls in (trajectory._PackedState, trajectory._ColumnState, trajectory._ExactState):
 
         def expand(self, *a, _real=cls.expand):
             state, reason = _real(self, *a)
@@ -141,16 +142,23 @@ def _expanded_levels(monkeypatch, *args, **kwargs):
 
 
 def _stored_points(state):
-    """Decode a state's keys digit by digit; the box must be their exact extent."""
-    keys = state.keys.tolist() if isinstance(state.keys, np.ndarray) else state.keys
-    points = set()
-    for key in keys:
-        coords = []
-        for lo, hi in zip(reversed(state.lo), reversed(state.hi)):
-            key, digit = divmod(key, hi - lo + 1)
-            coords.append(lo + digit)
-        assert key == 0, "key outside its box"
-        points.add(tuple(reversed(coords)))
+    """Decode a state's keys digit by digit, or its digit rows; the rows must
+    be in lexicographic order and the box their exact extent."""
+    if isinstance(state, trajectory._ColumnState):
+        rows = [tuple(row) for row in state.keys.tolist()]
+        assert rows == sorted(set(rows)), "rows not unique and lexicographic"
+        assert all(0 <= c <= hi - lo for row in rows for c, lo, hi in zip(row, state.lo, state.hi))
+        points = {tuple(lo + c for c, lo in zip(row, state.lo)) for row in rows}
+    else:
+        keys = state.keys.tolist() if isinstance(state.keys, np.ndarray) else state.keys
+        points = set()
+        for key in keys:
+            coords = []
+            for lo, hi in zip(reversed(state.lo), reversed(state.hi)):
+                key, digit = divmod(key, hi - lo + 1)
+                coords.append(lo + digit)
+            assert key == 0, "key outside its box"
+            points.add(tuple(reversed(coords)))
     for j, (lo, hi) in enumerate(zip(state.lo, state.hi)):
         axis = [p[j] for p in points]
         assert (min(axis), max(axis)) == (lo, hi), f"box not exact on axis {j}"
@@ -160,17 +168,26 @@ def _stored_points(state):
 @pytest.mark.parametrize("force_exact", [False, True])
 def test_carried_box_is_exact(monkeypatch, force_exact):
     # the box carried from level to level is the true per-axis extent of the
-    # stored points, and those points are the enumeration at scale m d^(n-1)
-    for M, m, n in (
+    # stored points, and those points are the enumeration at scale m d^(n-1);
+    # unforced runs are checked with int64 keys and, with the key layout's
+    # limit at 1, with every expanded level held as digit columns
+    layouts = [(trajectory._ExactState, None)] if force_exact else [
+        (trajectory._PackedState, None),
+        (trajectory._ColumnState, 1),
+    ]
+    systems = (
         (THREE_HALVES, 1, 7),
         (NONARCH, 2, 3),
         (ROTATION, 1, 5),
         (RationalMatrix([[0, 1], [1, 1]]), 1, 6),
         (RationalMatrix([[0, 1, 0], [0, 0, 1], [1, 0, "1/2"]]), 1, 3),
-    ):
+    )
+    for (layout, packed_limit), (M, m, n) in itertools.product(layouts, systems):
+        if packed_limit is not None:
+            monkeypatch.setattr(trajectory._PackedState, "limit", packed_limit)
         run, levels = _expanded_levels(monkeypatch, M, m, n, force_exact=force_exact)
         assert len(levels) == n - 1
-        assert all(isinstance(s, trajectory._ExactState) == force_exact for s in levels)
+        assert {type(s) for s in levels} == {layout}
         d = M.denominator_lcm()
         for level, state in enumerate(levels, start=2):
             points = _stored_points(state)
@@ -178,10 +195,13 @@ def test_carried_box_is_exact(monkeypatch, force_exact):
             scale = m * d ** (level - 1)
             _, expected = naive_trajectory_counts(M, m, level)
             assert {tuple(Fraction(c, scale) for c in p) for p in points} == expected
+        monkeypatch.undo()
 
 
-def test_int64_to_python_ints_mid_run(monkeypatch):
-    # the benchmark's big-int shapes: the keys leave int64 after level 1 or 2
+def test_int64_to_columns_mid_run(monkeypatch):
+    # the benchmark's wide shapes: past 2^62 keys, after level 1 or 2, every
+    # axis still fits a word, so the points move to digit columns and never
+    # to Python ints
     swap = RationalMatrix([[0, "1/46351"], ["1/46351", 0]])  # 46351 is prime
     K = 10**6
     unipotent = RationalMatrix([[1, K, 0], [0, 1, K], [0, 0, 1]])
@@ -192,10 +212,25 @@ def test_int64_to_python_ints_mid_run(monkeypatch):
         run, levels = _expanded_levels(monkeypatch, M, 1, n)
         assert run.counts == expected
         backends = [type(s).__name__ for s in levels]
-        assert backends[0] == "_PackedState" and backends[-1] == "_ExactState"
-        assert isinstance(next(iter(levels[-1].keys)), int)
+        assert backends[0] == "_PackedState" and backends[-1] == "_ColumnState"
+        assert "_ExactState" not in backends
         for state in levels:
             assert len(_stored_points(state)) == len(state)
+        monkeypatch.undo()
+
+
+def test_axis_past_int64_reaches_python_ints(monkeypatch):
+    # 1/(2^31 - 1): level 2's box has about 2^64 keys on two 2^32-wide axes,
+    # and level 3's axes are about 2^63 wide, past what a column holds
+    p = 2**31 - 1
+    swap = RationalMatrix([[0, f"1/{p}"], [f"1/{p}", 0]])
+    run, levels = _expanded_levels(monkeypatch, swap, 1, 3)
+    assert run.counts == (9, 81, 729)
+    assert [type(s).__name__ for s in levels] == ["_ColumnState", "_ExactState"]
+    assert 2**62 <= max(h - l + 1 for l, h in zip(levels[1].lo, levels[1].hi)) < 2**63
+    assert isinstance(next(iter(levels[1].keys)), int)
+    for state in levels:
+        assert len(_stored_points(state)) == len(state)
 
 
 _ENTRY = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
@@ -223,6 +258,29 @@ def test_engine_matches_naive_property(system):
         for exact in (False, True)
     }
     assert counts == {tuple(expected)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _small_systems(),
+    st.sampled_from([(8, 1 << 62), (8, 6), (1, 1)]),
+    st.sampled_from([0, 10, 100, None]),
+)
+def test_layouts_widening_mid_run_match_naive_property(system, limits, slack):
+    # small layout limits move a run from int64 keys to digit columns to
+    # Python ints partway through; counts, and the level a budget stops a
+    # run at, are those of the naive enumeration and the Python-int backend
+    M, m, n = system
+    expected, _ = naive_trajectory_counts(M, m, n)
+    budget = trajectory.DEFAULT_BUDGET if slack is None else expected[0] + slack
+    stop = next((level for level, c in enumerate(expected, start=1) if c > budget), None)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trajectory._PackedState, "limit", limits[0])
+        patch.setattr(trajectory._ColumnState, "limit", limits[1])
+        run = trajectory_counts(M, m, n, budget=budget)
+    exact = trajectory_counts(M, m, n, budget=budget, force_exact=True)
+    assert run.counts == exact.counts == tuple(expected[: stop - 1 if stop else n])
+    assert run.budget_exhausted_at == exact.budget_exhausted_at == stop
 
 
 def test_nesting_and_subadditivity_exposed():
