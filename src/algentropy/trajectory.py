@@ -8,24 +8,24 @@ and moving to the next level multiplies stored points by d and adds the
 scaled image of the grid, tracked exactly through integer powers of d*M.
 
 The scaled image of the grid is itself a product of arithmetic progressions
-along the N image axes, so one level expands axis by axis with doubling
-(span 1, 2, 4, ... up to 2m), costing about N * log2(m) set unions instead
-of (2m+1)^N sumset passes.  Points are stored as mixed-radix keys in the
-level's per-axis box, and the box is carried from level to level: it is
-exact (the minimum of a Minkowski sum of products is the sum of the
-minima), so nothing is reduced over the points to find it.  Each step is
-a linear-time union of two sorted runs (one stable timsort of the
-concatenation, then adjacent-unique points), and the points take one of
+along the N image axes, so one level expands axis by axis, each step the
+union of up to three shifted copies of the points (offsets {0, 1, 2},
+then {0, 3, 6}, ..., whose sums cover 0..2m), costing about N * log3(m)
+unions instead of (2m+1)^N sumset passes.  Points are stored as mixed-radix
+keys in the level's per-axis box, and the box is carried from level to
+level: it is exact (the minimum of a Minkowski sum of products is the sum
+of the minima), so nothing is reduced over the points to find it.  Each
+step is a linear-time union of sorted runs (one stable timsort of the runs
+side by side, then adjacent-unique points), and the points take one of
 three layouts, the narrowest that holds the level's box:
 
-- while the box has fewer than 2^62 keys, one sorted int64 array of keys.
-  Moving a level to the next box rewrites each key by one increasing
-  affine-plus-carries map (`_Level.rekey`), and a doubling step is a shift
-  of every key;
+- while the box has fewer than 2^62 keys, sorted int64 keys.  Moving a
+  level to the next box rewrites each key by one increasing
+  affine-plus-carries map (`_Level.rekey`), and a step shifts every key;
 - past that, while every axis extent stays below 2^62, an (n, N) int64
   array of per-axis digits x_j - lo_j, rows in lexicographic order, which
   is the order of the keys.  The move is one multiply-add per column, a
-  doubling step adds a row vector, and the sort compares each row as one
+  step adds a row vector, and the sort compares each row as one
   big-endian byte string;
 - past that, the keys as an object array of Python ints, run by the same
   code as the int64 keys.
@@ -33,13 +33,17 @@ three layouts, the narrowest that holds the level's box:
 A level widens to the next layout when its move would overflow the one it
 is in, so every layout computes the same sets and the counts are exact.
 
-A union step on more than 2^17 int64 keys is split into contiguous
-key-range shards of at most 2^17 source keys each (`_Union`), which up to
-k threads take in turn, k the cores this process may run on
-(`os.sched_getaffinity`, else `os.cpu_count`): numpy releases the GIL in
-the copies, sorts, compares and compactions.  The worker threads start
-when a run first splits a step, and the run joins them before it returns.
-Python-int keys and digit columns stay one shard, run inline.
+A level is a list of sorted, key-disjoint chunks in increasing key order.
+Int64 keys move chunk by chunk, in place, and a union step on them is split
+into key ranges of about `_SHARD_KEYS` shifted keys each: one job per range
+gathers the shifted runs that land in it from the chunks, sorts and
+compacts them, and its result is one chunk of the next level
+(`_sharded_union`).  Up to k threads take the jobs in turn, k the cores this
+process may run on (`os.sched_getaffinity`, else `os.cpu_count`): numpy
+releases the GIL in the copies, sorts, compares and compactions.  The
+worker threads start when a run first has more than one job, and the run
+joins them before it returns.  Python-int keys and digit columns are one
+chunk and one job, run inline.
 
 numpy is imported inside the functions that build key arrays, so importing
 this module (and with it the CLI) does not load it; the first
@@ -48,6 +52,7 @@ this module (and with it the CLI) does not load it; the first
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import os
@@ -64,14 +69,13 @@ if TYPE_CHECKING:
 
 DEFAULT_BUDGET = 20_000_000
 _INT64_LIMIT = 1 << 62
-# source keys per shard of a union step, at most.  A step on 2^17 keys or
-# fewer stays one shard, since split below about 2^16 keys a shard costs
-# more in thread hand-offs than it saves, so split steps have shards of
-# 2^16 to 2^17 keys.  The bound also bounds every temporary a worker thread
-# allocates (timsort's merge buffer, the compaction's indices), which
-# matters because glibc keeps each thread's malloc arena resident.
+# shifted keys per job of an int64 union step, about: a step with fewer stays
+# one job.  Split much finer, a job costs more in thread hand-offs than it
+# saves.  The bound also bounds every temporary a worker thread allocates
+# (the job's buffer, timsort's merge buffer, the compaction) and the chunks a
+# level is made of, which matters because glibc keeps each thread's malloc
+# arena resident.
 _SHARD_KEYS = 1 << 17
-_BLOCK = 1 << 15  # keys a worker compacts per temporary
 
 EXPONENTIAL = "Exponential"
 POLYNOMIAL = "Polynomial"
@@ -180,21 +184,30 @@ class _Level:
         self.offset = sum(s * w for s, w in zip(self.starts, new_w))
         self.deltas = [sum(v[j] * new_w[j] for j in range(dim)) for v in self.axes]
 
-    def rekey(self, keys):
-        """Elementwise on int64 arrays and on Python ints alike."""
-        out = keys * self.scale + self.offset
-        for w, c in self.carries:
-            out = out + (keys // w) * c
-        return out
+    def rekey(self, keys: np.ndarray) -> None:
+        """Rewrite an int64 or object array of keys in place.
+
+        Every term is non-negative and the new key is their sum, so no
+        partial sum leaves int64.
+        """
+        carry = sum((keys // w * c for w, c in self.carries), start=0)  # from the old keys
+        keys *= self.scale
+        keys += self.offset
+        keys += carry
 
 
-def _doubling_steps(span: int):
-    """Step sizes 1, 2, 4, ... whose running sums cover 0..span exactly."""
+def _offset_sets(span: int):
+    """Offset sets of up to three runs whose running sums cover 0..span exactly.
+
+    With 0..s covered, the set {0, a, b}, a = min(s+1, span-s) and
+    b = min(2s+2, span-s), covers 0..s+b without a gap: a <= s+1 and
+    b <= a+s+1.  So s grows to 3s+2 until the last set, which ends at span.
+    """
     s = 0
     while s < span:
-        step = min(s + 1, span - s)
-        yield step
-        s += step
+        a, b = min(s + 1, span - s), min(2 * s + 2, span - s)
+        yield (0, a, b) if a < b else (0, a)
+        s += b
 
 
 def _cpu_count() -> int:
@@ -205,25 +218,15 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _shard_total(keys: np.ndarray) -> int:
-    """How many key-range shards a union step on these keys is split into.
-
-    Python ints stay one shard: their compares hold the GIL.  int64 keys
-    are split into shards of at most _SHARD_KEYS source keys.  (Digit
-    columns do not come here: their steps are one shard, run inline.)
-    """
-    return 1 if keys.dtype == object else -(-keys.size // _SHARD_KEYS)
-
-
 class _Workers:
-    """Runs a union step's shard jobs on this thread and up to threads - 1 others.
+    """Runs a level's jobs on this thread and up to threads - 1 others.
 
     numpy releases the GIL while it copies, adds, sorts, compares and
-    compacts int64 arrays, so the shards of one step run on that many cores
-    at once.  Only int64 keys are split: Python-int keys and digit columns
-    run each step as one shard on the calling thread.  The thread pool (and
-    the `concurrent.futures` import) starts the first time a step has more
-    than one shard, and `close` joins its threads.
+    compacts int64 arrays, so the jobs of one step run on that many cores
+    at once.  Python-int keys and digit columns are one job, run on the
+    calling thread.  The thread pool (and the `concurrent.futures` import)
+    starts the first time a step or a move has more than one job, and
+    `close` joins its threads.
     """
 
     def __init__(self, threads: int):
@@ -269,164 +272,138 @@ class _Workers:
         return results
 
 
-class _Union:
-    """keys | (keys + shift) for sorted unique keys, in k key-range shards.
+class _Chunks:
+    """Sorted, key-disjoint chunks in increasing key order, read as one array."""
 
-    The cuts are the keys at positions j*n/k.  Shard j holds its own keys
-    in [cut_j, cut_(j+1)) and the shifted keys that land there, which come
-    from [cut_j - shift, cut_(j+1) - shift): those source ranges partition
-    the keys, so nothing is computed twice.  The constructor copies each
-    shard's two sorted runs side by side into one buffer and keeps no
-    reference to the keys, so the caller can drop them before `merge`;
-    `distinct` then compacts each shard into its slice of the result (a
-    single shard's compacted keys are the result).  The calling thread
-    allocates every array that grows with the keys; a worker allocates only
-    temporaries of at most one shard's size.  Each phase runs its shards
-    through `_Workers.run`, so k = 1 is the same code run inline.
+    def __init__(self, chunks: list):
+        self.chunks = [c for c in chunks if len(c)]
+        self.firsts = [int(c[0]) for c in self.chunks]
+        self.starts = list(itertools.accumulate(map(len, self.chunks), initial=0))
+
+    def __len__(self) -> int:
+        return self.starts[-1]
+
+    def at(self, i: int) -> int:
+        """The i-th smallest key."""
+        j = bisect.bisect_right(self.starts, i) - 1
+        return int(self.chunks[j][i - self.starts[j]])
+
+    def between(self, lo: int | None, hi: int | None) -> list:
+        """Views of the keys in [lo, hi), in order; None leaves a side open."""
+        first = 0 if lo is None else max(bisect.bisect_right(self.firsts, lo) - 1, 0)
+        last = len(self.chunks) if hi is None else bisect.bisect_left(self.firsts, hi)
+        views = []
+        for c in self.chunks[first:last]:
+            a = 0 if lo is None else int(c.searchsorted(lo))
+            b = len(c) if hi is None else int(c.searchsorted(hi))
+            if a < b:
+                views.append(c[a:b])
+        return views
+
+
+def _sharded_union(chunks: list, shifts: list, k: int, workers: _Workers) -> list:
+    """The union of chunks + t over the shifts, as up to k sorted key-disjoint chunks.
+
+    Each of the r shifted copies is sampled at the positions i*n/k, and
+    every r-th of the r*k samples, in order, cuts the key line, so a range
+    holds at most about 2rn/k shifted keys.  One job per range gathers from
+    each copy the keys that land there (`_union_shard`).  The chunks stay
+    whole until the step returns, and a job allocates only arrays of its
+    own range's size: no step-sized buffer is made, for int64 keys or
+    Python ints.
     """
-
-    def __init__(self, keys: np.ndarray, shift: int, k: int, workers: _Workers):
-        import numpy as np
-
-        n = keys.size
-        k = max(1, min(k, n))
-        own = [j * n // k for j in range(k + 1)]
-        moved = [0, *(int(keys.searchsorted(keys[i] - shift)) for i in own[1:-1]), n]
-        # shard j's runs start where the earlier shards' own and moved keys end
-        self.bounds = [a + b for a, b in zip(own, moved)]
-        self.workers = workers
-        self.buf = np.empty(2 * n, dtype=keys.dtype)
-        jobs = [(j, keys[own[j] : own[j + 1]], keys[moved[j] : moved[j + 1]], shift) for j in range(k)]
-        workers.run(self._fill, jobs)
-
-    def _fill(self, j: int, own: np.ndarray, moved: np.ndarray, shift: int) -> None:
-        import numpy as np
-
-        buf = self.buf[self.bounds[j] : self.bounds[j + 1]]
-        buf[: own.size] = own
-        np.add(moved, shift, out=buf[own.size :])
-
-    def merge(self) -> int:
-        """Sort every shard and mark its distinct keys; returns the union's size."""
-        import numpy as np
-
-        self.keep = np.empty(self.buf.size, dtype=bool)
-        self.counts = self.workers.run(self._merge, [(j,) for j in range(len(self.bounds) - 1)])
-        return sum(self.counts)
-
-    def _merge(self, j: int) -> int:
-        import numpy as np
-
-        # the stable sort is timsort, which merges the two presorted runs in
-        # linear time, on int64 and on object (Python int) arrays alike;
-        # shards cover disjoint key ranges, so a shard's first key is new
-        buf = self.buf[self.bounds[j] : self.bounds[j + 1]]
-        keep = self.keep[self.bounds[j] : self.bounds[j + 1]]
-        buf.sort(kind="stable")
-        keep[:1] = True
-        np.not_equal(buf[1:], buf[:-1], out=keep[1:])
-        return int(np.count_nonzero(keep))
-
-    def distinct(self) -> np.ndarray:
-        """The union, sorted (after `merge`)."""
-        import numpy as np
-
-        if len(self.counts) == 1:
-            return _kept(self.buf, self.keep, self.counts[0])
-        out = np.empty(sum(self.counts), dtype=self.buf.dtype)
-        starts = itertools.accumulate(self.counts, initial=0)
-        jobs = [(j, out[a : a + c]) for j, (a, c) in enumerate(zip(starts, self.counts))]
-        self.workers.run(self._compact, jobs)
-        return out
-
-    def _compact(self, j: int, out: np.ndarray) -> None:
-        import numpy as np
-
-        # block by block, so that the temporaries stay small
-        filled = 0
-        for a in range(self.bounds[j], self.bounds[j + 1], _BLOCK):
-            b = min(a + _BLOCK, self.bounds[j + 1])
-            keep = self.keep[a:b]
-            count = int(np.count_nonzero(keep))
-            _kept(self.buf[a:b], keep, count, out[filled : filled + count])
-            filled += count
+    keys = _Chunks(chunks)
+    n, r = len(keys), len(shifts)
+    if n == 0:
+        return []
+    sampled = [keys.at(i * n // k) for i in range(k)]
+    samples = sorted(key + t for t in shifts for key in sampled)
+    cuts = [None, *samples[r::r], None]
+    jobs = [(keys, shifts, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    return [c for c in workers.run(_union_shard, jobs) if c.size]
 
 
-def _kept(buf: np.ndarray, keep: np.ndarray, count: int, out: np.ndarray | None = None) -> np.ndarray:
-    """buf[keep], count keys, into out if given.
+def _union_shard(keys: _Chunks, shifts: list, lo: int | None, hi: int | None) -> np.ndarray:
+    """The keys in [lo, hi) of the union of keys + t over the shifts, sorted."""
+    import numpy as np
 
-    Boolean indexing copies each run of kept keys with one memcpy, which is
-    fast when few keys repeat; on int64 keys `compress`, which gathers by
-    index, is faster once more than about a fifth of them do (about 40% do
-    in most steps).  On Python ints boolean indexing was as fast or faster
-    at every share seen in big-int steps (0 to 40%).
-    """
-    if buf.dtype != object and 5 * (buf.size - count) > buf.size:
-        return buf.compress(keep, out=out)
-    if out is None:
-        return buf[keep]
-    out[...] = buf[keep]
-    return out
+    runs = [
+        (view, t)
+        for t in shifts
+        for view in keys.between(None if lo is None else lo - t, None if hi is None else hi - t)
+    ]
+    buf = np.empty(sum(len(view) for view, _ in runs), dtype=keys.chunks[0].dtype)
+    filled = 0
+    for view, t in runs:
+        np.add(view, t, out=buf[filled : filled + len(view)])
+        filled += len(view)
+    # the stable sort is timsort, which merges the presorted runs in linear
+    # time, on int64 and on object (Python int) arrays alike
+    buf.sort(kind="stable")
+    keep = np.empty(buf.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(buf[1:], buf[:-1], out=keep[1:])
+    return buf.compress(keep)
 
 
 class _PackedState:
-    """Point set as its sorted int64 keys in the exact box lo..hi.
+    """Point set as sorted int64 keys in the exact box lo..hi, in chunks.
 
     `expand` is written once for every layout: a layout supplies how a level
     overflows it, how its points move to the next box, the shift of one unit
-    along each axis and the union of its points with their shift.
+    along each axis and the union of its points with their shifts.
     """
 
     dtype = "int64"
     limit = _INT64_LIMIT  # a box with this many keys or more overflows the dtype
 
-    def __init__(self, keys: np.ndarray, lo: tuple, hi: tuple):
-        self.keys = keys
+    def __init__(self, chunks: list, lo: tuple, hi: tuple):
+        self.chunks = chunks
         self.lo = lo
         self.hi = hi
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return sum(len(c) for c in self.chunks)
 
     def expand(self, d: int, axes, m: int, budget: int, workers: _Workers):
         level = _Level(self.lo, self.hi, d, axes, m)
         if self._overflows(level):
             return None, "overflow"
-        keys = self._move(level)
+        # the keys move in place, so this state gives them up: no level's
+        # keys outlive the step that reads them
+        chunks, self.chunks = self.chunks, None
+        self._move(level, chunks, workers)
         for delta in self._deltas(level):
-            for step in _doubling_steps(2 * m):
-                union = self._union(keys, step * delta, workers)
-                # the old keys are dropped before the merge, and the merged
-                # buffer before the next step allocates; a step past the
-                # budget stops before its keys are compacted
-                del keys
-                if union.merge() > budget:
+            for offsets in _offset_sets(2 * m):
+                chunks = self._union(chunks, [o * delta for o in offsets], workers)
+                if sum(len(c) for c in chunks) > budget:
                     return None, "budget"
-                keys = union.distinct()
-                del union
-        return type(self)(keys, level.lo, level.hi), "ok"
+        return type(self)(chunks, level.lo, level.hi), "ok"
 
     def _overflows(self, level: _Level) -> bool:
         return level.size >= self.limit
 
-    def _move(self, level: _Level):
-        return level.rekey(self.keys)
+    def _move(self, level: _Level, chunks: list, workers: _Workers) -> None:
+        workers.run(level.rekey, [(c,) for c in chunks])
 
     def _deltas(self, level: _Level):
         return level.deltas
 
-    def _union(self, keys: np.ndarray, shift, workers: _Workers):
-        return _Union(keys, shift, _shard_total(keys), workers)
+    def _union(self, chunks: list, shifts: list, workers: _Workers) -> list:
+        # Python ints stay one job: their compares hold the GIL
+        shifted = len(shifts) * sum(len(c) for c in chunks)
+        k = 1 if self.dtype == object else -(-shifted // _SHARD_KEYS)
+        return _sharded_union(chunks, shifts, k, workers)
 
     def widen(self) -> "_ColumnState":
-        """The same points as per-axis digits: N int64 divmods of the keys."""
+        """The same points as per-axis digits, one chunk: N int64 divmods of the keys."""
         import numpy as np
 
-        keys = self.keys
+        keys = np.concatenate(self.chunks)
         rows = np.empty((keys.size, len(self.lo)), dtype=np.int64)
         for j in reversed(range(len(self.lo))):
             keys, rows[:, j] = np.divmod(keys, self.hi[j] - self.lo[j] + 1)
-        return _ColumnState(rows, self.lo, self.hi)
+        return _ColumnState([rows], self.lo, self.hi)
 
 
 class _ExactState(_PackedState):
@@ -440,13 +417,13 @@ class _ExactState(_PackedState):
 
 
 class _ColumnState(_ExactState):
-    """Point set as an (n, N) int64 array of per-axis digits x_j - lo_j.
+    """Point set as one (n, N) int64 chunk of per-axis digits x_j - lo_j.
 
-    `keys` holds one row of digits per point, in lexicographic order, which
-    is the order of the points' mixed-radix keys.  This layout holds boxes
-    of 2^62 keys or more whose every axis extent stays below 2^62, so no
-    digit, and no sum a step forms, leaves int64.  Its steps run as one
-    shard on the calling thread.  It derives from `_ExactState` for that
+    The chunk holds one row of digits per point, in lexicographic order,
+    which is the order of the points' mixed-radix keys.  This layout holds
+    boxes of 2^62 keys or more whose every axis extent stays below 2^62, so
+    no digit, and no sum a step forms, leaves int64.  Its steps run as one
+    job on the calling thread.  It derives from `_ExactState` for that
     class's `expand`, so the bench tracer's hook there counts every level
     past 2^62 keys, on digit columns or on Python ints.
     """
@@ -457,76 +434,63 @@ class _ColumnState(_ExactState):
     def _overflows(self, level: _Level) -> bool:
         return max(level.bases, default=0) >= self.limit
 
-    def _move(self, level: _Level):
+    def _move(self, level: _Level, chunks: list, workers: _Workers) -> None:
         import numpy as np
 
         # one multiply-add per column, with no carries between the digits
-        rows = self.keys * level.scale
-        rows += np.array(level.starts, dtype=np.int64)
-        return rows
+        starts = np.array(level.starts, dtype=np.int64)
+        for rows in chunks:
+            rows *= level.scale
+            rows += starts
 
     def _deltas(self, level: _Level):
         import numpy as np
 
         return [np.array(v, dtype=np.int64) for v in level.axes]
 
-    def _union(self, rows: np.ndarray, shift: np.ndarray, workers: _Workers):
-        return _ColumnUnion(rows, shift)
+    def _union(self, chunks: list, shifts: list, workers: _Workers) -> list:
+        (rows,) = chunks
+        return [_column_union(rows, shifts)]
 
     def widen(self) -> _ExactState:
-        """The same points as Python-int keys: Horner over the extents."""
+        """The same points as Python-int keys, one chunk: Horner over the extents."""
         import numpy as np
 
-        keys = np.zeros(len(self), dtype=object)
+        (rows,) = self.chunks
+        keys = np.zeros(len(rows), dtype=object)
         for j, (lo, hi) in enumerate(zip(self.lo, self.hi)):
-            keys = keys * (hi - lo + 1) + self.keys[:, j].astype(object)
-        return _ExactState(keys, self.lo, self.hi)
+            keys = keys * (hi - lo + 1) + rows[:, j].astype(object)
+        return _ExactState([keys], self.lo, self.hi)
 
 
-class _ColumnUnion:
-    """rows | (rows + shift) for rows of digits in lexicographic order.
+def _column_union(rows: np.ndarray, shifts: list) -> np.ndarray:
+    """The union of rows + t over the shift vectors, in lexicographic order.
 
-    The interface of `_Union`, as one shard: the constructor copies both
-    sorted runs into one buffer, `merge` sorts it and marks the distinct
-    rows, `distinct` compacts them.  The buffer holds big-endian words and
-    timsort sorts each row as one byte string: the digits are non-negative,
-    so the byte order of their big-endian words is their numeric order on
-    any host, and the two presorted runs merge in linear time.
+    The buffer holds big-endian words and timsort sorts each row as one byte
+    string: the digits are non-negative, so the byte order of their
+    big-endian words is their numeric order on any host, and the presorted
+    runs merge in linear time.
     """
+    import numpy as np
 
-    def __init__(self, rows: np.ndarray, shift: np.ndarray):
-        import numpy as np
-
-        n, dim = rows.shape
-        self.buf = np.empty((2 * n, dim), dtype=">i8")
-        self.buf[:n] = rows
-        np.add(rows, shift, out=self.buf[n:])
-
-    def merge(self) -> int:
-        """Sort the rows and mark the distinct ones; returns their number."""
-        import numpy as np
-
-        rows, dim = self.buf.shape
-        self.buf.view(f"S{8 * dim}").reshape(-1).sort(kind="stable")
-        # equal rows are equal bit for bit, so the words compare in host
-        # order without a swap; a row is new unless every column equals the
-        # row above, and comparing the columns one by one is about eight
-        # times faster than np.any over the rows
-        words = self.buf.view(np.int64)
-        self.keep = np.empty(rows, dtype=bool)
-        self.keep[0] = True
-        np.not_equal(words[1:, 0], words[:-1, 0], out=self.keep[1:])
-        differs = np.empty(rows - 1, dtype=bool)
-        for j in range(1, dim):
-            np.not_equal(words[1:, j], words[:-1, j], out=differs)
-            self.keep[1:] |= differs
-        return int(np.count_nonzero(self.keep))
-
-    def distinct(self) -> np.ndarray:
-        """The union in lexicographic order, as host int64 rows (after `merge`)."""
-        import numpy as np
-
-        return self.buf.compress(self.keep, axis=0).astype(np.int64, copy=False)
+    n, dim = rows.shape
+    buf = np.empty((len(shifts) * n, dim), dtype=">i8")
+    for i, t in enumerate(shifts):
+        np.add(rows, t, out=buf[i * n : (i + 1) * n])
+    buf.view(f"S{8 * dim}").reshape(-1).sort(kind="stable")
+    # equal rows are equal bit for bit, so the words compare in host order
+    # without a swap; a row is new unless every column equals the row above,
+    # and comparing the columns one by one is about eight times faster than
+    # np.any over the rows
+    words = buf.view(np.int64)
+    keep = np.empty(len(buf), dtype=bool)
+    keep[:1] = True
+    np.not_equal(words[1:, 0], words[:-1, 0], out=keep[1:])
+    differs = np.empty(max(len(buf) - 1, 0), dtype=bool)
+    for j in range(1, dim):
+        np.not_equal(words[1:, j], words[:-1, j], out=differs)
+        keep[1:] |= differs
+    return buf.compress(keep, axis=0).astype(np.int64, copy=False)
 
 
 def _log_ratio(a: int, b: int) -> float:
@@ -566,7 +530,7 @@ def trajectory_counts(
     # the grid fills its box, so its keys are all of range(grid_size)
     lo, hi = (-m,) * dim, (m,) * dim
     backend = _ExactState if force_exact else _PackedState
-    state = backend(np.arange(grid_size, dtype=backend.dtype), lo, hi)
+    state = backend([np.arange(grid_size, dtype=backend.dtype)], lo, hi)
     # power[i][j]: entry of (d*M)^level, so its columns span the scaled image
     # of the grid at the current level
     power = [[int(i == j) for j in range(dim)] for i in range(dim)]

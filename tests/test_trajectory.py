@@ -1,9 +1,11 @@
+import functools
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -134,7 +136,9 @@ def _expanded_levels(monkeypatch, *args, **kwargs):
         def expand(self, *a, _real=cls.expand):
             state, reason = _real(self, *a)
             if state is not None:
-                levels.append(state)
+                # the next level's expand takes the chunks over and moves
+                # them in place, so keep a copy
+                levels.append(type(state)([c.copy() for c in state.chunks], state.lo, state.hi))
             return state, reason
 
         monkeypatch.setattr(cls, "expand", expand)
@@ -142,15 +146,18 @@ def _expanded_levels(monkeypatch, *args, **kwargs):
 
 
 def _stored_points(state):
-    """Decode a state's keys digit by digit, or its digit rows; the rows must
-    be in lexicographic order and the box their exact extent."""
+    """Decode a state's keys digit by digit, or its digit rows; the chunks
+    must be nonempty and, read in order, strictly increasing keys or rows in
+    strictly increasing lexicographic order, and the box their exact extent."""
+    assert state.chunks and all(len(c) for c in state.chunks), "no chunks, or an empty one"
     if isinstance(state, trajectory._ColumnState):
-        rows = [tuple(row) for row in state.keys.tolist()]
+        rows = [tuple(row) for c in state.chunks for row in c.tolist()]
         assert rows == sorted(set(rows)), "rows not unique and lexicographic"
         assert all(0 <= c <= hi - lo for row in rows for c, lo, hi in zip(row, state.lo, state.hi))
         points = {tuple(lo + c for c, lo in zip(row, state.lo)) for row in rows}
     else:
-        keys = state.keys.tolist() if isinstance(state.keys, np.ndarray) else state.keys
+        keys = [key for c in state.chunks for key in c.tolist()]
+        assert all(a < b for a, b in zip(keys, keys[1:])), "keys not strictly increasing"
         points = set()
         for key in keys:
             coords = []
@@ -228,7 +235,7 @@ def test_axis_past_int64_reaches_python_ints(monkeypatch):
     assert run.counts == (9, 81, 729)
     assert [type(s).__name__ for s in levels] == ["_ColumnState", "_ExactState"]
     assert 2**62 <= max(h - l + 1 for l, h in zip(levels[1].lo, levels[1].hi)) < 2**63
-    assert isinstance(next(iter(levels[1].keys)), int)
+    assert isinstance(levels[1].chunks[0][0], int)
     for state in levels:
         assert len(_stored_points(state)) == len(state)
 
@@ -240,7 +247,9 @@ _ENTRY = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
 def _small_systems(draw):
     dim = draw(st.integers(1, 3))
     rows = draw(st.lists(st.lists(_ENTRY, min_size=dim, max_size=dim), min_size=dim, max_size=dim))
-    m = draw(st.sampled_from([1, 2]))
+    # m = 3 and 4 take offset sets that m = 1, 2 and 18 do not: (0, 3, 4)
+    # and (0, 3, 5) after (0, 1, 2)
+    m = draw(st.sampled_from([1, 2, 3, 4] if dim <= 2 else [1, 2]))
     # keep the naive oracle's work, about (2m+1)^(dim*n) sums, small
     n = 1
     while (2 * m + 1) ** (dim * (n + 1)) <= 5_000:
@@ -367,29 +376,65 @@ def test_inconclusive_constant():
     assert INCONCLUSIVE == "Inconclusive"
 
 
+def test_offset_sets_cover_each_span_exactly():
+    # choosing one offset per set gives every total in 0..span once or more
+    # and none past it, with at most three runs per step
+    for span in range(401):
+        sets = list(trajectory._offset_sets(span))
+        assert all(o[0] == 0 and len(o) <= 3 and list(o) == sorted(set(o)) for o in sets)
+        totals = {0}
+        for offsets in sets:
+            totals = {t + o for t in totals for o in offsets}
+        assert totals == set(range(span + 1)), span
+    assert [len(list(trajectory._offset_sets(2 * m))) for m in (1, 3, 18)] == [1, 2, 4]
+
+
 @st.composite
-def _sorted_unique_keys(draw):
+def _chunked_keys(draw):
+    """Sorted unique keys, split into chunks at sorted cut points (empty chunks too)."""
     span = draw(st.sampled_from([8, 300, 1 << 40]))  # dense keys repeat under a shift, sparse ones do not
     keys = sorted(draw(st.lists(st.integers(-span, span), unique=True, max_size=300)))
-    return np.array(keys, dtype=draw(st.sampled_from([np.int64, object])))
+    cuts = sorted(draw(st.lists(st.integers(0, len(keys)), max_size=5)))
+    dtype = draw(st.sampled_from([np.int64, object]))
+    bounds = [0, *cuts, len(keys)]
+    return [np.array(keys[a:b], dtype=dtype) for a, b in zip(bounds, bounds[1:])], dtype
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    _sorted_unique_keys(),
-    st.integers(-400, 400) | st.integers(-(1 << 41), 1 << 41),
-    st.integers(1, 4),
+    _chunked_keys(),
+    st.lists(st.integers(-400, 400) | st.integers(-(1 << 41), 1 << 41), min_size=1, max_size=3),
+    st.integers(1, 5),
 )
-def test_sharded_union_is_the_union(keys, shift, k):
-    # k key-range shards, also more than there are keys, and shifts that move
-    # every key out of the range, so that some shards take no shifted keys
+def test_sharded_union_is_the_union(chunked, shifts, k):
+    # k key ranges, also more than there are keys, and shifts that move
+    # every key out of the others' range, so that some ranges take no keys
+    chunks, dtype = chunked
+    keys = np.concatenate(chunks).astype(np.int64)
+    expected = functools.reduce(np.union1d, [keys + t for t in shifts])
     with trajectory._Workers(4) as workers:
-        union = trajectory._Union(keys, shift, k, workers)
-        size = union.merge()
-        result = union.distinct()
-    expected = np.union1d(keys, keys + shift)
-    assert size == expected.size
-    assert result.dtype == keys.dtype and result.tolist() == expected.tolist()
+        result = trajectory._sharded_union(chunks, shifts, k, workers)
+    assert len(result) <= k and all(c.size and c.dtype == dtype for c in result)
+    assert [key for c in result for key in c.tolist()] == expected.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(lambda dim: st.tuples(
+        st.lists(st.tuples(*[st.integers(0, 6)] * dim), unique=True, min_size=1, max_size=40),
+        st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=3),
+    ))
+)
+def test_column_union_is_the_union_of_rows(case):
+    # up to three shifted copies of digit rows against a set of rows
+    rows, shifts = case
+    # the digits stay non-negative, as a level's do
+    base = [max(0, *(-t[j] for t in shifts)) for j in range(len(rows[0]))]
+    rows = sorted(tuple(c + b for c, b in zip(row, base)) for row in rows)
+    array = np.array(rows, dtype=np.int64)
+    result = trajectory._column_union(array, [np.array(t, dtype=np.int64) for t in shifts])
+    expected = sorted({tuple(c + s for c, s in zip(row, t)) for row in rows for t in shifts})
+    assert result.dtype == np.int64 and [tuple(row) for row in result.tolist()] == expected
 
 
 def test_workers_run_every_job_once():
@@ -440,6 +485,23 @@ def test_small_shards_on_threads_give_the_pinned_counts(monkeypatch):
         assert _blob(sharded) == _blob(pinned) == _blob(exact)
 
 
+@pytest.mark.parametrize(
+    "M, m, n", [(RationalMatrix([[0, 1], [1, 1]]), 1, 22), (NONARCH, 18, 4)], ids=["fibonacci", "nonarch"]
+)
+def test_peak_memory_is_about_two_levels_of_keys(monkeypatch, M, m, n):
+    # the step's input and output chunks and two jobs' buffers: no step-sized
+    # buffer, and no previous level's keys beside the ones that move
+    monkeypatch.setattr(trajectory, "_cpu_count", lambda: 2)
+    tracemalloc.start()
+    try:
+        run = trajectory_counts(M, m, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.budget_exhausted_at is None
+    assert peak <= 3.2 * 8 * run.counts[-1], peak / (8 * run.counts[-1])
+
+
 def _blob(counts):
     return json.dumps([str(c) for c in counts]).encode()
 
@@ -487,7 +549,7 @@ real_expand = trajectory._PackedState.expand
 
 def shrinking(self, *args):
     state, reason = real_expand(self, *args)
-    return (None if state is None else trajectory._PackedState(state.keys[:1], state.lo, state.hi)), reason
+    return (None if state is None else trajectory._PackedState([state.chunks[0][:1]], state.lo, state.hi)), reason
 
 trajectory._PackedState.expand = shrinking
 assert False, "python -O strips this"
