@@ -91,16 +91,6 @@ class RationalMatrix:
             k >>= 1
         return out
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(list(zip(*self.rows)))
-
-    def trace(self) -> Fraction:
-        return sum(self.rows[i][i] for i in range(self.n))
-
-    def apply(self, vec: tuple) -> tuple:
-        """Exact matrix-vector product."""
-        return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.rows)
-
     def denominator_lcm(self) -> int:
         return math.lcm(*(e.denominator for row in self.rows for e in row))
 

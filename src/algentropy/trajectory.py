@@ -17,10 +17,19 @@ level: it is exact (the minimum of a Minkowski sum of products is the sum
 of the minima), so nothing is reduced over the points to find it.  Each
 step is a linear-time union of sorted runs (one stable timsort of the runs
 side by side, then adjacent-unique points), and the points take one of
-three layouts, the narrowest that holds the level's box:
+four layouts, the narrowest that holds the level's box:
 
-- while the box has fewer than 2^62 keys, sorted int64 keys.  Moving a
-  level to the next box rewrites each key by one increasing
+- for an integer matrix (d = 1), while the box has fewer than 2^62 keys,
+  maximal runs [s, e) of consecutive int64 keys, as sorted starts and
+  ends.  A level is then E + T, a union of translates of the grid box
+  {-m..m}^N, so each of its points lies in a row segment of 2m+1
+  consecutive keys and every run is at least 2m+1 long.  The move cuts
+  the runs where `_Level.rekey`'s carries change and rekeys their starts,
+  and a step shifts the starts and the ends, sorts each, and keeps a
+  start exactly where the end before it lies below it.  With d > 1 the
+  move spreads neighbouring points d apart and breaks every run, so:
+- otherwise, while the box has fewer than 2^62 keys, sorted int64 keys.
+  Moving a level to the next box rewrites each key by one increasing
   affine-plus-carries map (`_Level.rekey`), and a step shifts every key;
 - past that, while every axis extent stays below 2^62, an (n, N) int64
   array of per-axis digits x_j - lo_j, rows in lexicographic order, which
@@ -31,7 +40,9 @@ three layouts, the narrowest that holds the level's box:
   code as the int64 keys.
 
 A level widens to the next layout when its move would overflow the one it
-is in, so every layout computes the same sets and the counts are exact.
+is in (runs of keys straight to digit columns), so every layout computes
+the same sets and the counts are exact.  The layout is read from d, a
+property of the input, and is no option.
 
 A level is a list of sorted, key-disjoint chunks in increasing key order.
 Int64 keys move chunk by chunk, in place, and a union step on them is split
@@ -43,7 +54,7 @@ process may run on (`os.sched_getaffinity`, else `os.cpu_count`): numpy
 releases the GIL in the copies, sorts, compares and compactions.  The
 worker threads start when a run first has more than one job, and the run
 joins them before it returns.  Python-int keys and digit columns are one
-chunk and one job, run inline.
+chunk and one job, run inline, as are runs of keys.
 
 numpy is imported inside the functions that build key arrays, so importing
 this module (and with it the CLI) does not load it; the first
@@ -363,7 +374,7 @@ class _PackedState:
         self.hi = hi
 
     def __len__(self) -> int:
-        return sum(len(c) for c in self.chunks)
+        return self._count(self.chunks)
 
     def expand(self, d: int, axes, m: int, budget: int, workers: _Workers):
         level = _Level(self.lo, self.hi, d, axes, m)
@@ -372,19 +383,23 @@ class _PackedState:
         # the keys move in place, so this state gives them up: no level's
         # keys outlive the step that reads them
         chunks, self.chunks = self.chunks, None
-        self._move(level, chunks, workers)
+        chunks = self._move(level, chunks, workers)
         for delta in self._deltas(level):
             for offsets in _offset_sets(2 * m):
                 chunks = self._union(chunks, [o * delta for o in offsets], workers)
-                if sum(len(c) for c in chunks) > budget:
+                if self._count(chunks) > budget:
                     return None, "budget"
         return type(self)(chunks, level.lo, level.hi), "ok"
+
+    def _count(self, chunks: list) -> int:
+        return sum(len(c) for c in chunks)
 
     def _overflows(self, level: _Level) -> bool:
         return level.size >= self.limit
 
-    def _move(self, level: _Level, chunks: list, workers: _Workers) -> None:
+    def _move(self, level: _Level, chunks: list, workers: _Workers) -> list:
         workers.run(level.rekey, [(c,) for c in chunks])
+        return chunks
 
     def _deltas(self, level: _Level):
         return level.deltas
@@ -404,6 +419,74 @@ class _PackedState:
         for j in reversed(range(len(self.lo))):
             keys, rows[:, j] = np.divmod(keys, self.hi[j] - self.lo[j] + 1)
         return _ColumnState([rows], self.lo, self.hi)
+
+
+class _RunState(_PackedState):
+    """An integer matrix's points as maximal runs of keys: chunks = [starts, ends].
+
+    No `expand` of its own: the bench tracer's hook on `_PackedState.expand`
+    counts its levels with the int64 keys'.
+    """
+
+    def _count(self, chunks: list) -> int:
+        starts, ends = chunks
+        return int((ends - starts).sum())
+
+    def _move(self, level: _Level, chunks: list, workers: _Workers) -> list:
+        import numpy as np
+
+        starts, ends = chunks
+        # with d = 1 rekey adds one constant between multiples of the least
+        # carry weight; runs cut there stay maximal, as every carry is > 0
+        width = min((w for w, _ in level.carries), default=None)
+        if width is not None:
+            first = starts // width
+            pieces = (ends - 1) // width - first + 1
+            run = np.repeat(np.arange(len(starts)), pieces)
+            row = np.arange(len(run)) + np.repeat(first - (np.cumsum(pieces) - pieces), pieces)
+            starts = np.maximum(row * width, starts[run])
+            ends = np.minimum((row + 1) * width, ends[run])
+        lengths = ends - starts
+        level.rekey(starts)
+        return [starts, starts + lengths]
+
+    def _union(self, chunks: list, shifts: list, workers: _Workers) -> list:
+        return _run_union(*chunks, shifts)
+
+    def widen(self) -> "_ColumnState":
+        """The same points as per-axis digits: the runs' keys, then N divmods."""
+        import numpy as np
+
+        starts, ends = self.chunks
+        lengths = ends - starts
+        keys = np.arange(int(lengths.sum()), dtype=np.int64)
+        keys += np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        return _PackedState([keys], self.lo, self.hi).widen()
+
+
+def _run_union(starts: np.ndarray, ends: np.ndarray, shifts: list) -> list:
+    """The union of the runs [s + t, e + t) over the shifts, as maximal runs.
+
+    With the starts and the ends each sorted, x is covered exactly when
+    more starts than ends are <= x, so the union has a gap just before
+    starts[i] exactly when ends[i-1] < starts[i]: those starts begin its
+    runs, and the ends just before them (and the last end) close them.
+    This holds for any intervals, and runs that touch merge.
+    """
+    import numpy as np
+
+    r = len(starts)
+    buf = np.empty((2, len(shifts) * r), dtype=np.int64)
+    for i, t in enumerate(shifts):
+        np.add(starts, t, out=buf[0, i * r : (i + 1) * r])
+        np.add(ends, t, out=buf[1, i * r : (i + 1) * r])
+    # timsort merges the presorted shifted copies in linear time
+    for row in buf:
+        row.sort(kind="stable")
+    begins = np.empty(buf.shape[1] + 1, dtype=bool)
+    begins[0] = begins[-1] = True
+    np.less(buf[1, :-1], buf[0, 1:], out=begins[1:-1])
+    return [buf[0].compress(begins[:-1]), buf[1].compress(begins[1:])]
 
 
 class _ExactState(_PackedState):
@@ -434,7 +517,7 @@ class _ColumnState(_ExactState):
     def _overflows(self, level: _Level) -> bool:
         return max(level.bases, default=0) >= self.limit
 
-    def _move(self, level: _Level, chunks: list, workers: _Workers) -> None:
+    def _move(self, level: _Level, chunks: list, workers: _Workers) -> list:
         import numpy as np
 
         # one multiply-add per column, with no carries between the digits
@@ -442,6 +525,7 @@ class _ColumnState(_ExactState):
         for rows in chunks:
             rows *= level.scale
             rows += starts
+        return chunks
 
     def _deltas(self, level: _Level):
         import numpy as np
@@ -529,8 +613,12 @@ def trajectory_counts(
     counts = [grid_size]
     # the grid fills its box, so its keys are all of range(grid_size)
     lo, hi = (-m,) * dim, (m,) * dim
-    backend = _ExactState if force_exact else _PackedState
-    state = backend([np.arange(grid_size, dtype=backend.dtype)], lo, hi)
+    if force_exact:
+        state = _ExactState([np.arange(grid_size, dtype=object)], lo, hi)
+    elif d == 1:
+        state = _RunState([np.zeros(1, dtype=np.int64), np.full(1, grid_size, dtype=np.int64)], lo, hi)
+    else:
+        state = _PackedState([np.arange(grid_size, dtype=np.int64)], lo, hi)
     # power[i][j]: entry of (d*M)^level, so its columns span the scaled image
     # of the grid at the current level
     power = [[int(i == j) for j in range(dim)] for i in range(dim)]

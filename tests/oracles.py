@@ -25,6 +25,19 @@ from algentropy.linalg import RationalMatrix
 from algentropy.ratpoly import IntPoly
 
 
+def transpose(M: RationalMatrix) -> RationalMatrix:
+    return RationalMatrix(list(zip(*M.rows)))
+
+
+def trace(M: RationalMatrix) -> Fraction:
+    return sum(M.rows[i][i] for i in range(M.n))
+
+
+def apply(M: RationalMatrix, vec: tuple) -> tuple:
+    """Exact matrix-vector product."""
+    return tuple(sum(a * x for a, x in zip(row, vec)) for row in M.rows)
+
+
 def monic(P: IntPoly) -> tuple[Fraction, ...]:
     """P divided by its lead, as an ascending tuple of Fraction."""
     return tuple(Fraction(c, P.lead) for c in P.coeffs)
@@ -43,7 +56,7 @@ def faddeev_char_poly(M: RationalMatrix) -> tuple[Fraction, ...]:
     Mk = M
     ident = RationalMatrix.identity(n)
     for k in range(1, n + 1):
-        ck = -Mk.trace() / k
+        ck = -trace(Mk) / k
         coeffs[n - k] = ck
         if k < n:
             Mk = M * (Mk + ident * ck)
@@ -248,7 +261,7 @@ def naive_trajectory_counts(M, m: int, n_max: int):
     counts = [len(total)]
     image = grid
     for _ in range(1, n_max):
-        image = [M.apply(v) for v in image]
+        image = [apply(M, v) for v in image]
         total = {tuple(a + b for a, b in zip(x, y)) for x in total for y in image}
         counts.append(len(total))
     return counts, total

@@ -19,6 +19,7 @@ from algentropy.mahler import (
     mahler_measure,
     split_unit_circle,
 )
+from algentropy.numtheory import totients
 from algentropy.ratpoly import IntPoly, InvariantError, cyclotomic
 from algentropy.roots import CertificationError
 from algentropy.verify import cyclotomic_product_corpus, non_cyclotomic_corpus
@@ -405,6 +406,16 @@ def test_cap_raises_with_the_certified_roots(monkeypatch):
     by_center = sorted(partial.roots, key=lambda r: (r.mod_lo + r.mod_hi) / 2)
     for root, m in zip(by_center, eig_moduli(LEHMER.coeffs)):
         assert root.mod_lo <= float(m) <= root.mod_hi
+
+
+def test_cyclotomic_table_matches_the_square_bound():
+    # totient(n) >= sqrt(n/2) bounds the table's indices by 2D^2; the
+    # Rosser-Schoenfeld limit is far smaller and must drop no index
+    tot = totients(2 * 120 * 120 + 2)
+    for degree in range(121):
+        old = [n for n in range(1, 2 * degree * degree + 3) if tot[n] <= degree]
+        assert [n for n, _, _ in mahler._cyclotomics(degree)] == old, degree
+    assert mahler._totient_limit(286) <= 1400
 
 
 def _naive_extract_cyclotomic(P):

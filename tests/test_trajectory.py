@@ -146,9 +146,10 @@ def _expanded_levels(monkeypatch, *args, **kwargs):
 
 
 def _stored_points(state):
-    """Decode a state's keys digit by digit, or its digit rows; the chunks
-    must be nonempty and, read in order, strictly increasing keys or rows in
-    strictly increasing lexicographic order, and the box their exact extent."""
+    """Decode a state's keys digit by digit, its runs of keys, or its digit
+    rows; the chunks must be nonempty and, read in order, strictly increasing
+    keys, maximal nonempty runs in increasing order or rows in strictly
+    increasing lexicographic order, and the box their exact extent."""
     assert state.chunks and all(len(c) for c in state.chunks), "no chunks, or an empty one"
     if isinstance(state, trajectory._ColumnState):
         rows = [tuple(row) for c in state.chunks for row in c.tolist()]
@@ -156,7 +157,13 @@ def _stored_points(state):
         assert all(0 <= c <= hi - lo for row in rows for c, lo, hi in zip(row, state.lo, state.hi))
         points = {tuple(lo + c for c, lo in zip(row, state.lo)) for row in rows}
     else:
-        keys = [key for c in state.chunks for key in c.tolist()]
+        if isinstance(state, trajectory._RunState):
+            runs = _runs(state)
+            assert all(s < e for s, e in runs), "an empty run"
+            assert all(e < s for (_, e), (s, _) in zip(runs, runs[1:])), "runs out of order, or not maximal"
+            keys = [key for s, e in runs for key in range(s, e)]
+        else:
+            keys = [key for c in state.chunks for key in c.tolist()]
         assert all(a < b for a, b in zip(keys, keys[1:])), "keys not strictly increasing"
         points = set()
         for key in keys:
@@ -172,12 +179,18 @@ def _stored_points(state):
     return points
 
 
+def _runs(state):
+    starts, ends = state.chunks
+    return list(zip(starts.tolist(), ends.tolist()))
+
+
 @pytest.mark.parametrize("force_exact", [False, True])
 def test_carried_box_is_exact(monkeypatch, force_exact):
     # the box carried from level to level is the true per-axis extent of the
     # stored points, and those points are the enumeration at scale m d^(n-1);
-    # unforced runs are checked with int64 keys and, with the key layout's
-    # limit at 1, with every expanded level held as digit columns
+    # unforced runs are checked with int64 keys, runs of them for integer
+    # matrices, and, with the key layout's limit at 1, with every expanded
+    # level held as digit columns
     layouts = [(trajectory._ExactState, None)] if force_exact else [
         (trajectory._PackedState, None),
         (trajectory._ColumnState, 1),
@@ -194,11 +207,14 @@ def test_carried_box_is_exact(monkeypatch, force_exact):
             monkeypatch.setattr(trajectory._PackedState, "limit", packed_limit)
         run, levels = _expanded_levels(monkeypatch, M, m, n, force_exact=force_exact)
         assert len(levels) == n - 1
-        assert {type(s) for s in levels} == {layout}
         d = M.denominator_lcm()
+        expected_layout = trajectory._RunState if layout is trajectory._PackedState and d == 1 else layout
+        assert {type(s) for s in levels} == {expected_layout}
         for level, state in enumerate(levels, start=2):
             points = _stored_points(state)
             assert len(points) == len(state) == run.counts[level - 1]
+            if isinstance(state, trajectory._RunState):
+                assert len(_runs(state)) <= len(state) / (2 * m + 1)
             scale = m * d ** (level - 1)
             _, expected = naive_trajectory_counts(M, m, level)
             assert {tuple(Fraction(c, scale) for c in p) for p in points} == expected
@@ -219,11 +235,35 @@ def test_int64_to_columns_mid_run(monkeypatch):
         run, levels = _expanded_levels(monkeypatch, M, 1, n)
         assert run.counts == expected
         backends = [type(s).__name__ for s in levels]
-        assert backends[0] == "_PackedState" and backends[-1] == "_ColumnState"
+        # the integer matrix starts on runs of keys, the swap on keys
+        first = "_RunState" if M.denominator_lcm() == 1 else "_PackedState"
+        assert backends[0] == first and backends[-1] == "_ColumnState"
         assert "_ExactState" not in backends
         for state in levels:
             assert len(_stored_points(state)) == len(state)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize(
+    "M, m, n",
+    [
+        (RationalMatrix([[0, 1], [1, 1]]), 1, 14),
+        (RationalMatrix([[2, 1], [1, 1]]), 3, 5),
+        (RationalMatrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]]), 2, 5),
+        (RationalMatrix([[-2]]), 4, 6),
+        (RationalMatrix([[0, 0], [1, 0]]), 2, 4),
+    ],
+)
+def test_integer_levels_are_runs_of_at_least_2m_plus_1(monkeypatch, M, m, n):
+    # a level of an integer matrix is a union of translates of the grid box,
+    # so each of its maximal runs holds a row segment of 2m+1 keys
+    exact = trajectory_counts(M, m, n, force_exact=True)
+    run, levels = _expanded_levels(monkeypatch, M, m, n)
+    assert run.counts == exact.counts
+    assert len(levels) == n - 1 and all(isinstance(s, trajectory._RunState) for s in levels)
+    for state in levels:
+        assert len(_stored_points(state)) == len(state)
+        assert len(_runs(state)) <= len(state) / (2 * m + 1)
 
 
 def test_axis_past_int64_reaches_python_ints(monkeypatch):
@@ -418,6 +458,33 @@ def test_sharded_union_is_the_union(chunked, shifts, k):
     assert [key for c in result for key in c.tolist()] == expected.tolist()
 
 
+@st.composite
+def _key_runs(draw):
+    """Runs [s, e) in increasing order, some touching: maximal runs of a key set, cut at random keys."""
+    span = draw(st.sampled_from([8, 300, 1 << 40]))
+    keys = sorted(draw(st.lists(st.integers(-span, span), unique=True, max_size=200)))
+    cuts = set(draw(st.lists(st.sampled_from(keys), max_size=5))) if keys else set()
+    starts = [k for i, k in enumerate(keys) if i == 0 or keys[i - 1] != k - 1 or k in cuts]
+    ends = [k + 1 for i, k in enumerate(keys) if i + 1 == len(keys) or keys[i + 1] != k + 1 or k + 1 in cuts]
+    return np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _key_runs(),
+    st.lists(st.integers(-400, 400) | st.integers(-(1 << 41), 1 << 41), min_size=1, max_size=3),
+)
+def test_run_union_is_the_union_as_maximal_runs(runs, shifts):
+    starts, ends = runs
+    expected = {k + t for s, e in zip(starts.tolist(), ends.tolist()) for k in range(s, e) for t in shifts}
+    new_starts, new_ends = trajectory._run_union(starts, ends, shifts)
+    union = list(zip(new_starts.tolist(), new_ends.tolist()))
+    assert all(s < e for s, e in union)
+    assert all(e < s for (_, e), (s, _) in zip(union, union[1:])), "runs out of order, or not maximal"
+    keys = [k for s, e in union for k in range(s, e)]
+    assert len(keys) == len(expected) and set(keys) == expected
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(1, 3).flatmap(lambda dim: st.tuples(
@@ -479,7 +546,9 @@ def test_small_shards_on_threads_give_the_pinned_counts(monkeypatch):
     ):
         most_jobs.clear()
         sharded = trajectory_counts(M, m, n).counts
-        assert max(most_jobs) > 100
+        # the integer matrix's levels are runs of keys, one job each
+        if name == "nonarch":
+            assert max(most_jobs) > 100
         exact = trajectory_counts(M, m, n, force_exact=True).counts
         pinned = PINNED_COUNTS[name][:n]
         assert _blob(sharded) == _blob(pinned) == _blob(exact)
@@ -512,7 +581,7 @@ from algentropy import cli, trajectory
 
 if sys.argv[1] == "shard":
     trajectory._cpu_count = lambda: 2  # split steps on any machine
-    runs = [["trajectory", "--matrix", '[["0","1"],["1","1"]]', "--max-n", "20"]]
+    runs = [["trajectory", "--matrix", '[["0","-1/6"],["1","5/6"]]', "--m", "18", "--max-n", "3"]]
 else:
     runs = [
         ["entropy", "--matrix", '[["3/2","1"],["0","-1"]]'],
@@ -554,7 +623,7 @@ def shrinking(self, *args):
 trajectory._PackedState.expand = shrinking
 assert False, "python -O strips this"
 try:
-    trajectory.trajectory_counts(RationalMatrix([[2]]), 1, 4)
+    trajectory.trajectory_counts(RationalMatrix([["3/2"]]), 1, 4)
 except InvariantError as exc:
     print("InvariantError:", exc)
 """
