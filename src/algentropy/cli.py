@@ -92,14 +92,15 @@ def _parse_entry(value) -> Fraction:
 
 
 def _parse_int(value, what: str) -> int:
-    """An int, or the int a string spells; a bool or a float is an input error."""
+    """An int, or a string of ASCII digits with an optional sign, as for a
+    matrix entry but with no slash; a bool or a float is an input error."""
     if isinstance(value, bool) or isinstance(value, float):
         raise InputError(f"{what} must be an integer, got {value!r}")
     if isinstance(value, int):
         return value
-    if isinstance(value, str):
+    if isinstance(value, str) and "/" not in value:
         try:
-            return int(value.strip())
+            return parse_rational(value).numerator
         except ValueError as exc:
             raise InputError(f"bad {what}: {value!r}") from exc
     raise InputError(f"bad {what}: {value!r}")

@@ -30,7 +30,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .numtheory import totients
+from .numtheory import primes
 from .ratpoly import IntPoly, InvariantError, cyclotomic, poly_gcd
 from .roots import ComplexRootSet, RootInterval, _sorted_roots, climb, to_interval
 
@@ -55,29 +55,21 @@ def split_unit_circle(P: IntPoly) -> tuple[IntPoly, IntPoly]:
 _TEST_POINTS = (2, 3)
 
 
-_E_GAMMA = 1.7810724179901979  # e^gamma, gamma Euler's constant
-
-
-def _totient_limit(degree: int) -> int:
-    """An n >= 3 past which every totient exceeds degree.
-
-    For n >= 3, n / totient(n) < e^gamma L + 2.51 / L with L = log log n
-    (Rosser and Schoenfeld, Illinois J. Math. 6 (1962), Thm. 15), and
-    n / (e^gamma L + 2.51 / L) increases for n >= 3: once it reaches
-    degree, totient(n) > degree for that n and every larger one.  The
-    first such n in floats, plus one, rounds outward.
-    """
-    n = max(3, degree)
-    while n < degree * (_E_GAMMA * math.log(math.log(n)) + 2.51 / math.log(math.log(n))):
-        n += 1
-    return n + 1
-
-
 @functools.cache
 def _cyclotomics(degree: int) -> tuple[tuple[int, IntPoly, tuple[int, ...]], ...]:
-    """(n, Phi_n, Phi_n at the test points) for every n with totient(n) <= degree, ascending."""
-    tot = totients(_totient_limit(degree))
-    phis = ((n, cyclotomic(n)) for n in range(1, len(tot)) if tot[n] <= degree)
+    """(n, Phi_n, Phi_n at the test points) for every n with totient(n) <= degree, ascending.
+
+    Each such n is a product of prime powers p^e with p <= degree + 1, as
+    totient(p^e) = (p - 1) p^(e - 1) >= p - 1; they are built one prime at a time.
+    """
+    found = [(1, 1)] if degree > 0 else []  # (n, totient(n))
+    for p in primes(degree + 1):
+        for n, phi in found[:]:  # the n found so far have no prime factor >= p
+            q, phi_q = p, p - 1
+            while phi * phi_q <= degree:
+                found.append((n * q, phi * phi_q))
+                q, phi_q = q * p, phi_q * p
+    phis = ((n, cyclotomic(n)) for n, _ in sorted(found))
     return tuple((n, phi, tuple(phi.evaluate(x) for x in _TEST_POINTS)) for n, phi in phis)
 
 

@@ -1,4 +1,4 @@
-"""Small deterministic integer number theory: primality, factorization, totient.
+"""Small deterministic integer number theory: primality, factorization, primes.
 
 Everything here is exact and seed-free.  Factorization uses trial division
 for small factors, then a perfect-power test, a primality test, and Brent's
@@ -193,11 +193,10 @@ def _iroot(n: int, k: int) -> int:
 def _perfect_power(n: int) -> tuple[int, int] | None:
     """(r, k) with n = r^k and k prime, for n with no prime factor below 2^10; else None.
 
-    Such an r is at least 2^10, so k is below log2(n) / 10.  The prime k
-    are read off a totient sieve, phi(k) = k - 1, not tested one by one.
+    Such an r is at least 2^10, so k is below log2(n) / 10.
     """
-    for k, phi in enumerate(totients((n.bit_length() - 1) // 10)):
-        if phi == k - 1 and (r := _iroot(n, k)) ** k == n:
+    for k in primes((n.bit_length() - 1) // 10):
+        if (r := _iroot(n, k)) ** k == n:
             return r, k
     return None
 
@@ -243,25 +242,14 @@ def prime_divisors(n: int) -> list[int]:
     return list(factorize(n))
 
 
-def totients(limit: int) -> list[int]:
-    """[totient(0), ..., totient(limit)] by one sieve, with totient(0) = 0."""
-    phi = list(range(limit + 1))
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # no smaller prime divides p
-            for m in range(p, limit + 1, p):
-                phi[m] -= phi[m] // p
-    return phi
+def primes(limit: int) -> list[int]:
+    """The primes up to limit >= 0, ascending, by Eratosthenes' sieve."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 1)
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(sieve[p * p :: p]))
+    return [p for p, is_p in enumerate(sieve) if is_p]
 
 
 # factorize trial-divides by the primes below 2^10
-_TRIAL_PRIMES = tuple(p for p, phi in enumerate(totients(2**10 - 1)) if phi == p - 1)
-
-
-def divisors(n: int) -> list[int]:
-    """Ascending list of the positive divisors of n >= 1."""
-    if n < 1:
-        raise ValueError("divisors requires n >= 1")
-    divs = [1]
-    for p, e in factorize(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+_TRIAL_PRIMES = tuple(primes(2**10 - 1))

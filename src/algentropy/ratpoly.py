@@ -24,7 +24,7 @@ import numbers
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .numtheory import divisors, word_prime
+from .numtheory import prime_divisors, word_prime
 
 Rational = Union[int, Fraction]
 
@@ -354,16 +354,21 @@ def squarefree_decomposition(P: IntPoly) -> list[tuple[IntPoly, int]]:
 
 @functools.cache
 def cyclotomic(n: int) -> IntPoly:
-    """The n-th cyclotomic polynomial, by exact division of X^n - 1."""
+    """The n-th cyclotomic polynomial.  With p the largest prime of n and m = n/p,
+    Phi_n(X) is Phi_m(X^p) when p | m, else the exact quotient Phi_m(X^p) / Phi_m(X)
+    (Arnold and Monagan, Math. Comp. 80 (2011))."""
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    poly = IntPoly([-1] + [0] * (n - 1) + [1])
-    for d in divisors(n):
-        if d == n:
-            continue
-        poly = poly.divide(cyclotomic(d))
-        if poly is None:
-            raise InvariantError(
-                f"cyclotomic({d}) does not divide X^{n} - 1 after the smaller factors"
-            )
+    if n == 1:
+        return IntPoly([-1, 1])
+    p = prime_divisors(n)[-1]
+    m = n // p
+    phi = cyclotomic(m)
+    lifted = [0] * (phi.degree * p + 1)
+    lifted[::p] = phi.coeffs
+    if m % p == 0:
+        return IntPoly(lifted)
+    poly = IntPoly(lifted).divide(phi)
+    if poly is None:
+        raise InvariantError(f"cyclotomic({m}) does not divide its value at X^{p}")
     return poly

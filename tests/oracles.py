@@ -8,7 +8,8 @@ Faddeev-LeVerrier and the Hessenberg method over Fraction for the
 characteristic polynomial (the package runs Hessenberg modulo primes and
 recombines by CRT under a proven bound), and Euclid over Fraction
 coefficients for the gcd; plain trial division for factorization, the
-admissible grid density as a product of p-adic norms, the p-adic
+totient sieve, the n-th cyclotomic polynomial as X^n - 1 divided by every
+smaller Phi_d with d | n, the admissible grid density as a product of p-adic norms, the p-adic
 valuation by testing p^(e+1) | n for e = 0, 1, ..., and Miller-Rabin
 with the first twelve primes as witnesses for primality.  The
 polynomial oracles use no package polynomial code: they return monic
@@ -16,6 +17,7 @@ polynomials as ascending tuples of Fraction, and `monic` puts a package
 `IntPoly` into the same form.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -151,6 +153,38 @@ def trial_division_factorize(n: int) -> dict[int, int]:
     if n > 1:
         factors[n] = factors.get(n, 0) + 1
     return factors
+
+
+def totients(limit: int) -> list[int]:
+    """[totient(0), ..., totient(limit)] by one sieve, with totient(0) = 0."""
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:  # no smaller prime divides p
+            for m in range(p, limit + 1, p):
+                phi[m] -= phi[m] // p
+    return phi
+
+
+@functools.cache
+def division_cyclotomic(n: int) -> tuple[int, ...]:
+    """Phi_n's ascending integer coefficients: X^n - 1 divided exactly by
+    Phi_d for every divisor d < n of n, largest first, by synthetic division."""
+    rem = [-1] + [0] * (n - 1) + [1]
+    for d in range(n - 1, 0, -1):
+        if n % d == 0:
+            g = division_cyclotomic(d)
+            dg = len(g) - 1
+            terms = [(j, c) for j, c in enumerate(g[:-1]) if c]
+            # g is monic: rem[top] becomes the quotient's coefficient of X^(top - dg)
+            for top in range(len(rem) - 1, dg - 1, -1):
+                if c := rem[top]:
+                    shift = top - dg
+                    for j, x in terms:
+                        rem[shift + j] -= c * x
+            if any(rem[:dg]):
+                raise ArithmeticError(f"Phi_{d} does not divide X^{n} - 1 after the smaller factors")
+            rem = rem[dg:]
+    return tuple(rem)
 
 
 def vp(x, p: int) -> int:

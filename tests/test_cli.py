@@ -664,6 +664,28 @@ def test_matrix_entry_strings_parse_or_exit_2(entry):
         assert code == 2 and out == ""
 
 
+@settings(max_examples=300, deadline=None)
+@given(_ENTRY_TEXT)
+@example("1_0")
+@example("\u0663")  # ARABIC-INDIC DIGIT THREE, which int() reads as 3
+@example(" +12 ")
+@example("-0")
+@example("1/1")
+@example("9" * 1000)
+def test_integer_strings_parse_or_exit_2(text):
+    # a polynomial coefficient or an option is an optional sign and ASCII
+    # digits, as a matrix entry is without the slash; anything else exits 2
+    code, out = _main_quiet(["entropy", "--poly", json.dumps([text, "1"])])
+    doc = {"matrix": [["2"]], "n_max": text}
+    if re.fullmatch(r"[+-]?[0-9]+", text.strip()):
+        assert code == 0 and json.loads(out)["char_poly_primitive"] == [str(int(text)), "1"]
+        assert cli.parse_spec(doc, "trajectory").n_max == int(text)
+    else:
+        assert code == 2 and out == ""
+        with pytest.raises(cli.InputError):
+            cli.parse_spec(doc, "trajectory")
+
+
 def test_huge_exponent_entry_exits_2_quickly():
     # Fraction("1e9999999") builds a ten-million-digit integer
     src = Path(cli.__file__).resolve().parents[1]

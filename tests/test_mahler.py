@@ -19,12 +19,11 @@ from algentropy.mahler import (
     mahler_measure,
     split_unit_circle,
 )
-from algentropy.numtheory import totients
 from algentropy.ratpoly import IntPoly, InvariantError, cyclotomic
 from algentropy.roots import CertificationError
 from algentropy.verify import cyclotomic_product_corpus, non_cyclotomic_corpus
 
-from oracles import eig_moduli, mahler_oracle
+from oracles import division_cyclotomic, eig_moduli, mahler_oracle, totients
 
 LEHMER = IntPoly([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
 
@@ -408,14 +407,28 @@ def test_cap_raises_with_the_certified_roots(monkeypatch):
         assert root.mod_lo <= float(m) <= root.mod_hi
 
 
-def test_cyclotomic_table_matches_the_square_bound():
-    # totient(n) >= sqrt(n/2) bounds the table's indices by 2D^2; the
-    # Rosser-Schoenfeld limit is far smaller and must drop no index
-    tot = totients(2 * 120 * 120 + 2)
-    for degree in range(121):
-        old = [n for n in range(1, 2 * degree * degree + 3) if tot[n] <= degree]
-        assert [n for n, _, _ in mahler._cyclotomics(degree)] == old, degree
-    assert mahler._totient_limit(286) <= 1400
+def test_cyclotomic_table_matches_the_totient_sieve():
+    # totient(n) >= sqrt(n/2) bounds every index of the degree-300 table by
+    # 2 * 300^2; its largest index is 1,260, within the recursion test's range
+    tot = totients(2 * 300 * 300)
+    small = [(n, phi) for n, phi in enumerate(tot) if 0 < phi <= 300]
+    for degree in range(301):
+        table = mahler._cyclotomics(degree)
+        assert [n for n, _, _ in table] == [n for n, phi in small if phi <= degree], degree
+    assert all(phi.coeffs == division_cyclotomic(n) for n, phi, _ in table)
+
+
+def test_cyclotomic_table_divides_once_per_index_at_most(monkeypatch):
+    # Phi_n is built from Phi_(n/p), p the largest prime of n, with one
+    # division when p does not divide n/p; X^n - 1 divided by every smaller
+    # Phi_d took 4,013 divisions for this table
+    mahler._cyclotomics.cache_clear()
+    cyclotomic.cache_clear()
+    calls = []
+    real = IntPoly.divide
+    monkeypatch.setattr(IntPoly, "divide", lambda f, g: calls.append(g) or real(f, g))
+    table = mahler._cyclotomics(286)
+    assert len(calls) <= len(table) == 548
 
 
 def _naive_extract_cyclotomic(P):

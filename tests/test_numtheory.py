@@ -10,15 +10,14 @@ from algentropy import numtheory
 from algentropy.numtheory import (
     FactorizationError,
     _strong_lucas,
-    divisors,
     factorize,
     is_prime,
     prime_divisors,
-    totients,
+    primes,
     word_prime,
 )
 
-from oracles import trial_division_factorize, twelve_witness_is_prime
+from oracles import totients, trial_division_factorize, twelve_witness_is_prime
 
 # the least strong pseudoprime to the first twelve prime bases
 PSI_12 = 3317044064679887385961981
@@ -188,17 +187,9 @@ def test_prime_divisors_sorted():
     assert prime_divisors(1) == []
 
 
-def test_totient():
-    assert totients(12) == [0, 1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
-    # the sieve against the product formula over the factorization
-    table = totients(3000)
-    for n in range(1, 3001):
-        phi = 1
-        for p, e in factorize(n).items():
-            phi *= (p - 1) * p ** (e - 1)
-        assert table[n] == phi
-
-
-def test_divisors():
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert divisors(1) == [1]
+def test_primes():
+    # Eratosthenes against the totient sieve: p is prime exactly when totient(p) = p - 1
+    assert primes(0) == primes(1) == [] and primes(2) == [2]
+    tot = totients(3000)
+    for limit in [*range(101), 1023, 3000]:
+        assert primes(limit) == [p for p in range(2, limit + 1) if tot[p] == p - 1], limit

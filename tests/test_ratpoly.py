@@ -20,7 +20,7 @@ from algentropy.linalg import RationalMatrix, char_poly
 from algentropy.mahler import split_unit_circle
 from algentropy.numtheory import word_prime
 
-from oracles import fraction_euclid_gcd, monic, vp
+from oracles import division_cyclotomic, fraction_euclid_gcd, monic, vp
 
 
 def test_vp_examples():
@@ -368,13 +368,21 @@ def test_cyclotomic_polynomials():
     assert 2 in {abs(c) for c in cyclotomic(105).coeffs}
 
 
+def test_cyclotomic_matches_the_division_recursion():
+    for n in range(1, 1301):
+        assert cyclotomic(n).coeffs == division_cyclotomic(n), n
+
+
 def test_cyclotomic_division_check_raises(monkeypatch):
-    # a wrong divisor list makes X^4 - 1 fail to divide by Phi_3
-    real_divisors = ratpoly.divisors
+    # a wrong largest prime 4 of 24: Phi_6(X) does not divide Phi_6(X^4),
+    # as 4 and 6 share the factor 2
+    real_prime_divisors = ratpoly.prime_divisors
     cyclotomic.cache_clear()
-    monkeypatch.setattr(ratpoly, "divisors", lambda n: [1, 2, 3, 4] if n == 4 else real_divisors(n))
+    monkeypatch.setattr(
+        ratpoly, "prime_divisors", lambda n: [2, 4] if n == 24 else real_prime_divisors(n)
+    )
     with pytest.raises(InvariantError):
-        cyclotomic(4)
+        cyclotomic(24)
     cyclotomic.cache_clear()
     assert not issubclass(InvariantError, ValueError)
 
