@@ -69,8 +69,15 @@ def _cyclotomics(degree: int) -> tuple[tuple[int, IntPoly, tuple[int, ...]], ...
             while phi * phi_q <= degree:
                 found.append((n * q, phi * phi_q))
                 q, phi_q = q * p, phi_q * p
-    phis = ((n, cyclotomic(n)) for n, _ in sorted(found))
-    return tuple((n, phi, tuple(phi.evaluate(x) for x in _TEST_POINTS)) for n, phi in phis)
+    return tuple((n, *_cyclotomic_at(n)) for n, _ in sorted(found))
+
+
+@functools.cache
+def _cyclotomic_at(n: int) -> tuple[IntPoly, tuple[int, ...]]:
+    """Phi_n and its values at the test points, evaluated once per process:
+    the table of every degree shares them."""
+    phi = cyclotomic(n)
+    return phi, tuple(phi.evaluate(x) for x in _TEST_POINTS)
 
 
 def extract_cyclotomic(P: IntPoly) -> tuple[dict[int, int], IntPoly]:

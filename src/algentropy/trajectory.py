@@ -31,16 +31,18 @@ four layouts, the narrowest that holds the level's box:
 - otherwise, while the box has fewer than 2^62 keys, sorted int64 keys.
   Moving a level to the next box rewrites each key by one increasing
   affine-plus-carries map (`_Level.rekey`), and a step shifts every key;
-- past that, while every axis extent stays below 2^62, an (n, N) int64
-  array of per-axis digits x_j - lo_j, rows in lexicographic order, which
-  is the order of the keys.  The move is one multiply-add per column, a
-  step adds a row vector, and the sort compares each row as one
-  big-endian byte string;
+- past that, while every axis extent and the product of the table sizes
+  stay below 2^62, per-axis value tables and one sorted int64 key per
+  point.  Table j holds the digits x_j - lo_j that occur on axis j, and a
+  key is the mixed-radix number of the point's ranks in the tables, so the
+  keys sort as the points do lexicographically.  The move rewrites only
+  the tables, and a step re-ranks each shifted copy through increasing
+  per-axis maps into the level's final tables (`_TableState`);
 - past that, the keys as an object array of Python ints, run by the same
   code as the int64 keys.
 
 A level widens to the next layout when its move would overflow the one it
-is in (runs of keys straight to digit columns), so every layout computes
+is in (runs of keys straight to value tables), so every layout computes
 the same sets and the counts are exact.  The layout is read from d, a
 property of the input, and is no option.
 
@@ -53,8 +55,8 @@ compacts them, and its result is one chunk of the next level
 process may run on (`os.sched_getaffinity`, else `os.cpu_count`): numpy
 releases the GIL in the copies, sorts, compares and compactions.  The
 worker threads start when a run first has more than one job, and the run
-joins them before it returns.  Python-int keys and digit columns are one
-chunk and one job, run inline, as are runs of keys.
+joins them before it returns.  Python-int keys are one
+chunk and one job, run inline, as are runs of keys and value tables.
 
 numpy is imported inside the functions that build key arrays, so importing
 this module (and with it the CLI) does not load it; the first
@@ -165,7 +167,8 @@ class _Level:
     starts[j] = m * sum_i (|v_ij| - v_ij) >= 0, so no digit of the move
     exceeds the new extent.  `rekey` maps the key of x to the key of its
     move; the map is increasing, so sorted keys stay sorted.  `axes` are the
-    nonzero v_i, and deltas[i] is the key shift of one unit along axes[i].
+    nonzero v_i, deltas[i] is the key shift of one unit along axes[i], and
+    span = 2m is the most units a level's steps add along each.
     """
 
     def __init__(self, lo, hi, d: int, axes, m: int):
@@ -179,6 +182,7 @@ class _Level:
         self.bases = new_b
         self.size = math.prod(new_b)
         self.scale = d
+        self.span = 2 * m
         self.starts = [d * lo[j] - m * sum(v[j] for v in axes) - self.lo[j] for j in range(dim)]
         self.axes = [v for v in axes if any(v)]
         # digit j of the new key is d * (digit j of the old key) + a constant,
@@ -234,7 +238,7 @@ class _Workers:
 
     numpy releases the GIL while it copies, adds, sorts, compares and
     compacts int64 arrays, so the jobs of one step run on that many cores
-    at once.  Python-int keys and digit columns are one job, run on the
+    at once.  Python-int keys and value tables are one job, run on the
     calling thread.  The thread pool (and the `concurrent.futures` import)
     starts the first time a step or a move has more than one job, and
     `close` joins its threads.
@@ -348,8 +352,17 @@ def _union_shard(keys: _Chunks, shifts: list, lo: int | None, hi: int | None) ->
     for view, t in runs:
         np.add(view, t, out=buf[filled : filled + len(view)])
         filled += len(view)
-    # the stable sort is timsort, which merges the presorted runs in linear
-    # time, on int64 and on object (Python int) arrays alike
+    return _merge_unique(buf)
+
+
+def _merge_unique(buf: np.ndarray) -> np.ndarray:
+    """The distinct values of sorted runs laid side by side, ascending; sorts buf.
+
+    The stable sort is timsort, which merges the presorted runs in linear
+    time, on int64 and on object (Python int) arrays alike.
+    """
+    import numpy as np
+
     buf.sort(kind="stable")
     keep = np.empty(buf.size, dtype=bool)
     keep[:1] = True
@@ -385,8 +398,8 @@ class _PackedState:
         chunks, self.chunks = self.chunks, None
         chunks = self._move(level, chunks, workers)
         for delta in self._deltas(level):
-            for offsets in _offset_sets(2 * m):
-                chunks = self._union(chunks, [o * delta for o in offsets], workers)
+            for offsets in _offset_sets(level.span):
+                chunks = self._union(level, chunks, [o * delta for o in offsets], workers)
                 if self._count(chunks) > budget:
                     return None, "budget"
         return type(self)(chunks, level.lo, level.hi), "ok"
@@ -404,21 +417,26 @@ class _PackedState:
     def _deltas(self, level: _Level):
         return level.deltas
 
-    def _union(self, chunks: list, shifts: list, workers: _Workers) -> list:
+    def _union(self, level: _Level, chunks: list, shifts: list, workers: _Workers) -> list:
         # Python ints stay one job: their compares hold the GIL
         shifted = len(shifts) * sum(len(c) for c in chunks)
         k = 1 if self.dtype == object else -(-shifted // _SHARD_KEYS)
         return _sharded_union(chunks, shifts, k, workers)
 
-    def widen(self) -> "_ColumnState":
-        """The same points as per-axis digits, one chunk: N int64 divmods of the keys."""
+    def widen(self) -> "_TableState":
+        """The same points as value tables and rank keys: N int64 divmods of
+        the keys, then each axis's distinct digits and their ranks."""
         import numpy as np
 
         keys = np.concatenate(self.chunks)
-        rows = np.empty((keys.size, len(self.lo)), dtype=np.int64)
+        digits = [None] * len(self.lo)
         for j in reversed(range(len(self.lo))):
-            keys, rows[:, j] = np.divmod(keys, self.hi[j] - self.lo[j] + 1)
-        return _ColumnState([rows], self.lo, self.hi)
+            keys, digits[j] = np.divmod(keys, self.hi[j] - self.lo[j] + 1)
+        # np.unique takes several times as long on a level's few hundred digits
+        tables = [_merge_unique(np.sort(c)) for c in digits]
+        ranks = [t.searchsorted(c) for t, c in zip(tables, digits)]
+        keys = _horner(ranks, [len(t) for t in tables])
+        return _TableState([keys, *tables], self.lo, self.hi)
 
 
 class _RunState(_PackedState):
@@ -450,11 +468,12 @@ class _RunState(_PackedState):
         level.rekey(starts)
         return [starts, starts + lengths]
 
-    def _union(self, chunks: list, shifts: list, workers: _Workers) -> list:
+    def _union(self, level: _Level, chunks: list, shifts: list, workers: _Workers) -> list:
         return _run_union(*chunks, shifts)
 
-    def widen(self) -> "_ColumnState":
-        """The same points as per-axis digits: the runs' keys, then N divmods."""
+    def widen(self) -> "_TableState":
+        """The same points as value tables and rank keys: the runs' keys, then
+        the keys' widening."""
         import numpy as np
 
         starts, ends = self.chunks
@@ -499,32 +518,45 @@ class _ExactState(_PackedState):
     expand = _PackedState.expand
 
 
-class _ColumnState(_ExactState):
-    """Point set as one (n, N) int64 chunk of per-axis digits x_j - lo_j.
+class _TableState(_ExactState):
+    """Point set as per-axis value tables and sorted int64 keys: chunks = [keys, T_0, ..., T_(N-1)].
 
-    The chunk holds one row of digits per point, in lexicographic order,
-    which is the order of the points' mixed-radix keys.  This layout holds
-    boxes of 2^62 keys or more whose every axis extent stays below 2^62, so
-    no digit, and no sum a step forms, leaves int64.  Its steps run as one
-    job on the calling thread.  It derives from `_ExactState` for that
-    class's `expand`, so the bench tracer's hook there counts every level
-    past 2^62 keys, on digit columns or on Python ints.
+    T_j is the sorted int64 array of the digits x_j - lo_j that occur on
+    axis j, and a point's key is the mixed-radix number of its ranks (its
+    index in each T_j) over the table sizes, so the keys sort as the points
+    do lexicographically.  The move x -> d*x + starts is increasing on every
+    axis, so it rewrites the tables and leaves every key as it is.  A
+    level's final tables are known before its first step: the projection of
+    a Minkowski sum is the sum of the projections, so T'_j is the moved T_j
+    plus every sum of c_i * v_ij over the axes, 0 <= c_i <= 2m, built by 1-D
+    unions with the steps' offset sets (`_level_tables`).  They hold every
+    digit of every point a step forms, so a step ranks its shifted copies
+    straight into them (`_table_union`).
+
+    This layout holds boxes of 2^62 keys or more while every axis extent
+    and the product of the final table sizes stay below 2^62, so no digit,
+    rank or key leaves int64.  Its steps run as one job on the calling
+    thread.  It derives from `_ExactState` for that class's `expand`, so the
+    bench tracer's hook there counts every level past 2^62 keys, on value
+    tables or on Python ints.
     """
 
-    dtype = "int64"
-    limit = _INT64_LIMIT  # an axis extent this large or larger overflows the dtype
+    limit = _INT64_LIMIT  # an axis extent or a table product this large overflows
+
+    def _count(self, chunks: list) -> int:
+        return len(chunks[0])
 
     def _overflows(self, level: _Level) -> bool:
-        return max(level.bases, default=0) >= self.limit
+        if max(level.bases, default=0) >= self.limit:
+            return True
+        # kept for the steps: the check needs the tables' sizes
+        level.tables = _level_tables(self.chunks[1:], level)
+        return math.prod(len(t) for t in level.tables) >= self.limit
 
     def _move(self, level: _Level, chunks: list, workers: _Workers) -> list:
-        import numpy as np
-
-        # one multiply-add per column, with no carries between the digits
-        starts = np.array(level.starts, dtype=np.int64)
-        for rows in chunks:
-            rows *= level.scale
-            rows += starts
+        for table, start in zip(chunks[1:], level.starts):
+            table *= level.scale
+            table += start
         return chunks
 
     def _deltas(self, level: _Level):
@@ -532,49 +564,87 @@ class _ColumnState(_ExactState):
 
         return [np.array(v, dtype=np.int64) for v in level.axes]
 
-    def _union(self, chunks: list, shifts: list, workers: _Workers) -> list:
-        (rows,) = chunks
-        return [_column_union(rows, shifts)]
+    def _union(self, level: _Level, chunks: list, shifts: list, workers: _Workers) -> list:
+        keys, *tables = chunks
+        return [_table_union(keys, tables, level.tables, shifts), *level.tables]
 
     def widen(self) -> _ExactState:
-        """The same points as Python-int keys, one chunk: Horner over the extents."""
-        import numpy as np
+        """The same points as Python-int keys, one chunk: each rank's digit,
+        then Horner over the extents."""
+        keys, *tables = self.chunks
+        sizes = [len(t) for t in tables]
+        weights = _weights(sizes)
+        digits = [t[_rank(keys, weights, sizes, j)].astype(object) for j, t in enumerate(tables)]
+        bases = [h - l + 1 for l, h in zip(self.lo, self.hi)]
+        return _ExactState([_horner(digits, bases)], self.lo, self.hi)
 
-        (rows,) = self.chunks
-        keys = np.zeros(len(rows), dtype=object)
-        for j, (lo, hi) in enumerate(zip(self.lo, self.hi)):
-            keys = keys * (hi - lo + 1) + rows[:, j].astype(object)
-        return _ExactState([keys], self.lo, self.hi)
+
+def _rank(keys: np.ndarray, weights: list, sizes: list, j: int) -> np.ndarray:
+    """Digit j of mixed-radix keys over the sizes, whose place values are weights."""
+    rank = keys // weights[j] if weights[j] > 1 else keys
+    return rank % sizes[j] if j else rank
 
 
-def _column_union(rows: np.ndarray, shifts: list) -> np.ndarray:
-    """The union of rows + t over the shift vectors, in lexicographic order.
+def _horner(digits: list, bases: list) -> np.ndarray:
+    """The mixed-radix numbers of the digit arrays over the bases (bases[0] is not read)."""
+    keys = digits[0]
+    for digit, base in zip(digits[1:], bases[1:]):
+        keys = keys * base + digit
+    return keys
 
-    The buffer holds big-endian words and timsort sorts each row as one byte
-    string: the digits are non-negative, so the byte order of their
-    big-endian words is their numeric order on any host, and the presorted
-    runs merge in linear time.
+
+def _level_tables(tables: list, level: _Level) -> list:
+    """The next level's value tables from this level's: the moved digits plus
+    every sum of c_i * v_ij, 0 <= c_i <= 2m, as unions of shifted copies."""
+    import numpy as np
+
+    out = []
+    for j, table in enumerate(tables):
+        table = table * level.scale + level.starts[j]
+        for v in level.axes:
+            if v[j]:
+                for offsets in _offset_sets(level.span):
+                    table = _merge_unique(np.concatenate([table + o * v[j] for o in offsets]))
+        out.append(table)
+    return out
+
+
+def _table_union(keys: np.ndarray, tables: list, new_tables: list, shifts: list) -> np.ndarray:
+    """The union of the points + t over the shift vectors, as sorted keys over new_tables.
+
+    keys rank the points in tables, and every digit a shifted point has is
+    in new_tables.  A copy's rank on axis j is m_j(rank), m_j =
+    searchsorted(new_tables[j], tables[j] + t_j): each m_j is increasing on
+    the digits that occur, so each copy stays sorted.  When the tables are
+    the new ones, a copy adds to each key the change of rank along the axes
+    it shifts, and the other axes' ranks are not decoded.
     """
     import numpy as np
 
-    n, dim = rows.shape
-    buf = np.empty((len(shifts) * n, dim), dtype=">i8")
+    same = all(a is b for a, b in zip(tables, new_tables))
+    sizes = [len(t) for t in tables]
+    old_w = _weights(sizes)
+    new_w = _weights([len(t) for t in new_tables])
+    n = len(keys)
+    buf = np.empty(len(shifts) * n, dtype=np.int64)
+    ranks = {}
+    gathered = np.empty(n, dtype=np.int64)
     for i, t in enumerate(shifts):
-        np.add(rows, t, out=buf[i * n : (i + 1) * n])
-    buf.view(f"S{8 * dim}").reshape(-1).sort(kind="stable")
-    # equal rows are equal bit for bit, so the words compare in host order
-    # without a swap; a row is new unless every column equals the row above,
-    # and comparing the columns one by one is about eight times faster than
-    # np.any over the rows
-    words = buf.view(np.int64)
-    keep = np.empty(len(buf), dtype=bool)
-    keep[:1] = True
-    np.not_equal(words[1:, 0], words[:-1, 0], out=keep[1:])
-    differs = np.empty(max(len(buf) - 1, 0), dtype=bool)
-    for j in range(1, dim):
-        np.not_equal(words[1:, j], words[:-1, j], out=differs)
-        keep[1:] |= differs
-    return buf.compress(keep, axis=0).astype(np.int64, copy=False)
+        out = buf[i * n : (i + 1) * n]
+        out[:] = keys if same else 0
+        for j, (table, new) in enumerate(zip(tables, new_tables)):
+            if same and not t[j]:
+                continue
+            if j not in ranks:
+                ranks[j] = _rank(keys, old_w, sizes, j)
+            rerank = new.searchsorted(table + t[j])
+            if same:
+                rerank -= np.arange(len(table))
+            rerank *= new_w[j]
+            # every rank is in range: "clip" spares the buffered copy "raise" makes
+            np.take(rerank, ranks[j], out=gathered, mode="clip")
+            out += gathered
+    return _merge_unique(buf)
 
 
 def _log_ratio(a: int, b: int) -> float:
@@ -632,7 +702,7 @@ def trajectory_counts(
             axes = [tuple(power[i][j] for i in range(dim)) for j in range(dim)]
             # each layout checks the new box before any int64 arithmetic
             # (numpy wraps silently) and widens the level it holds on overflow:
-            # int64 keys -> int64 digit columns -> Python-int keys
+            # int64 keys -> value tables and int64 keys -> Python-int keys
             new_state, reason = state.expand(d, axes, m, budget, workers)
             while reason == "overflow":
                 state = state.widen()

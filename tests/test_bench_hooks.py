@@ -46,7 +46,7 @@ def test_bench_tracer_counts_both_trajectory_backends(monkeypatch, capsys):
         # char poly (X - 3/2)(X + 1): clearing, the split, Phi_2 and Yun all run
         assert cli.main(["entropy", "--matrix", '[["3/2","1"],["0","-1"]]']) == 0
         # both are prime; with 1/46351 level 2 runs on int64 keys and level
-        # 3 on digit columns, with 1/(2^31 - 1) level 2 on digit columns and
+        # 3 on value tables, with 1/(2^31 - 1) level 2 on value tables and
         # level 3, whose axes are past 2^62 wide, on Python ints
         for p in (46351, 2**31 - 1):
             swap = f'[["0","1/{p}"],["1/{p}","0"]]'
@@ -56,7 +56,7 @@ def test_bench_tracer_counts_both_trajectory_backends(monkeypatch, capsys):
     for span in tracer.spans:
         for key, value in span.counters.items():
             counted[key] = counted.get(key, 0) + value
-    # the big-int hook counts every level past 2^62 keys, on digit columns
+    # the big-int hook counts every level past 2^62 keys, on value tables
     # and on Python ints alike: 1/46351 runs one such level, 1/(2^31 - 1) two
     assert counted["packed_levels"] == 1 and counted["bigint_levels"] == 3
     names = {span.name for span in tracer.spans}

@@ -718,7 +718,7 @@ def test_integers_past_the_str_digit_limit(capsys, tmp_path):
 
 
 def test_wide_trajectory_levels_count_under_python_O():
-    # level 3 passes 2^62 keys: with 1/46351 it runs on digit columns, with
+    # level 3 passes 2^62 keys: with 1/46351 it runs on value tables, with
     # 1/(2^31 - 1), whose axes pass 2^62 as well, on Python ints
     src = Path(cli.__file__).resolve().parents[1]
     for p in (46351, 2**31 - 1):

@@ -131,7 +131,7 @@ def test_int64_overflow_falls_back_to_exact():
 def _expanded_levels(monkeypatch, *args, **kwargs):
     """Run trajectory_counts; also return the state of every expanded level."""
     levels = []
-    for cls in (trajectory._PackedState, trajectory._ColumnState, trajectory._ExactState):
+    for cls in (trajectory._PackedState, trajectory._TableState, trajectory._ExactState):
 
         def expand(self, *a, _real=cls.expand):
             state, reason = _real(self, *a)
@@ -146,16 +146,27 @@ def _expanded_levels(monkeypatch, *args, **kwargs):
 
 
 def _stored_points(state):
-    """Decode a state's keys digit by digit, its runs of keys, or its digit
-    rows; the chunks must be nonempty and, read in order, strictly increasing
-    keys, maximal nonempty runs in increasing order or rows in strictly
-    increasing lexicographic order, and the box their exact extent."""
+    """Decode a state's keys digit by digit, its runs of keys, or its rank
+    keys through its value tables; the chunks must be nonempty and, read in
+    order, strictly increasing keys, maximal nonempty runs in increasing
+    order, or strictly increasing tables of exactly the occupied digits and
+    strictly increasing keys below the tables' size product, and the box
+    their exact extent."""
     assert state.chunks and all(len(c) for c in state.chunks), "no chunks, or an empty one"
-    if isinstance(state, trajectory._ColumnState):
-        rows = [tuple(row) for c in state.chunks for row in c.tolist()]
-        assert rows == sorted(set(rows)), "rows not unique and lexicographic"
-        assert all(0 <= c <= hi - lo for row in rows for c, lo, hi in zip(row, state.lo, state.hi))
-        points = {tuple(lo + c for c, lo in zip(row, state.lo)) for row in rows}
+    if isinstance(state, trajectory._TableState):
+        keys, *tables = (c.tolist() for c in state.chunks)
+        assert all(a < b for t in tables for a, b in zip(t, t[1:])), "a table not strictly increasing"
+        assert all(a < b for a, b in zip(keys, keys[1:])), "keys not strictly increasing"
+        assert 0 <= keys[0] and keys[-1] < math.prod(map(len, tables)), "a key outside its tables"
+        points = set()
+        for key in keys:
+            digits = []
+            for table in reversed(tables):
+                key, rank = divmod(key, len(table))
+                digits.append(table[rank])
+            points.add(tuple(lo + c for c, lo in zip(reversed(digits), state.lo)))
+        for j, (table, lo) in enumerate(zip(tables, state.lo)):
+            assert {p[j] - lo for p in points} == set(table), f"table {j} not the occupied digits"
     else:
         if isinstance(state, trajectory._RunState):
             runs = _runs(state)
@@ -190,10 +201,10 @@ def test_carried_box_is_exact(monkeypatch, force_exact):
     # stored points, and those points are the enumeration at scale m d^(n-1);
     # unforced runs are checked with int64 keys, runs of them for integer
     # matrices, and, with the key layout's limit at 1, with every expanded
-    # level held as digit columns
+    # level held as value tables and rank keys
     layouts = [(trajectory._ExactState, None)] if force_exact else [
         (trajectory._PackedState, None),
-        (trajectory._ColumnState, 1),
+        (trajectory._TableState, 1),
     ]
     systems = (
         (THREE_HALVES, 1, 7),
@@ -223,21 +234,24 @@ def test_carried_box_is_exact(monkeypatch, force_exact):
 
 def test_int64_to_columns_mid_run(monkeypatch):
     # the benchmark's wide shapes: past 2^62 keys, after level 1 or 2, every
-    # axis still fits a word, so the points move to digit columns and never
-    # to Python ints
+    # axis and the product of the table sizes still fit a word, so the
+    # points move to value tables and never to Python ints
     swap = RationalMatrix([[0, "1/46351"], ["1/46351", 0]])  # 46351 is prime
     K = 10**6
     unipotent = RationalMatrix([[1, K, 0], [0, 1, K], [0, 0, 1]])
+    q = "1/1009"  # 1009 is prime; level 3 holds 27^3 points on 3 axes
+    cyclic = RationalMatrix([[0, 0, q], [q, 0, 0], [0, q, 0]])
     for M, n, expected in (
         (swap, 3, tuple(9**k for k in range(1, 4))),
         (unipotent, 4, (27, 405, 4347, 35721)),
+        (cyclic, 3, (27, 729, 19683)),
     ):
         run, levels = _expanded_levels(monkeypatch, M, 1, n)
         assert run.counts == expected
         backends = [type(s).__name__ for s in levels]
         # the integer matrix starts on runs of keys, the swap on keys
         first = "_RunState" if M.denominator_lcm() == 1 else "_PackedState"
-        assert backends[0] == first and backends[-1] == "_ColumnState"
+        assert backends[0] == first and backends[-1] == "_TableState"
         assert "_ExactState" not in backends
         for state in levels:
             assert len(_stored_points(state)) == len(state)
@@ -268,14 +282,33 @@ def test_integer_levels_are_runs_of_at_least_2m_plus_1(monkeypatch, M, m, n):
 
 def test_axis_past_int64_reaches_python_ints(monkeypatch):
     # 1/(2^31 - 1): level 2's box has about 2^64 keys on two 2^32-wide axes,
-    # and level 3's axes are about 2^63 wide, past what a column holds
+    # and level 3's axes are about 2^63 wide, past what a table holds
     p = 2**31 - 1
     swap = RationalMatrix([[0, f"1/{p}"], [f"1/{p}", 0]])
     run, levels = _expanded_levels(monkeypatch, swap, 1, 3)
     assert run.counts == (9, 81, 729)
-    assert [type(s).__name__ for s in levels] == ["_ColumnState", "_ExactState"]
+    assert [type(s).__name__ for s in levels] == ["_TableState", "_ExactState"]
     assert 2**62 <= max(h - l + 1 for l, h in zip(levels[1].lo, levels[1].hi)) < 2**63
     assert isinstance(levels[1].chunks[0][0], int)
+    for state in levels:
+        assert len(_stored_points(state)) == len(state)
+
+
+def test_table_product_at_the_limit_widens_to_python_ints(monkeypatch):
+    # Fibonacci's level 2 has tables of 5 and 7 digits, level 3 of 9 and 13:
+    # with the table layout's limit at 117 level 3 overflows on the product
+    # of its table sizes while both axes, 9 and 13 wide, still fit
+    limit = 117
+    monkeypatch.setattr(trajectory._PackedState, "limit", 1)
+    monkeypatch.setattr(trajectory._TableState, "limit", limit)
+    M = RationalMatrix([[0, 1], [1, 1]])
+    exact = trajectory_counts(M, 1, 5, force_exact=True)
+    run, levels = _expanded_levels(monkeypatch, M, 1, 5)
+    assert run.counts == exact.counts
+    assert [type(s).__name__ for s in levels] == ["_TableState"] + ["_ExactState"] * 3
+    points = _stored_points(levels[1])
+    extents = [h - l + 1 for l, h in zip(levels[1].lo, levels[1].hi)]
+    assert max(extents) < limit <= math.prod(len({p[j] for p in points}) for j in range(2))
     for state in levels:
         assert len(_stored_points(state)) == len(state)
 
@@ -316,7 +349,7 @@ def test_engine_matches_naive_property(system):
     st.sampled_from([0, 10, 100, None]),
 )
 def test_layouts_widening_mid_run_match_naive_property(system, limits, slack):
-    # small layout limits move a run from int64 keys to digit columns to
+    # small layout limits move a run from int64 keys to value tables to
     # Python ints partway through; counts, and the level a budget stops a
     # run at, are those of the naive enumeration and the Python-int backend
     M, m, n = system
@@ -325,7 +358,7 @@ def test_layouts_widening_mid_run_match_naive_property(system, limits, slack):
     stop = next((level for level, c in enumerate(expected, start=1) if c > budget), None)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(trajectory._PackedState, "limit", limits[0])
-        patch.setattr(trajectory._ColumnState, "limit", limits[1])
+        patch.setattr(trajectory._TableState, "limit", limits[1])
         run = trajectory_counts(M, m, n, budget=budget)
     exact = trajectory_counts(M, m, n, budget=budget, force_exact=True)
     assert run.counts == exact.counts == tuple(expected[: stop - 1 if stop else n])
@@ -490,18 +523,43 @@ def test_run_union_is_the_union_as_maximal_runs(runs, shifts):
     st.integers(1, 3).flatmap(lambda dim: st.tuples(
         st.lists(st.tuples(*[st.integers(0, 6)] * dim), unique=True, min_size=1, max_size=40),
         st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=3),
-    ))
+    )),
+    st.lists(st.integers(-9, 15), max_size=6),
+    st.booleans(),
 )
-def test_column_union_is_the_union_of_rows(case):
-    # up to three shifted copies of digit rows against a set of rows
+def test_table_union_is_the_union_of_rows(case, unoccupied, same):
+    # up to three shifted copies of points ranked in value tables with gaps,
+    # against the set union of the rows; the new tables hold every digit of
+    # the union and digits no point has, as a level's final tables do
+    # mid-level, and with same the points are ranked in those tables already
     rows, shifts = case
-    # the digits stay non-negative, as a level's do
-    base = [max(0, *(-t[j] for t in shifts)) for j in range(len(rows[0]))]
-    rows = sorted(tuple(c + b for c, b in zip(row, base)) for row in rows)
-    array = np.array(rows, dtype=np.int64)
-    result = trajectory._column_union(array, [np.array(t, dtype=np.int64) for t in shifts])
-    expected = sorted({tuple(c + s for c, s in zip(row, t)) for row in rows for t in shifts})
-    assert result.dtype == np.int64 and [tuple(row) for row in result.tolist()] == expected
+    union = {tuple(c + s for c, s in zip(row, t)) for row in rows for t in shifts}
+
+    def tables_of(points):
+        axes = zip(*points, strict=True)
+        return [np.array(sorted(set(axis) | set(unoccupied)), dtype=np.int64) for axis in axes]
+
+    new_tables = tables_of([*rows, *union] if same else union)
+    tables = new_tables if same else tables_of(rows)
+
+    def key(row):
+        k = 0
+        for table, c in zip(tables, row):
+            k = k * len(table) + int(table.searchsorted(c))
+        return k
+
+    keys = np.array(sorted(map(key, rows)), dtype=np.int64)
+    result = trajectory._table_union(keys, tables, new_tables, [np.array(t, dtype=np.int64) for t in shifts])
+    assert result.dtype == np.int64
+    decoded = []
+    for key in result.tolist():
+        digits = []
+        for table in reversed(new_tables):
+            key, rank = divmod(key, len(table))
+            digits.append(int(table[rank]))
+        assert key == 0
+        decoded.append(tuple(reversed(digits)))
+    assert decoded == sorted(union)
 
 
 def test_workers_run_every_job_once():
