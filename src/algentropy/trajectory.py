@@ -35,9 +35,9 @@ four layouts, the narrowest that holds the level's box:
   stay below 2^62, per-axis value tables and one sorted int64 key per
   point.  Table j holds the digits x_j - lo_j that occur on axis j, and a
   key is the mixed-radix number of the point's ranks in the tables, so the
-  keys sort as the points do lexicographically.  The move rewrites only
-  the tables, and a step re-ranks each shifted copy through increasing
-  per-axis maps into the level's final tables (`_TableState`);
+  keys sort as the points do lexicographically.  The move and each step
+  re-rank the points through increasing per-axis maps into the level's
+  final tables (`_TableState`);
 - past that, the keys as an object array of Python ints, run by the same
   code as the int64 keys.
 
@@ -399,7 +399,7 @@ class _PackedState:
         chunks = self._move(level, chunks, workers)
         for delta in self._deltas(level):
             for offsets in _offset_sets(level.span):
-                chunks = self._union(level, chunks, [o * delta for o in offsets], workers)
+                chunks = self._union(chunks, [o * delta for o in offsets], workers)
                 if self._count(chunks) > budget:
                     return None, "budget"
         return type(self)(chunks, level.lo, level.hi), "ok"
@@ -417,7 +417,7 @@ class _PackedState:
     def _deltas(self, level: _Level):
         return level.deltas
 
-    def _union(self, level: _Level, chunks: list, shifts: list, workers: _Workers) -> list:
+    def _union(self, chunks: list, shifts: list, workers: _Workers) -> list:
         # Python ints stay one job: their compares hold the GIL
         shifted = len(shifts) * sum(len(c) for c in chunks)
         k = 1 if self.dtype == object else -(-shifted // _SHARD_KEYS)
@@ -468,7 +468,7 @@ class _RunState(_PackedState):
         level.rekey(starts)
         return [starts, starts + lengths]
 
-    def _union(self, level: _Level, chunks: list, shifts: list, workers: _Workers) -> list:
+    def _union(self, chunks: list, shifts: list, workers: _Workers) -> list:
         return _run_union(*chunks, shifts)
 
     def widen(self) -> "_TableState":
@@ -524,14 +524,15 @@ class _TableState(_ExactState):
     T_j is the sorted int64 array of the digits x_j - lo_j that occur on
     axis j, and a point's key is the mixed-radix number of its ranks (its
     index in each T_j) over the table sizes, so the keys sort as the points
-    do lexicographically.  The move x -> d*x + starts is increasing on every
-    axis, so it rewrites the tables and leaves every key as it is.  A
-    level's final tables are known before its first step: the projection of
-    a Minkowski sum is the sum of the projections, so T'_j is the moved T_j
-    plus every sum of c_i * v_ij over the axes, 0 <= c_i <= 2m, built by 1-D
-    unions with the steps' offset sets (`_level_tables`).  They hold every
-    digit of every point a step forms, so a step ranks its shifted copies
-    straight into them (`_table_union`).
+    do lexicographically.  A level's final tables are known before its
+    move: the projection of a Minkowski sum is the sum of the projections,
+    so T'_j is the moved T_j plus every sum of c_i * v_ij over the axes,
+    0 <= c_i <= 2m, built by 1-D unions with the steps' offset sets
+    (`_level_tables`).  They hold every digit of every point the move and
+    the steps form, and x -> d*x + starts is increasing on every axis, so
+    the move ranks the moved digits straight into them and each step adds
+    to the keys of its shifted copies their change of rank
+    (`_table_union`).
 
     This layout holds boxes of 2^62 keys or more while every axis extent
     and the product of the final table sizes stay below 2^62, so no digit,
@@ -549,24 +550,28 @@ class _TableState(_ExactState):
     def _overflows(self, level: _Level) -> bool:
         if max(level.bases, default=0) >= self.limit:
             return True
-        # kept for the steps: the check needs the tables' sizes
+        # kept for the move: the check needs the tables' sizes
         level.tables = _level_tables(self.chunks[1:], level)
         return math.prod(len(t) for t in level.tables) >= self.limit
 
     def _move(self, level: _Level, chunks: list, workers: _Workers) -> list:
-        for table, start in zip(chunks[1:], level.starts):
-            table *= level.scale
-            table += start
-        return chunks
+        keys, *tables = chunks
+        sizes = [len(t) for t in tables]
+        weights = _weights(sizes)
+        ranks = [
+            new.searchsorted(table * level.scale + start)[_rank(keys, weights, sizes, j)]
+            for j, (table, new, start) in enumerate(zip(tables, level.tables, level.starts))
+        ]
+        return [_horner(ranks, [len(t) for t in level.tables]), *level.tables]
 
     def _deltas(self, level: _Level):
         import numpy as np
 
         return [np.array(v, dtype=np.int64) for v in level.axes]
 
-    def _union(self, level: _Level, chunks: list, shifts: list, workers: _Workers) -> list:
+    def _union(self, chunks: list, shifts: list, workers: _Workers) -> list:
         keys, *tables = chunks
-        return [_table_union(keys, tables, level.tables, shifts), *level.tables]
+        return [_table_union(keys, tables, shifts), *tables]
 
     def widen(self) -> _ExactState:
         """The same points as Python-int keys, one chunk: each rank's digit,
@@ -609,40 +614,36 @@ def _level_tables(tables: list, level: _Level) -> list:
     return out
 
 
-def _table_union(keys: np.ndarray, tables: list, new_tables: list, shifts: list) -> np.ndarray:
-    """The union of the points + t over the shift vectors, as sorted keys over new_tables.
+def _table_union(keys: np.ndarray, tables: list, shifts: list) -> np.ndarray:
+    """The union of the points + t over the shift vectors, as sorted keys.
 
-    keys rank the points in tables, and every digit a shifted point has is
-    in new_tables.  A copy's rank on axis j is m_j(rank), m_j =
-    searchsorted(new_tables[j], tables[j] + t_j): each m_j is increasing on
-    the digits that occur, so each copy stays sorted.  When the tables are
-    the new ones, a copy adds to each key the change of rank along the axes
-    it shifts, and the other axes' ranks are not decoded.
+    keys rank the points in tables, which hold every digit a shifted point
+    has.  A copy's rank on axis j is m_j(rank), m_j =
+    searchsorted(tables[j], tables[j] + t_j): each m_j is increasing on the
+    digits that occur, so each copy stays sorted.  A copy adds to each key
+    the change of rank along the axes it shifts, and the other axes' ranks
+    are not decoded.
     """
     import numpy as np
 
-    same = all(a is b for a, b in zip(tables, new_tables))
     sizes = [len(t) for t in tables]
-    old_w = _weights(sizes)
-    new_w = _weights([len(t) for t in new_tables])
+    weights = _weights(sizes)
     n = len(keys)
     buf = np.empty(len(shifts) * n, dtype=np.int64)
     ranks = {}
     gathered = np.empty(n, dtype=np.int64)
     for i, t in enumerate(shifts):
         out = buf[i * n : (i + 1) * n]
-        out[:] = keys if same else 0
-        for j, (table, new) in enumerate(zip(tables, new_tables)):
-            if same and not t[j]:
+        out[:] = keys
+        for j, table in enumerate(tables):
+            if not t[j]:
                 continue
             if j not in ranks:
-                ranks[j] = _rank(keys, old_w, sizes, j)
-            rerank = new.searchsorted(table + t[j])
-            if same:
-                rerank -= np.arange(len(table))
-            rerank *= new_w[j]
+                ranks[j] = _rank(keys, weights, sizes, j)
+            change = table.searchsorted(table + t[j]) - np.arange(len(table))
+            change *= weights[j]
             # every rank is in range: "clip" spares the buffered copy "raise" makes
-            np.take(rerank, ranks[j], out=gathered, mode="clip")
+            np.take(change, ranks[j], out=gathered, mode="clip")
             out += gathered
     return _merge_unique(buf)
 
@@ -659,7 +660,6 @@ def trajectory_counts(
     m: int,
     n_max: int,
     budget: int = DEFAULT_BUDGET,
-    force_exact: bool = False,
 ) -> TrajectoryRun:
     """Exact growth counts tau(1..n) with their entropy estimators.
 
@@ -683,9 +683,7 @@ def trajectory_counts(
     counts = [grid_size]
     # the grid fills its box, so its keys are all of range(grid_size)
     lo, hi = (-m,) * dim, (m,) * dim
-    if force_exact:
-        state = _ExactState([np.arange(grid_size, dtype=object)], lo, hi)
-    elif d == 1:
+    if d == 1:
         state = _RunState([np.zeros(1, dtype=np.int64), np.full(1, grid_size, dtype=np.int64)], lo, hi)
     else:
         state = _PackedState([np.arange(grid_size, dtype=np.int64)], lo, hi)

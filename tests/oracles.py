@@ -14,7 +14,9 @@ valuation by testing p^(e+1) | n for e = 0, 1, ..., and Miller-Rabin
 with the first twelve primes as witnesses for primality.  The
 polynomial oracles use no package polynomial code: they return monic
 polynomials as ascending tuples of Fraction, and `monic` puts a package
-`IntPoly` into the same form.
+`IntPoly` into the same form.  The trajectory counts have two references:
+the naive Fraction sumset, and the package's own Python-int layout run
+from level 2 on (`python_int_counts`).
 """
 
 import functools
@@ -23,6 +25,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
+from algentropy import trajectory
 from algentropy.linalg import RationalMatrix
 from algentropy.ratpoly import IntPoly
 
@@ -299,3 +302,31 @@ def naive_trajectory_counts(M, m: int, n_max: int):
         total = {tuple(a + b for a, b in zip(x, y)) for x in total for y in image}
         counts.append(len(total))
     return counts, total
+
+
+def python_int_counts(M, m: int, n_max: int, budget: int = trajectory.DEFAULT_BUDGET):
+    """trajectory_counts with every expanded level held as Python-int keys.
+
+    With the int64 keys' and the value tables' limits at 1, each level's
+    move overflows both and widens to `_ExactState`, the layout any level
+    past the value tables reaches.  Asserts that every level from 2 on
+    expanded there.
+    """
+    import pytest  # bench/checks.py imports this module outside pytest
+
+    ran = []
+    real = trajectory._ExactState.expand
+
+    def expand(self, *args):
+        state, reason = real(self, *args)
+        if reason != "overflow":
+            ran.append(type(self))
+        return state, reason
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trajectory._PackedState, "limit", 1)
+        patch.setattr(trajectory._TableState, "limit", 1)
+        patch.setattr(trajectory._ExactState, "expand", expand)
+        run = trajectory.trajectory_counts(M, m, n_max, budget)
+    assert ran == [trajectory._ExactState] * ((run.budget_exhausted_at or n_max) - 1)
+    return run

@@ -672,14 +672,15 @@ def test_matrix_entry_strings_parse_or_exit_2(entry):
 @example("-0")
 @example("1/1")
 @example("9" * 1000)
+@example("0\x1f")  # str.strip() drops U+001C-U+001F, int() does not
 def test_integer_strings_parse_or_exit_2(text):
     # a polynomial coefficient or an option is an optional sign and ASCII
     # digits, as a matrix entry is without the slash; anything else exits 2
     code, out = _main_quiet(["entropy", "--poly", json.dumps([text, "1"])])
     doc = {"matrix": [["2"]], "n_max": text}
     if re.fullmatch(r"[+-]?[0-9]+", text.strip()):
-        assert code == 0 and json.loads(out)["char_poly_primitive"] == [str(int(text)), "1"]
-        assert cli.parse_spec(doc, "trajectory").n_max == int(text)
+        assert code == 0 and json.loads(out)["char_poly_primitive"] == [str(int(text.strip())), "1"]
+        assert cli.parse_spec(doc, "trajectory").n_max == int(text.strip())
     else:
         assert code == 2 and out == ""
         with pytest.raises(cli.InputError):

@@ -29,7 +29,7 @@ from algentropy.trajectory import (
     trajectory_counts,
 )
 
-from oracles import naive_trajectory_counts, product_formula_admissible_m, vp
+from oracles import naive_trajectory_counts, product_formula_admissible_m, python_int_counts, vp
 
 DOUBLING = RationalMatrix([[2]])
 THREE_HALVES = RationalMatrix([["3/2"]])
@@ -104,7 +104,7 @@ def test_matches_naive_enumeration():
 def test_exact_path_matches_packed_path():
     for M, m, n in ((THREE_HALVES, 1, 8), (NONARCH, 1, 5), (ROTATION, 1, 10)):
         fast = trajectory_counts(M, m, n)
-        slow = trajectory_counts(M, m, n, force_exact=True)
+        slow = python_int_counts(M, m, n)
         assert fast.counts == slow.counts
 
 
@@ -123,12 +123,12 @@ def test_int64_overflow_falls_back_to_exact():
     # packed-key path around n = 13 while the counts stay tiny
     M = RationalMatrix([[0, "1/6"], [0, 0]])
     fast = trajectory_counts(M, 1, 30)
-    slow = trajectory_counts(M, 1, 30, force_exact=True)
+    slow = python_int_counts(M, 1, 30)
     assert fast.counts == slow.counts
     assert fast.counts[-1] == 27
 
 
-def _expanded_levels(monkeypatch, *args, **kwargs):
+def _expanded_levels(monkeypatch, *args):
     """Run trajectory_counts; also return the state of every expanded level."""
     levels = []
     for cls in (trajectory._PackedState, trajectory._TableState, trajectory._ExactState):
@@ -142,7 +142,7 @@ def _expanded_levels(monkeypatch, *args, **kwargs):
             return state, reason
 
         monkeypatch.setattr(cls, "expand", expand)
-    return trajectory_counts(*args, **kwargs), levels
+    return trajectory_counts(*args), levels
 
 
 def _stored_points(state):
@@ -195,16 +195,16 @@ def _runs(state):
     return list(zip(starts.tolist(), ends.tolist()))
 
 
-@pytest.mark.parametrize("force_exact", [False, True])
-def test_carried_box_is_exact(monkeypatch, force_exact):
+@pytest.mark.parametrize("python_ints", [False, True])
+def test_carried_box_is_exact(monkeypatch, python_ints):
     # the box carried from level to level is the true per-axis extent of the
     # stored points, and those points are the enumeration at scale m d^(n-1);
-    # unforced runs are checked with int64 keys, runs of them for integer
-    # matrices, and, with the key layout's limit at 1, with every expanded
-    # level held as value tables and rank keys
-    layouts = [(trajectory._ExactState, None)] if force_exact else [
+    # checked with int64 keys, runs of them for integer matrices, and, with
+    # the layouts' limits at 1, with every expanded level held as value
+    # tables and rank keys, or as Python-int keys
+    layouts = [(trajectory._ExactState, (1, 1))] if python_ints else [
         (trajectory._PackedState, None),
-        (trajectory._TableState, 1),
+        (trajectory._TableState, (1, trajectory._INT64_LIMIT)),
     ]
     systems = (
         (THREE_HALVES, 1, 7),
@@ -213,10 +213,11 @@ def test_carried_box_is_exact(monkeypatch, force_exact):
         (RationalMatrix([[0, 1], [1, 1]]), 1, 6),
         (RationalMatrix([[0, 1, 0], [0, 0, 1], [1, 0, "1/2"]]), 1, 3),
     )
-    for (layout, packed_limit), (M, m, n) in itertools.product(layouts, systems):
-        if packed_limit is not None:
-            monkeypatch.setattr(trajectory._PackedState, "limit", packed_limit)
-        run, levels = _expanded_levels(monkeypatch, M, m, n, force_exact=force_exact)
+    for (layout, limits), (M, m, n) in itertools.product(layouts, systems):
+        if limits is not None:
+            monkeypatch.setattr(trajectory._PackedState, "limit", limits[0])
+            monkeypatch.setattr(trajectory._TableState, "limit", limits[1])
+        run, levels = _expanded_levels(monkeypatch, M, m, n)
         assert len(levels) == n - 1
         d = M.denominator_lcm()
         expected_layout = trajectory._RunState if layout is trajectory._PackedState and d == 1 else layout
@@ -271,7 +272,7 @@ def test_int64_to_columns_mid_run(monkeypatch):
 def test_integer_levels_are_runs_of_at_least_2m_plus_1(monkeypatch, M, m, n):
     # a level of an integer matrix is a union of translates of the grid box,
     # so each of its maximal runs holds a row segment of 2m+1 keys
-    exact = trajectory_counts(M, m, n, force_exact=True)
+    exact = python_int_counts(M, m, n)
     run, levels = _expanded_levels(monkeypatch, M, m, n)
     assert run.counts == exact.counts
     assert len(levels) == n - 1 and all(isinstance(s, trajectory._RunState) for s in levels)
@@ -302,7 +303,7 @@ def test_table_product_at_the_limit_widens_to_python_ints(monkeypatch):
     monkeypatch.setattr(trajectory._PackedState, "limit", 1)
     monkeypatch.setattr(trajectory._TableState, "limit", limit)
     M = RationalMatrix([[0, 1], [1, 1]])
-    exact = trajectory_counts(M, 1, 5, force_exact=True)
+    exact = python_int_counts(M, 1, 5)
     run, levels = _expanded_levels(monkeypatch, M, 1, 5)
     assert run.counts == exact.counts
     assert [type(s).__name__ for s in levels] == ["_TableState"] + ["_ExactState"] * 3
@@ -335,10 +336,7 @@ def _small_systems(draw):
 def test_engine_matches_naive_property(system):
     M, m, n = system
     expected, _ = naive_trajectory_counts(M, m, n)
-    counts = {
-        trajectory_counts(M, m, n, force_exact=exact).counts
-        for exact in (False, True)
-    }
+    counts = {trajectory_counts(M, m, n).counts, python_int_counts(M, m, n).counts}
     assert counts == {tuple(expected)}
 
 
@@ -360,7 +358,7 @@ def test_layouts_widening_mid_run_match_naive_property(system, limits, slack):
         patch.setattr(trajectory._PackedState, "limit", limits[0])
         patch.setattr(trajectory._TableState, "limit", limits[1])
         run = trajectory_counts(M, m, n, budget=budget)
-    exact = trajectory_counts(M, m, n, budget=budget, force_exact=True)
+    exact = python_int_counts(M, m, n, budget=budget)
     assert run.counts == exact.counts == tuple(expected[: stop - 1 if stop else n])
     assert run.budget_exhausted_at == exact.budget_exhausted_at == stop
 
@@ -436,9 +434,8 @@ def test_bernoulli():
 
 def test_validation_errors():
     # Q^0 is no error: its grid is {()}, so every count is 1
-    for force_exact in (False, True):
-        run = trajectory_counts(RationalMatrix([]), 1, 3, force_exact=force_exact)
-        assert run.counts == (1, 1, 1) and run.h_inc == (0.0, 0.0, 0.0)
+    run = trajectory_counts(RationalMatrix([]), 1, 3)
+    assert run.counts == (1, 1, 1) and run.h_inc == (0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         trajectory_counts(DOUBLING, 0, 3)
     with pytest.raises(ValueError):
@@ -525,22 +522,16 @@ def test_run_union_is_the_union_as_maximal_runs(runs, shifts):
         st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=3),
     )),
     st.lists(st.integers(-9, 15), max_size=6),
-    st.booleans(),
 )
-def test_table_union_is_the_union_of_rows(case, unoccupied, same):
-    # up to three shifted copies of points ranked in value tables with gaps,
-    # against the set union of the rows; the new tables hold every digit of
-    # the union and digits no point has, as a level's final tables do
-    # mid-level, and with same the points are ranked in those tables already
+def test_table_union_is_the_union_of_rows(case, unoccupied):
+    # up to three shifted copies, some by negative shifts, of points ranked
+    # in value tables with gaps, against the set union of the rows; the
+    # tables hold every digit of the union and digits no point has, as a
+    # level's final tables do
     rows, shifts = case
     union = {tuple(c + s for c, s in zip(row, t)) for row in rows for t in shifts}
-
-    def tables_of(points):
-        axes = zip(*points, strict=True)
-        return [np.array(sorted(set(axis) | set(unoccupied)), dtype=np.int64) for axis in axes]
-
-    new_tables = tables_of([*rows, *union] if same else union)
-    tables = new_tables if same else tables_of(rows)
+    axes = zip(*rows, *union, strict=True)
+    tables = [np.array(sorted(set(axis) | set(unoccupied)), dtype=np.int64) for axis in axes]
 
     def key(row):
         k = 0
@@ -549,12 +540,12 @@ def test_table_union_is_the_union_of_rows(case, unoccupied, same):
         return k
 
     keys = np.array(sorted(map(key, rows)), dtype=np.int64)
-    result = trajectory._table_union(keys, tables, new_tables, [np.array(t, dtype=np.int64) for t in shifts])
+    result = trajectory._table_union(keys, tables, [np.array(t, dtype=np.int64) for t in shifts])
     assert result.dtype == np.int64
     decoded = []
     for key in result.tolist():
         digits = []
-        for table in reversed(new_tables):
+        for table in reversed(tables):
             key, rank = divmod(key, len(table))
             digits.append(int(table[rank]))
         assert key == 0
@@ -607,7 +598,7 @@ def test_small_shards_on_threads_give_the_pinned_counts(monkeypatch):
         # the integer matrix's levels are runs of keys, one job each
         if name == "nonarch":
             assert max(most_jobs) > 100
-        exact = trajectory_counts(M, m, n, force_exact=True).counts
+        exact = python_int_counts(M, m, n).counts
         pinned = PINNED_COUNTS[name][:n]
         assert _blob(sharded) == _blob(pinned) == _blob(exact)
 
