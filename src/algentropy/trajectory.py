@@ -8,15 +8,12 @@ and moving to the next level multiplies stored points by d and adds the
 scaled image of the grid, tracked exactly through integer powers of d*M.
 
 The scaled image of the grid is itself a product of arithmetic progressions
-along the N image axes, so one level expands axis by axis, each step the
-union of up to three shifted copies of the points (offsets {0, 1, 2},
-then {0, 3, 6}, ..., whose sums cover 0..2m), costing about N * log3(m)
-unions instead of (2m+1)^N sumset passes.  Points are stored as mixed-radix
-keys in the level's per-axis box, and the box is carried from level to
-level: it is exact (the minimum of a Minkowski sum of products is the sum
-of the minima), so nothing is reduced over the points to find it.  Each
-step is a linear-time union of sorted runs (one stable timsort of the runs
-side by side, then adjacent-unique points), and the points take one of
+along the N image axes, so one level expands axis by axis: along an axis
+whose unit moves a key by delta, a level adds S + {0, 1, ..., 2m} * delta
+to its points S.  Points are stored as mixed-radix keys in the level's
+per-axis box, and the box is carried from level to level: it is exact (the
+minimum of a Minkowski sum of products is the sum of the minima), so
+nothing is reduced over the points to find it.  The points take one of
 four layouts, the narrowest that holds the level's box:
 
 - for an integer matrix (d = 1), while the box has fewer than 2^62 keys,
@@ -25,38 +22,32 @@ four layouts, the narrowest that holds the level's box:
   {-m..m}^N, so each of its points lies in a row segment of 2m+1
   consecutive keys and every run is at least 2m+1 long.  The move cuts
   the runs where `_Level.rekey`'s carries change and rekeys their starts,
-  and a step shifts the starts and the ends, sorts each, and keeps a
-  start exactly where the end before it lies below it.  With d > 1 the
-  move spreads neighbouring points d apart and breaks every run, so:
-- otherwise, while the box has fewer than 2^62 keys, sorted int64 keys.
-  Moving a level to the next box rewrites each key by one increasing
-  affine-plus-carries map (`_Level.rekey`), and a step shifts every key;
+  and an axis is stepped as unions of up to three shifted copies (offsets
+  {0, 1, 2}, then {0, 3, 6}, ..., whose sums cover 0..2m): each shifts
+  the starts and the ends, sorts each, and keeps a start exactly where the
+  end before it lies below it.  With d > 1 the move spreads neighbouring
+  points d apart and breaks every run, so:
+- otherwise, while the box has fewer than 2^62 keys, int64 keys in no set
+  order.  Moving a level to the next box rewrites each key by one
+  affine-plus-carries map (`_Level.rekey`), and each axis is one union of
+  arithmetic progressions of step delta: one sort of the keys by residue
+  and quotient modulo delta finds the maximal progressions, and one cumsum
+  writes them out (`_progression_union`);
 - past that, while every axis extent and the product of the table sizes
   stay below 2^62, per-axis value tables and one sorted int64 key per
   point.  Table j holds the digits x_j - lo_j that occur on axis j, and a
   key is the mixed-radix number of the point's ranks in the tables, so the
-  keys sort as the points do lexicographically.  The move and each step
-  re-rank the points through increasing per-axis maps into the level's
-  final tables (`_TableState`);
+  keys sort as the points do lexicographically.  The move and each union
+  of shifted copies (by the runs' offset sets) re-rank the points through
+  increasing per-axis maps into the level's final tables (`_TableState`);
 - past that, the keys as an object array of Python ints, run by the same
   code as the int64 keys.
 
 A level widens to the next layout when its move would overflow the one it
-is in (runs of keys straight to value tables), so every layout computes
-the same sets and the counts are exact.  The layout is read from d, a
-property of the input, and is no option.
-
-A level is a list of sorted, key-disjoint chunks in increasing key order.
-Int64 keys move chunk by chunk, in place, and a union step on them is split
-into key ranges of about `_SHARD_KEYS` shifted keys each: one job per range
-gathers the shifted runs that land in it from the chunks, sorts and
-compacts them, and its result is one chunk of the next level
-(`_sharded_union`).  Up to k threads take the jobs in turn, k the cores this
-process may run on (`os.sched_getaffinity`, else `os.cpu_count`): numpy
-releases the GIL in the copies, sorts, compares and compactions.  The
-worker threads start when a run first has more than one job, and the run
-joins them before it returns.  Python-int keys are one
-chunk and one job, run inline, as are runs of keys and value tables.
+is in (runs of keys and unordered keys straight to value tables, the
+latter after one sort), so every layout computes the same sets and the
+counts are exact.  The layout is read from d, a property of the input, and
+is no option.  Every step runs on the calling thread.
 
 numpy is imported inside the functions that build key arrays, so importing
 this module (and with it the CLI) does not load it; the first
@@ -65,11 +56,7 @@ this module (and with it the CLI) does not load it; the first
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -82,13 +69,6 @@ if TYPE_CHECKING:
 
 DEFAULT_BUDGET = 20_000_000
 _INT64_LIMIT = 1 << 62
-# shifted keys per job of an int64 union step, about: a step with fewer stays
-# one job.  Split much finer, a job costs more in thread hand-offs than it
-# saves.  The bound also bounds every temporary a worker thread allocates
-# (the job's buffer, timsort's merge buffer, the compaction) and the chunks a
-# level is made of, which matters because glibc keeps each thread's malloc
-# arena resident.
-_SHARD_KEYS = 1 << 17
 
 EXPONENTIAL = "Exponential"
 POLYNOMIAL = "Polynomial"
@@ -225,141 +205,11 @@ def _offset_sets(span: int):
         s += b
 
 
-def _cpu_count() -> int:
-    """The cores this process may run on: the most threads a union step uses."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without affinity masks
-        return os.cpu_count() or 1
-
-
-class _Workers:
-    """Runs a level's jobs on this thread and up to threads - 1 others.
-
-    numpy releases the GIL while it copies, adds, sorts, compares and
-    compacts int64 arrays, so the jobs of one step run on that many cores
-    at once.  Python-int keys and value tables are one job, run on the
-    calling thread.  The thread pool (and the `concurrent.futures` import)
-    starts the first time a step or a move has more than one job, and
-    `close` joins its threads.
-    """
-
-    def __init__(self, threads: int):
-        self.threads = threads
-        self._pool = None
-        self._lock = threading.Lock()
-
-    def __enter__(self) -> "_Workers":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def run(self, fn, jobs: list) -> list:
-        """[fn(*job) for job in jobs], each job taken by the next free thread."""
-        threads = min(self.threads, len(jobs))
-        if threads <= 1:
-            return [fn(*job) for job in jobs]
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(self.threads - 1, thread_name_prefix="algentropy-shard")
-        results = [None] * len(jobs)
-        todo = iter(range(len(jobs)))
-
-        def drain():
-            while True:
-                with self._lock:
-                    i = next(todo, None)
-                if i is None:
-                    return
-                results[i] = fn(*jobs[i])
-
-        futures = [self._pool.submit(drain) for _ in range(threads - 1)]
-        drain()
-        for future in futures:
-            future.result()
-        return results
-
-
-class _Chunks:
-    """Sorted, key-disjoint chunks in increasing key order, read as one array."""
-
-    def __init__(self, chunks: list):
-        self.chunks = [c for c in chunks if len(c)]
-        self.firsts = [int(c[0]) for c in self.chunks]
-        self.starts = list(itertools.accumulate(map(len, self.chunks), initial=0))
-
-    def __len__(self) -> int:
-        return self.starts[-1]
-
-    def at(self, i: int) -> int:
-        """The i-th smallest key."""
-        j = bisect.bisect_right(self.starts, i) - 1
-        return int(self.chunks[j][i - self.starts[j]])
-
-    def between(self, lo: int | None, hi: int | None) -> list:
-        """Views of the keys in [lo, hi), in order; None leaves a side open."""
-        first = 0 if lo is None else max(bisect.bisect_right(self.firsts, lo) - 1, 0)
-        last = len(self.chunks) if hi is None else bisect.bisect_left(self.firsts, hi)
-        views = []
-        for c in self.chunks[first:last]:
-            a = 0 if lo is None else int(c.searchsorted(lo))
-            b = len(c) if hi is None else int(c.searchsorted(hi))
-            if a < b:
-                views.append(c[a:b])
-        return views
-
-
-def _sharded_union(chunks: list, shifts: list, k: int, workers: _Workers) -> list:
-    """The union of chunks + t over the shifts, as up to k sorted key-disjoint chunks.
-
-    Each of the r shifted copies is sampled at the positions i*n/k, and
-    every r-th of the r*k samples, in order, cuts the key line, so a range
-    holds at most about 2rn/k shifted keys.  One job per range gathers from
-    each copy the keys that land there (`_union_shard`).  The chunks stay
-    whole until the step returns, and a job allocates only arrays of its
-    own range's size: no step-sized buffer is made, for int64 keys or
-    Python ints.
-    """
-    keys = _Chunks(chunks)
-    n, r = len(keys), len(shifts)
-    if n == 0:
-        return []
-    sampled = [keys.at(i * n // k) for i in range(k)]
-    samples = sorted(key + t for t in shifts for key in sampled)
-    cuts = [None, *samples[r::r], None]
-    jobs = [(keys, shifts, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    return [c for c in workers.run(_union_shard, jobs) if c.size]
-
-
-def _union_shard(keys: _Chunks, shifts: list, lo: int | None, hi: int | None) -> np.ndarray:
-    """The keys in [lo, hi) of the union of keys + t over the shifts, sorted."""
-    import numpy as np
-
-    runs = [
-        (view, t)
-        for t in shifts
-        for view in keys.between(None if lo is None else lo - t, None if hi is None else hi - t)
-    ]
-    buf = np.empty(sum(len(view) for view, _ in runs), dtype=keys.chunks[0].dtype)
-    filled = 0
-    for view, t in runs:
-        np.add(view, t, out=buf[filled : filled + len(view)])
-        filled += len(view)
-    return _merge_unique(buf)
-
-
 def _merge_unique(buf: np.ndarray) -> np.ndarray:
     """The distinct values of sorted runs laid side by side, ascending; sorts buf.
 
     The stable sort is timsort, which merges the presorted runs in linear
-    time, on int64 and on object (Python int) arrays alike.
+    time.
     """
     import numpy as np
 
@@ -370,15 +220,87 @@ def _merge_unique(buf: np.ndarray) -> np.ndarray:
     return buf.compress(keep)
 
 
+def _offset_steps(self, chunks: list, delta, span: int, budget: int) -> list | None:
+    """chunks + {0, 1, ..., span} * delta as unions of up to three shifted
+    copies, one per offset set, or None once a union holds more than budget
+    points: the axis step of the layouts that keep their points sorted."""
+    for offsets in _offset_sets(span):
+        chunks = self._union(chunks, [o * delta for o in offsets])
+        if self._count(chunks) > budget:
+            return None
+    return chunks
+
+
+def _progression_union(keys: np.ndarray, delta: int, span: int, budget: int) -> np.ndarray | None:
+    """The distinct keys of S + {0, 1, ..., span} * delta in no set order, or
+    None when they number more than budget.
+
+    keys holds S: distinct, nonempty, in any order, as int64 or Python ints,
+    and is overwritten.  With a = |delta|, each key adds the progression
+    b, b + a, ..., b + span*a, where b is the key, or the key + span*delta
+    when delta < 0.  Write b = quo*a + res: the progressions of one residue
+    are the quotient intervals [quo, quo + span], and two of them overlap or
+    touch exactly when their quotients differ by at most span + 1.  So one
+    sort by c = res*Q + quo, Q = max(quo) + span + 2, puts each residue's
+    quotients in order and two residues more than span + 1 apart, and a
+    progression of the union starts wherever c[i] > c[i-1] + span + 1 and
+    ends span past the last c before the next start.  The lengths are known
+    before any output key, so the budget is checked first, and the keys are
+    one cumsum of a's with a jump to each progression's first key.
+
+    No int64 value wraps.  Every b + c*a, 0 <= c <= span, is a key of the
+    next level, so it lies in [0, size) for that level's box size size <
+    2^62; with b >= 0 that gives span*a < size, so 2a < size, and (max(quo) +
+    span)*a <= max(b) + span*a < size.  Then every c < a*Q = (max(quo) +
+    span)*a + 2a < size + 2a < 2*size < 2^63; the differences of sorted c's
+    are smaller still, and the cumsum's partial sums are output keys.
+    """
+    import numpy as np
+
+    a = abs(delta)
+    if delta < 0:
+        keys += span * delta
+    # numpy's // by a scalar runs several times as fast as its %, so each
+    # remainder is taken as a difference
+    quo = keys // a
+    q = int(quo.max()) + span + 2
+    keys -= quo * a
+    keys *= q
+    keys += quo
+    del quo
+    # timsort runs on Python ints as a level leaves them, ordered in long
+    # stretches, in about 3/4 of the quicksort's time; on int64 keys it
+    # takes several times as long
+    keys.sort(kind="stable" if keys.dtype == object else None)
+    # cuts[i]: keys[i] starts a progression; cuts[i + 1]: keys[i] is its last c
+    cuts = np.empty(len(keys) + 1, dtype=bool)
+    cuts[0] = cuts[-1] = True
+    np.greater(keys[1:] - keys[:-1], span + 1, out=cuts[1:-1])
+    firsts = keys[cuts[:-1]]
+    lengths = keys[cuts[1:]] - firsts + (span + 1)
+    del keys, cuts
+    counts = lengths.astype(np.int64, copy=False)
+    total = int(counts.sum())
+    if total > budget:
+        return None
+    res = firsts // q
+    firsts = (firsts - res * q) * a + res
+    jumps = firsts.copy()
+    jumps[1:] -= firsts[:-1] + (lengths[:-1] - 1) * a
+    out = np.full(total, a, dtype=jumps.dtype)
+    out[np.cumsum(counts) - counts] = jumps
+    return np.cumsum(out, out=out)
+
+
 class _PackedState:
-    """Point set as sorted int64 keys in the exact box lo..hi, in chunks.
+    """Point set as distinct int64 keys in the exact box lo..hi, in no set
+    order: chunks = [keys].
 
     `expand` is written once for every layout: a layout supplies how a level
     overflows it, how its points move to the next box, the shift of one unit
-    along each axis and the union of its points with their shifts.
+    along each axis and the step along one axis.
     """
 
-    dtype = "int64"
     limit = _INT64_LIMIT  # a box with this many keys or more overflows the dtype
 
     def __init__(self, chunks: list, lo: tuple, hi: tuple):
@@ -389,46 +311,45 @@ class _PackedState:
     def __len__(self) -> int:
         return self._count(self.chunks)
 
-    def expand(self, d: int, axes, m: int, budget: int, workers: _Workers):
+    def expand(self, d: int, axes, m: int, budget: int):
         level = _Level(self.lo, self.hi, d, axes, m)
         if self._overflows(level):
             return None, "overflow"
         # the keys move in place, so this state gives them up: no level's
         # keys outlive the step that reads them
         chunks, self.chunks = self.chunks, None
-        chunks = self._move(level, chunks, workers)
+        chunks = self._move(level, chunks)
         for delta in self._deltas(level):
-            for offsets in _offset_sets(level.span):
-                chunks = self._union(chunks, [o * delta for o in offsets], workers)
-                if self._count(chunks) > budget:
-                    return None, "budget"
+            chunks = self._axis(chunks, delta, level.span, budget)
+            if chunks is None:
+                return None, "budget"
         return type(self)(chunks, level.lo, level.hi), "ok"
 
     def _count(self, chunks: list) -> int:
-        return sum(len(c) for c in chunks)
+        return len(chunks[0])
 
     def _overflows(self, level: _Level) -> bool:
         return level.size >= self.limit
 
-    def _move(self, level: _Level, chunks: list, workers: _Workers) -> list:
-        workers.run(level.rekey, [(c,) for c in chunks])
+    def _move(self, level: _Level, chunks: list) -> list:
+        level.rekey(chunks[0])
         return chunks
 
     def _deltas(self, level: _Level):
         return level.deltas
 
-    def _union(self, chunks: list, shifts: list, workers: _Workers) -> list:
-        # Python ints stay one job: their compares hold the GIL
-        shifted = len(shifts) * sum(len(c) for c in chunks)
-        k = 1 if self.dtype == object else -(-shifted // _SHARD_KEYS)
-        return _sharded_union(chunks, shifts, k, workers)
+    def _axis(self, chunks: list, delta: int, span: int, budget: int) -> list | None:
+        # popped, so the union holds the only reference to the keys it frees
+        keys = _progression_union(chunks.pop(), delta, span, budget)
+        return None if keys is None else [keys]
 
     def widen(self) -> "_TableState":
-        """The same points as value tables and rank keys: N int64 divmods of
-        the keys, then each axis's distinct digits and their ranks."""
+        """The same points as value tables and rank keys: the keys sorted,
+        N int64 divmods of them, then each axis's distinct digits and their
+        ranks."""
         import numpy as np
 
-        keys = np.concatenate(self.chunks)
+        keys = np.sort(self.chunks[0])
         digits = [None] * len(self.lo)
         for j in reversed(range(len(self.lo))):
             keys, digits[j] = np.divmod(keys, self.hi[j] - self.lo[j] + 1)
@@ -450,7 +371,9 @@ class _RunState(_PackedState):
         starts, ends = chunks
         return int((ends - starts).sum())
 
-    def _move(self, level: _Level, chunks: list, workers: _Workers) -> list:
+    _axis = _offset_steps
+
+    def _move(self, level: _Level, chunks: list) -> list:
         import numpy as np
 
         starts, ends = chunks
@@ -468,7 +391,7 @@ class _RunState(_PackedState):
         level.rekey(starts)
         return [starts, starts + lengths]
 
-    def _union(self, chunks: list, shifts: list, workers: _Workers) -> list:
+    def _union(self, chunks: list, shifts: list) -> list:
         return _run_union(*chunks, shifts)
 
     def widen(self) -> "_TableState":
@@ -509,9 +432,8 @@ def _run_union(starts: np.ndarray, ends: np.ndarray, shifts: list) -> list:
 
 
 class _ExactState(_PackedState):
-    """The same sorted keys as Python ints in an object array (any box)."""
+    """The same keys as Python ints in an object array (any box)."""
 
-    dtype = object
     limit = math.inf  # never overflows, so it never widens
     # its own class-dict entry: bench/tracer.py hooks each backend's expand
     # there to count the levels past 2^62 keys apart from the int64 ones
@@ -536,16 +458,13 @@ class _TableState(_ExactState):
 
     This layout holds boxes of 2^62 keys or more while every axis extent
     and the product of the final table sizes stay below 2^62, so no digit,
-    rank or key leaves int64.  Its steps run as one job on the calling
-    thread.  It derives from `_ExactState` for that class's `expand`, so the
-    bench tracer's hook there counts every level past 2^62 keys, on value
-    tables or on Python ints.
+    rank or key leaves int64.  It derives from `_ExactState` for that
+    class's `expand`, so the bench tracer's hook there counts every level
+    past 2^62 keys, on value tables or on Python ints.
     """
 
     limit = _INT64_LIMIT  # an axis extent or a table product this large overflows
-
-    def _count(self, chunks: list) -> int:
-        return len(chunks[0])
+    _axis = _offset_steps
 
     def _overflows(self, level: _Level) -> bool:
         if max(level.bases, default=0) >= self.limit:
@@ -554,7 +473,7 @@ class _TableState(_ExactState):
         level.tables = _level_tables(self.chunks[1:], level)
         return math.prod(len(t) for t in level.tables) >= self.limit
 
-    def _move(self, level: _Level, chunks: list, workers: _Workers) -> list:
+    def _move(self, level: _Level, chunks: list) -> list:
         keys, *tables = chunks
         sizes = [len(t) for t in tables]
         weights = _weights(sizes)
@@ -569,7 +488,7 @@ class _TableState(_ExactState):
 
         return [np.array(v, dtype=np.int64) for v in level.axes]
 
-    def _union(self, chunks: list, shifts: list, workers: _Workers) -> list:
+    def _union(self, chunks: list, shifts: list) -> list:
         keys, *tables = chunks
         return [_table_union(keys, tables, shifts), *tables]
 
@@ -691,25 +610,24 @@ def trajectory_counts(
     # of the grid at the current level
     power = [[int(i == j) for j in range(dim)] for i in range(dim)]
     exhausted = None
-    with _Workers(_cpu_count()) as workers:
-        for level in range(1, n_max):
-            power = [
-                [sum(m_int[i][k] * power[k][j] for k in range(dim)) for j in range(dim)]
-                for i in range(dim)
-            ]
-            axes = [tuple(power[i][j] for i in range(dim)) for j in range(dim)]
-            # each layout checks the new box before any int64 arithmetic
-            # (numpy wraps silently) and widens the level it holds on overflow:
-            # int64 keys -> value tables and int64 keys -> Python-int keys
-            new_state, reason = state.expand(d, axes, m, budget, workers)
-            while reason == "overflow":
-                state = state.widen()
-                new_state, reason = state.expand(d, axes, m, budget, workers)
-            if reason == "budget":
-                exhausted = level + 1
-                break
-            state = new_state
-            counts.append(len(state))
+    for level in range(1, n_max):
+        power = [
+            [sum(m_int[i][k] * power[k][j] for k in range(dim)) for j in range(dim)]
+            for i in range(dim)
+        ]
+        axes = [tuple(power[i][j] for i in range(dim)) for j in range(dim)]
+        # each layout checks the new box before any int64 arithmetic
+        # (numpy wraps silently) and widens the level it holds on overflow:
+        # int64 keys -> value tables and int64 keys -> Python-int keys
+        new_state, reason = state.expand(d, axes, m, budget)
+        while reason == "overflow":
+            state = state.widen()
+            new_state, reason = state.expand(d, axes, m, budget)
+        if reason == "budget":
+            exhausted = level + 1
+            break
+        state = new_state
+        counts.append(len(state))
 
     for a, b in zip(counts, counts[1:]):
         if b < a:

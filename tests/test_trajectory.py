@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -147,11 +148,11 @@ def _expanded_levels(monkeypatch, *args):
 
 def _stored_points(state):
     """Decode a state's keys digit by digit, its runs of keys, or its rank
-    keys through its value tables; the chunks must be nonempty and, read in
-    order, strictly increasing keys, maximal nonempty runs in increasing
-    order, or strictly increasing tables of exactly the occupied digits and
-    strictly increasing keys below the tables' size product, and the box
-    their exact extent."""
+    keys through its value tables; the chunks must be nonempty and hold
+    distinct keys in the box in any order, maximal nonempty runs in
+    increasing order, or strictly increasing tables of exactly the occupied
+    digits and strictly increasing keys below the tables' size product, and
+    the box must be their exact extent."""
     assert state.chunks and all(len(c) for c in state.chunks), "no chunks, or an empty one"
     if isinstance(state, trajectory._TableState):
         keys, *tables = (c.tolist() for c in state.chunks)
@@ -174,8 +175,8 @@ def _stored_points(state):
             assert all(e < s for (_, e), (s, _) in zip(runs, runs[1:])), "runs out of order, or not maximal"
             keys = [key for s, e in runs for key in range(s, e)]
         else:
-            keys = [key for c in state.chunks for key in c.tolist()]
-        assert all(a < b for a, b in zip(keys, keys[1:])), "keys not strictly increasing"
+            (keys,) = (c.tolist() for c in state.chunks)
+            assert len(set(keys)) == len(keys), "keys not distinct"
         points = set()
         for key in keys:
             coords = []
@@ -254,6 +255,10 @@ def test_int64_to_columns_mid_run(monkeypatch):
         first = "_RunState" if M.denominator_lcm() == 1 else "_PackedState"
         assert backends[0] == first and backends[-1] == "_TableState"
         assert "_ExactState" not in backends
+        if first == "_PackedState":
+            # out of order, so the rank keys are sorted only by the widening
+            keys = levels[0].chunks[0]
+            assert (keys[1:] < keys[:-1]).any()
         for state in levels:
             assert len(_stored_points(state)) == len(state)
         monkeypatch.undo()
@@ -460,32 +465,51 @@ def test_offset_sets_cover_each_span_exactly():
 
 
 @st.composite
-def _chunked_keys(draw):
-    """Sorted unique keys, split into chunks at sorted cut points (empty chunks too)."""
-    span = draw(st.sampled_from([8, 300, 1 << 40]))  # dense keys repeat under a shift, sparse ones do not
-    keys = sorted(draw(st.lists(st.integers(-span, span), unique=True, max_size=300)))
-    cuts = sorted(draw(st.lists(st.integers(0, len(keys)), max_size=5)))
+def _progressions(draw):
+    """Distinct keys in any order, a key shift and a span, with every key +
+    c * delta, 0 <= c <= span, non-negative as in a level's box."""
     dtype = draw(st.sampled_from([np.int64, object]))
-    bounds = [0, *cuts, len(keys)]
-    return [np.array(keys[a:b], dtype=dtype) for a, b in zip(bounds, bounds[1:])], dtype
+    span = draw(st.sampled_from([2, 6, 36]))
+    huge = 1 << (40 if dtype is np.int64 else 100)  # past int64 for Python ints
+    delta = draw(st.integers(1, 50) | st.integers(1, huge)) * draw(st.sampled_from([1, -1]))
+    # dense keys overlap and touch under the shift, sparse ones do not
+    width = draw(st.sampled_from([8, 300, huge]))
+    keys = draw(st.lists(st.integers(0, width), unique=True, min_size=1, max_size=300))
+    if delta < 0:
+        keys = [k - span * delta for k in keys]
+    return np.array(keys, dtype=dtype), delta, span
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    _chunked_keys(),
-    st.lists(st.integers(-400, 400) | st.integers(-(1 << 41), 1 << 41), min_size=1, max_size=3),
-    st.integers(1, 5),
-)
-def test_sharded_union_is_the_union(chunked, shifts, k):
-    # k key ranges, also more than there are keys, and shifts that move
-    # every key out of the others' range, so that some ranges take no keys
-    chunks, dtype = chunked
-    keys = np.concatenate(chunks).astype(np.int64)
-    expected = functools.reduce(np.union1d, [keys + t for t in shifts])
-    with trajectory._Workers(4) as workers:
-        result = trajectory._sharded_union(chunks, shifts, k, workers)
-    assert len(result) <= k and all(c.size and c.dtype == dtype for c in result)
-    assert [key for c in result for key in c.tolist()] == expected.tolist()
+@given(_progressions())
+def test_progression_union_is_the_union(case):
+    # against a union of shifted copies, with budgets one below and exactly
+    # at the union's size
+    keys, delta, span = case
+    expected = functools.reduce(np.union1d, [keys + c * delta for c in range(span + 1)])
+    assert trajectory._progression_union(keys.copy(), delta, span, len(expected) - 1) is None
+    result = trajectory._progression_union(keys.copy(), delta, span, len(expected))
+    assert result.dtype == keys.dtype
+    assert len(result) == len(expected) and sorted(result.tolist()) == expected.tolist()
+
+
+@pytest.mark.parametrize("span", [2, 36])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_progression_union_next_to_the_int64_limit(span, sign):
+    # a box of just under 2^62 keys and |delta| * span close to its size:
+    # the composite keys res * Q + quo reach past the box, to 4/3 of it at
+    # span 2, and a wrap anywhere breaks the union against Python ints
+    size = trajectory._INT64_LIMIT - 1
+    a = size // (span + 1)
+    rng = random.Random(span)
+    keys = [rng.randrange(size - span * a) for _ in range(200)] + [size - span * a - 1, 0]
+    keys = sorted(set(keys), key=lambda _: rng.random())
+    if sign < 0:
+        keys = [k + span * a for k in keys]
+    expected = {k + c * sign * a for k in keys for c in range(span + 1)}
+    assert max(expected) < size
+    result = trajectory._progression_union(np.array(keys, dtype=np.int64), sign * a, span, len(expected))
+    assert len(result) == len(expected) and set(result.tolist()) == expected
 
 
 @st.composite
@@ -553,63 +577,28 @@ def test_table_union_is_the_union_of_rows(case, unoccupied):
     assert decoded == sorted(union)
 
 
-def test_workers_run_every_job_once():
-    # more threads than cores and a short switch interval: a job taken twice
-    # or lost, or a result stored in the wrong slot, breaks the equalities
-    ran = []
-
-    def job(i):
-        ran.append(i)
-        return i * i
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with trajectory._Workers(8) as workers:
-            for n in (1, 2, 7, 500):
-                ran.clear()
-                assert workers.run(job, [(i,) for i in range(n)]) == [i * i for i in range(n)]
-                assert sorted(ran) == list(range(n))
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_small_shards_on_threads_give_the_pinned_counts(monkeypatch):
-    # steps of more than 1000 keys split into shards run by three threads,
-    # whatever the machine; the counts are criterion 10's frozen sequences
+def test_pinned_counts_on_int64_and_python_int_keys():
+    # criterion 10's frozen sequences, on runs of keys (Fibonacci) and on
+    # progression unions of int64 keys (nonarch), against Python-int keys
     from test_acceptance import PINNED_COUNTS
 
-    monkeypatch.setattr(trajectory, "_SHARD_KEYS", 1000)
-    monkeypatch.setattr(trajectory, "_cpu_count", lambda: 3)
-    most_jobs = []
-    real_run = trajectory._Workers.run
-
-    def run(self, fn, jobs):
-        most_jobs.append(len(jobs))
-        return real_run(self, fn, jobs)
-
-    monkeypatch.setattr(trajectory._Workers, "run", run)
     for name, M, m, n in (
         ("fibonacci", RationalMatrix([[0, 1], [1, 1]]), 1, 20),
         ("nonarch", NONARCH, 18, 3),
     ):
-        most_jobs.clear()
-        sharded = trajectory_counts(M, m, n).counts
-        # the integer matrix's levels are runs of keys, one job each
-        if name == "nonarch":
-            assert max(most_jobs) > 100
+        counts = trajectory_counts(M, m, n).counts
         exact = python_int_counts(M, m, n).counts
         pinned = PINNED_COUNTS[name][:n]
-        assert _blob(sharded) == _blob(pinned) == _blob(exact)
+        assert _blob(counts) == _blob(pinned) == _blob(exact)
 
 
 @pytest.mark.parametrize(
     "M, m, n", [(RationalMatrix([[0, 1], [1, 1]]), 1, 22), (NONARCH, 18, 4)], ids=["fibonacci", "nonarch"]
 )
-def test_peak_memory_is_about_two_levels_of_keys(monkeypatch, M, m, n):
-    # the step's input and output chunks and two jobs' buffers: no step-sized
-    # buffer, and no previous level's keys beside the ones that move
-    monkeypatch.setattr(trajectory, "_cpu_count", lambda: 2)
+def test_peak_memory_is_about_two_levels_of_keys(M, m, n):
+    # a step holds its input keys, their quotients or differences, and its
+    # output: no shifted copy of a level, and no previous level's keys beside
+    # the ones that move
     tracemalloc.start()
     try:
         run = trajectory_counts(M, m, n)
@@ -626,36 +615,32 @@ def _blob(counts):
 
 _THREADS_AFTER = """
 import sys, threading
-from algentropy import cli, trajectory
+from algentropy import cli
 
-if sys.argv[1] == "shard":
-    trajectory._cpu_count = lambda: 2  # split steps on any machine
-    runs = [["trajectory", "--matrix", '[["0","-1/6"],["1","5/6"]]', "--m", "18", "--max-n", "3"]]
-else:
-    runs = [
-        ["entropy", "--matrix", '[["3/2","1"],["0","-1"]]'],
-        ["trajectory", "--matrix", '[["0","1/46351"],["1/46351","0"]]', "--max-n", "3"],
-        ["trajectory", "--matrix", '[["0","1"],["1","1"]]', "--max-n", "12"],
-    ]
+runs = [
+    ["entropy", "--matrix", '[["3/2","1"],["0","-1"]]'],
+    ["trajectory", "--matrix", '[["0","1/46351"],["1/46351","0"]]', "--max-n", "3"],
+    ["trajectory", "--matrix", '[["0","1"],["1","1"]]', "--max-n", "12"],
+    ["trajectory", "--matrix", '[["0","-1/6"],["1","5/6"]]', "--m", "18", "--max-n", "4"],
+]
 codes = [cli.main(argv) for argv in runs]
 print(codes, "concurrent.futures" in sys.modules, threading.active_count())
 """
 
 
-@pytest.mark.parametrize("mode, pool_started", [("small", False), ("shard", True)])
-def test_worker_threads_start_only_for_split_steps(mode, pool_started):
-    # a run whose steps all stay one shard imports no executor and starts no
-    # thread; a run that split its steps leaves no thread behind and exits
+def test_no_run_imports_an_executor_or_starts_a_thread():
+    # every level runs on the calling thread, nonarch's 1.78 M points at
+    # n = 4 among them
     src = str(Path(algentropy.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run(
-        [sys.executable, "-c", _THREADS_AFTER, mode],
+        [sys.executable, "-c", _THREADS_AFTER],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert run.returncode == 0, run.stderr
     codes, started, threads = run.stdout.splitlines()[-1].rsplit(" ", 2)
     assert set(json.loads(codes)) == {0}
-    assert started == str(pool_started) and threads == "1"
+    assert started == "False" and threads == "1"
 
 
 _SHRINKING_LEVEL = """
