@@ -617,30 +617,35 @@ _THREADS_AFTER = """
 import sys, threading
 from algentropy import cli
 
-runs = [
-    ["entropy", "--matrix", '[["3/2","1"],["0","-1"]]'],
-    ["trajectory", "--matrix", '[["0","1/46351"],["1/46351","0"]]', "--max-n", "3"],
-    ["trajectory", "--matrix", '[["0","1"],["1","1"]]', "--max-n", "12"],
-    ["trajectory", "--matrix", '[["0","-1/6"],["1","5/6"]]', "--m", "18", "--max-n", "4"],
-]
+if sys.argv[1] == "shard":
+    # nonarch: 1.78 M keys at n = 4, the largest level in the examples
+    runs = [["trajectory", "--matrix", '[["0","-1/6"],["1","5/6"]]', "--m", "18", "--max-n", "4"]]
+else:
+    runs = [
+        ["entropy", "--matrix", '[["3/2","1"],["0","-1"]]'],
+        ["trajectory", "--matrix", '[["0","1/46351"],["1/46351","0"]]', "--max-n", "3"],
+        ["trajectory", "--matrix", '[["0","1"],["1","1"]]', "--max-n", "12"],
+    ]
 codes = [cli.main(argv) for argv in runs]
 print(codes, "concurrent.futures" in sys.modules, threading.active_count())
 """
 
 
-def test_no_run_imports_an_executor_or_starts_a_thread():
-    # every level runs on the calling thread, nonarch's 1.78 M points at
-    # n = 4 among them
+@pytest.mark.parametrize("mode, past_a_million_keys", [("small", False), ("shard", True)])
+def test_worker_threads_start_only_for_split_steps(mode, past_a_million_keys):
+    # no step is split, so no run imports an executor or starts a thread:
+    # every level, past a million keys or not, runs on the calling thread
     src = str(Path(algentropy.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run(
-        [sys.executable, "-c", _THREADS_AFTER],
+        [sys.executable, "-c", _THREADS_AFTER, mode],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert run.returncode == 0, run.stderr
     codes, started, threads = run.stdout.splitlines()[-1].rsplit(" ", 2)
     assert set(json.loads(codes)) == {0}
     assert started == "False" and threads == "1"
+    assert past_a_million_keys == ("1779697" in run.stdout)
 
 
 _SHRINKING_LEVEL = """
