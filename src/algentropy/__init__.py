@@ -46,7 +46,7 @@ from .ratpoly import (
     primitivize,
     squarefree_decomposition,
 )
-from .roots import CertificationError, ComplexRootSet, RootInterval
+from .roots import CertificationError, RootInterval
 from .trajectory import (
     DEFAULT_BUDGET,
     BernoulliRun,

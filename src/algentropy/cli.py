@@ -211,11 +211,11 @@ def _cmd_entropy(args) -> int:
 
 
 def _root_docs(roots) -> list[dict]:
-    """The certified roots of a ComplexRootSet, one object each."""
+    """One object per certified root (RootInterval)."""
     return [
         {"re": r.re, "im": r.im, "mod_lo": r.mod_lo, "mod_hi": r.mod_hi,
          "multiplicity": r.multiplicity}
-        for r in roots.roots
+        for r in roots
     ]
 
 
@@ -374,8 +374,7 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except CertificationError as exc:
-        roots = _root_docs(exc.partial) if exc.partial is not None else []
-        report = {"error": str(exc), "certified": False, "roots": roots}
+        report = {"error": str(exc), "certified": False, "roots": _root_docs(exc.partial)}
         _emit(report, getattr(args, "pretty", False))
         return 3
     except (InvariantError, ValueError) as exc:

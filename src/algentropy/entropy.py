@@ -18,7 +18,7 @@ from .linalg import RationalMatrix, char_poly
 from .mahler import is_cyclotomic_product, mahler_measure
 from .padic import verify_place_identity
 from .ratpoly import IntPoly, InvariantError
-from .roots import ComplexRootSet
+from .roots import RootInterval
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class EntropyReport:
     finite_places: tuple[tuple[int, int, float], ...]  # (p, vp(s), contribution)
     char_poly_primitive: IntPoly
     s: int
-    roots: ComplexRootSet
+    roots: tuple[RootInterval, ...]
     zero_entropy_exact: bool
 
 

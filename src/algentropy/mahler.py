@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .numtheory import primes
 from .ratpoly import IntPoly, InvariantError, cyclotomic, poly_gcd
-from .roots import ComplexRootSet, RootInterval, _sorted_roots, climb, to_interval
+from .roots import RootInterval, climb
 
 
 def split_unit_circle(P: IntPoly) -> tuple[IntPoly, IntPoly]:
@@ -118,7 +118,7 @@ def is_cyclotomic_product(P: IntPoly) -> bool:
 
 def _cyclotomic_intervals(factors: dict[int, int]) -> list[RootInterval]:
     """The roots of unity, n ascending; each conjugate pair lists its lower
-    member first, as `_sorted_roots` does.  1 and -1 are exact, and the two
+    member first, as `roots.climb` orders the other roots.  1 and -1 are exact, and the two
     members of a pair share one cos and sin of 2*pi*j/n, j < n/2, so they
     are exact conjugates."""
     out = []
@@ -139,7 +139,7 @@ class MahlerResult:
     value: float
     archimedean: float
     log_lead: float
-    roots: ComplexRootSet
+    roots: tuple[RootInterval, ...]
     # every nonzero root is a root of unity: the candidate factor is all
     # cyclotomic and the cofactor is constant
     roots_of_unity_only: bool
@@ -157,35 +157,30 @@ def mahler_measure(P: IntPoly, tolerance: float = 1e-12) -> MahlerResult:
         raise ValueError("zero polynomial")
     log_lead = math.log(abs(P.lead))
     stripped, k = P.strip_x()
-    intervals: list[RootInterval] = []
-    if k:
-        intervals.append(RootInterval(0.0, 0.0, 0.0, 0.0, multiplicity=k))
+    zeros = [RootInterval(0.0, 0.0, 0.0, 0.0, multiplicity=k)] if k else []
     candidate, cofactor = split_unit_circle(stripped)
     cyclo, candidate = extract_cyclotomic(candidate)
-    intervals.extend(_cyclotomic_intervals(cyclo))
     # one precision ladder over the candidate/cofactor split
     settle = functools.partial(_settle, tolerance=tolerance)
     arch, numeric = climb([candidate, cofactor], settle)
-    intervals.extend(numeric)
-
-    result_roots = ComplexRootSet(tuple(intervals))
-    if result_roots.total_multiplicity != P.degree:
-        raise InvariantError(f"{result_roots.total_multiplicity} roots for degree {P.degree}")
+    roots = (*zeros, *_cyclotomic_intervals(cyclo), *numeric)
+    count = sum(r.multiplicity for r in roots)
+    if count != P.degree:
+        raise InvariantError(f"{count} roots for degree {P.degree}")
     return MahlerResult(
         value=log_lead + arch,
         archimedean=arch,
         log_lead=log_lead,
-        roots=result_roots,
+        roots=roots,
         roots_of_unity_only=candidate.degree == 0 and cofactor.degree == 0,
     )
 
 
 def _settle(root_lists, tolerance):
-    """(arch, intervals) when the discs settle step 4's budget, else None.
+    """The archimedean sum when the discs settle step 4's budget, else None.
     Here lo <= 2^k |z| <= hi are integers; cofactor roots are summed first."""
-    roots = root_lists[1] + root_lists[0]  # cofactor, then candidate
     width = total = 0.0
-    for root in roots:
+    for root in root_lists[1] + root_lists[0]:  # cofactor, then candidate
         side = root.side()
         if side < 0:
             continue
@@ -195,6 +190,4 @@ def _settle(root_lists, tolerance):
         else:
             lo = 1 << root.k  # log+|z| lies in [0, log(hi/2^k)]
         width += root.multiplicity * (hi - lo) / lo
-    if width > tolerance / 2:
-        return None
-    return total, [to_interval(r) for r in _sorted_roots(roots)]
+    return None if width > tolerance / 2 else total

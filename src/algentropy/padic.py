@@ -47,13 +47,6 @@ class NewtonPolygon:
             Fraction(0),
         )
 
-    def root_valuations(self) -> list[Fraction]:
-        """Multiset of vp(root) = -slope, one entry per certified root."""
-        out: list[Fraction] = []
-        for s in self.segments:
-            out.extend([-s.slope] * s.length)
-        return out
-
 
 @dataclass(frozen=True)
 class PlaceIdentityReport:

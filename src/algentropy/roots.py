@@ -5,17 +5,17 @@ MPSolve: float approximations get exact inclusion discs, and multiprecision
 runs only where those fail.  A centre is z = (a + ib)/2^K with Python ints
 a, b, one scale per polynomial and rung, and K reaches below a lower bound
 on the smallest root modulus, so small roots keep their relative precision.
-A rung without a warm start converges on Python complex floats (Gauss-Seidel
-sweeps) from Bini's start: points on the circles of the Newton polygon of
-log|a_i|, pushed out by a factor 1.3 (deterministic, no RNG).  Rounded to
-the scale 2^K, that iterate is certified as it stands.  The Aberth
-iteration on Gaussian integers runs only on a warm rung, from the last
-rung's centres, and from the circle whose radius is the Fujiwara
-coefficient bound when the float run is unusable -- a coefficient or an
-evaluation that overflows a double, no convergence, coinciding iterates.
-A degree-1 factor takes its exact floor root.  Only the certificate
-decides, and it is exact.  With P(z) = A / 2^(nK) and P'(z) = B / 2^((n-1)K)
-from one Gaussian-integer Horner pass, the radius
+A rung without a warm start has one start, Bini's: points on the circles of
+the Newton polygon of log|a_i|, pushed out by a factor 1.3 (deterministic,
+no RNG).  It converges on Python complex floats (Gauss-Seidel sweeps), and
+that iterate, rounded to the scale 2^K, is certified as it stands.  When
+the float run is unusable -- a coefficient or an evaluation that overflows
+a double, no convergence, coinciding iterates -- the same circles, rounded
+to the scale with no double in between, start the Aberth iteration on
+Gaussian integers, which otherwise runs only on a warm rung, from the last
+rung's centres.  A degree-1 factor takes its exact floor root.  Only the
+certificate decides, and it is exact.  With P(z) = A / 2^(nK) and
+P'(z) = B / 2^((n-1)K) from one Gaussian-integer Horner pass, the radius
 
     r = ceil(sqrt(ceil(n^2 |A|^2 / |B|^2))) / 2^K  >=  n |P(z) / P'(z)|
 
@@ -29,6 +29,7 @@ The rungs form one ladder, `climb`: 64 bits first, doubling up to a
 4096-bit cap, each rung warm-started from the last, until the caller's
 settle rule (the Mahler measure's error budget) accepts the discs; so a
 float iterate too noisy to settle at 64 bits climbs to the warm 128-bit rung.
+`climb` alone turns the discs into the `RootInterval`s it reports.
 """
 
 from __future__ import annotations
@@ -45,12 +46,14 @@ _GUARD_BITS = 16
 _START_BITS = 64
 _MAX_BITS = 4096
 _LN2 = math.log(2)
+# Bini's circles are pushed out by this factor (see `_bini_guesses`)
+_PUSH = 1.3
 
 
 class CertificationError(ArithmeticError):
     """Raised when roots cannot be certified within the precision cap."""
 
-    def __init__(self, message: str, partial=None):
+    def __init__(self, message: str, partial: tuple[RootInterval, ...] = ()):
         super().__init__(message)
         self.partial = partial
 
@@ -64,15 +67,6 @@ class RootInterval:
     mod_lo: float
     mod_hi: float
     multiplicity: int
-
-
-@dataclass(frozen=True)
-class ComplexRootSet:
-    roots: tuple[RootInterval, ...]
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(r.multiplicity for r in self.roots)
 
 
 @dataclass(frozen=True)
@@ -119,18 +113,6 @@ def _fixed(x: float, k: int) -> int:
     """floor(x * 2^k) for a finite float x, exactly."""
     num, den = x.as_integer_ratio()
     return (num << k) // den
-
-
-def _fujiwara_log2(coeffs) -> float:
-    """log2 of the Fujiwara bound 2 max_k |a_{n-k}/a_n|^(1/k) (the k = n
-    term halved), which every root modulus stays below."""
-    n = len(coeffs) - 1
-    lead = math.log2(abs(coeffs[-1]))
-    best = -math.inf
-    for k in range(1, n + 1):
-        if coeffs[n - k]:
-            best = max(best, (math.log2(abs(coeffs[n - k])) - lead - (k == n)) / k)
-    return 1 + best
 
 
 def _small_root_bits(coeffs) -> int:
@@ -197,12 +179,13 @@ def _float_aberth(coeffs, guesses):
 
 
 def _bini_guesses(coeffs):
-    """Bini's start: on each edge i -> j of the upper convex hull of the
-    points (i, log|a_i|), j - i points on the circle of radius
-    1.3 (|a_i|/|a_j|)^(1/(j - i)), rotated by 2 pi i/n.  The factor 1.3
-    matters: with 1, a reciprocal polynomial such as Lehmer's starts on the
-    circle its roots lie near and takes about three times the sweeps.  A
-    zero constant term puts its zero roots at 0."""
+    """Bini's start as (log radius, angle) pairs: on each edge i -> j of the
+    upper convex hull of the points (i, log|a_i|), j - i points on the circle
+    of radius (|a_i|/|a_j|)^(1/(j - i)), rotated by 2 pi i/n.  A zero constant
+    term puts its zero roots at log radius -inf.  Both iterations start from
+    the circles pushed out by `_PUSH`: with 1, a reciprocal polynomial such as
+    Lehmer's starts on the circle its roots lie near and takes about three
+    times the sweeps."""
     hull = []
     for j, c in enumerate(coeffs):
         if not c:
@@ -215,32 +198,42 @@ def _bini_guesses(coeffs):
             hull.pop()
         hull.append((j, y))
     n = len(coeffs) - 1
-    guesses = [0j] * hull[0][0]
+    guesses = [(-math.inf, 0.0)] * hull[0][0]
     for (i, yi), (j, yj) in zip(hull, hull[1:]):
         e = (yi - yj) / (j - i)
-        radius = 1.3 * math.exp(e) if e < 700 else math.inf
-        angles = (2 * math.pi * ((t + 0.3) / (j - i) + i / n) for t in range(j - i))
-        guesses += [cmath.rect(radius, a) for a in angles]
+        guesses += [(e, 2 * math.pi * ((t + 0.3) / (j - i) + i / n)) for t in range(j - i)]
     return guesses
 
 
+def _circle_point(e: float, angle: float, k: int) -> tuple[int, int]:
+    """The start point _PUSH e^e at `angle`, floored to the scale 2^k with no
+    double in between: e/ln 2 splits into an integer shift s and a fraction,
+    so radii far past the doubles work.  k + s > 0: no circle lies inside
+    the lower bound 2^-t of `_small_root_bits`, and k > t."""
+    if e == -math.inf:
+        return 0, 0
+    s = math.floor(e / _LN2)
+    m = _PUSH * 2 ** (e / _LN2 - s)
+    return _fixed(m * math.cos(angle), k + s), _fixed(m * math.sin(angle), k + s)
+
+
 def _start(coeffs, k: int, prec: int):
-    """Cold centres at scale 2^k: the float iterate from Bini's circles,
-    rounded to the scale as it stands, or, when the float run is unusable,
-    the Gaussian-integer iteration from the Fujiwara circle."""
-    start = _float_aberth(coeffs, _bini_guesses(coeffs))
+    """Cold centres at scale 2^k from Bini's circles: the float iterate from
+    them, rounded to the scale as it stands, or, when the float run is
+    unusable, the Gaussian-integer iteration from the same circles."""
+    circles = _bini_guesses(coeffs)
+    guesses = [
+        cmath.rect(_PUSH * math.exp(e), a) if e < 700 else complex(math.inf) for e, a in circles
+    ]
+    start = _float_aberth(coeffs, guesses)
     if start is not None:
         return [(_fixed(z.real, k), _fixed(z.imag, k)) for z in start]
-    n = len(coeffs) - 1
-    shift = k + math.ceil(_fujiwara_log2(coeffs))
-    angles = [2 * math.pi * (j + 0.3) / n for j in range(n)]
-    circle = [(_fixed(math.cos(t), shift), _fixed(math.sin(t), shift)) for t in angles]
-    return _aberth_fixed(coeffs, circle, k, prec)
+    return _aberth_fixed(coeffs, [_circle_point(e, a, k) for e, a in circles], k, prec)
 
 
 def _aberth_fixed(coeffs, zs, k: int, prec: int):
     """Aberth-Ehrlich on Gaussian integers at scale 2^k (serial updates),
-    from a warm rung's centres or, on a cold rung, the Fujiwara circle.
+    from a warm rung's centres or, on a cold rung, Bini's circles.
 
     Updates are applied in place (Gauss-Seidel style), which is what makes
     the iteration converge reliably from symmetric circle starts.  Every
@@ -358,23 +351,13 @@ def solve_with_multiplicity(P: IntPoly, prec: int, warm=None):
     return (out if ok else None), warms
 
 
-def to_interval(root: _CertRoot) -> RootInterval:
-    lo, hi = root.mod_bounds()
-    return RootInterval(
-        re=_float(root.a, root.k),
-        im=_float(root.b, root.k),
-        mod_lo=max(0.0, math.nextafter(_float(lo, root.k), -math.inf)),
-        mod_hi=math.nextafter(_float(hi, root.k), math.inf),
-        multiplicity=root.multiplicity,
-    )
-
-
 def climb(polys, settle):
     """The precision ladder: solve every polynomial per rung, warm-started,
     doubling the bits from `_START_BITS` to `_MAX_BITS`, until
-    `settle(root_lists)` returns something other than None.  A rung at the
-    cap that does not settle raises CertificationError, whose `partial` holds
-    the roots of every polynomial that certified on that rung.
+    `settle(root_lists)` returns something other than None.  Returns that and
+    the roots of every polynomial, as from `_intervals`.  A rung at the cap
+    that does not settle raises CertificationError, whose `partial` holds the
+    roots of every polynomial that certified on that rung.
     """
     prec = _START_BITS
     warm = [None] * len(polys)
@@ -388,12 +371,29 @@ def climb(polys, settle):
         if all(roots is not None for roots in root_lists):
             result = settle(root_lists)
             if result is not None:
-                return result
+                return result, _intervals(root_lists)
         if prec >= _MAX_BITS:
-            found = [to_interval(r) for roots in root_lists if roots for r in _sorted_roots(roots)]
             message = f"roots did not settle within {_MAX_BITS} bits"
-            raise CertificationError(message, ComplexRootSet(tuple(found)))
+            raise CertificationError(message, _intervals(root_lists))
         prec = min(2 * prec, _MAX_BITS)
+
+
+def _intervals(root_lists) -> tuple[RootInterval, ...]:
+    """The certified roots of every list (None: none certified) as
+    RootIntervals, in the order of `_sorted_roots`."""
+    out = []
+    for root in _sorted_roots([r for roots in root_lists if roots for r in roots]):
+        lo, hi = root.mod_bounds()
+        out.append(
+            RootInterval(
+                re=_float(root.a, root.k),
+                im=_float(root.b, root.k),
+                mod_lo=max(0.0, math.nextafter(_float(lo, root.k), -math.inf)),
+                mod_hi=math.nextafter(_float(hi, root.k), math.inf),
+                multiplicity=root.multiplicity,
+            )
+        )
+    return tuple(out)
 
 
 def _sorted_roots(roots):

@@ -26,7 +26,7 @@ from .linalg import (
 from .mahler import is_cyclotomic_product, mahler_measure
 from .padic import verify_place_identity
 from .ratpoly import IntPoly, cyclotomic
-from .trajectory import MIN_LEVELS, bernoulli_counts, classify_growth, trajectory_counts
+from .trajectory import DEFAULT_BUDGET, MIN_LEVELS, bernoulli_counts, classify_growth, trajectory_counts
 
 
 @dataclass(frozen=True)
@@ -322,7 +322,7 @@ def _dichotomy_fixtures():
 def _suite_dichotomy(rng, count):
     checks = []
     for name, M, n_max, budget in _dichotomy_fixtures():
-        run = trajectory_counts(M, 1, n_max, budget=budget or 20_000_000)
+        run = trajectory_counts(M, 1, n_max, budget=budget or DEFAULT_BUDGET)
         formula = algebraic_entropy(M).total
         verdict = classify_growth(run, formula_entropy=formula)
         checks.append(

@@ -10,7 +10,8 @@ recombines by CRT under a proven bound), and Euclid over Fraction
 coefficients for the gcd; plain trial division for factorization, the
 totient sieve, the n-th cyclotomic polynomial as X^n - 1 divided by every
 smaller Phi_d with d | n, the admissible grid density as a product of p-adic norms, the p-adic
-valuation by testing p^(e+1) | n for e = 0, 1, ..., and Miller-Rabin
+valuation by testing p^(e+1) | n for e = 0, 1, ..., the root valuations
+as the negated slopes of a Newton polygon, and Miller-Rabin
 with the first twelve primes as witnesses for primality.  The
 polynomial oracles use no package polynomial code: they return monic
 polynomials as ascending tuples of Fraction, and `monic` puts a package
@@ -204,6 +205,12 @@ def vp(x, p: int) -> int:
         return e
 
     return exponent(x.numerator) - exponent(x.denominator)
+
+
+def root_valuations(polygon) -> list[Fraction]:
+    """The multiset of vp(root) = -slope read off a Newton polygon, one entry
+    per root, segment by segment."""
+    return [-s.slope for s in polygon.segments for _ in range(s.length)]
 
 
 def product_formula_admissible_m(M: RationalMatrix) -> int:

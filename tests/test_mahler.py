@@ -34,16 +34,15 @@ LEHMER_BOTTOM_MODULUS = 0.8501371309270424
 
 
 def test_find_roots_linear():
-    rs = mahler_measure(IntPoly([-3, 2])).roots
-    (root,) = rs.roots
+    (root,) = mahler_measure(IntPoly([-3, 2])).roots
     assert root.mod_lo <= 1.5 <= root.mod_hi
     assert root.mod_hi - root.mod_lo < 1e-12
 
 
 def test_find_roots_gaussian_unit():
     rs = mahler_measure(IntPoly([1, 0, 1])).roots
-    assert len(rs.roots) == 2
-    for root in rs.roots:
+    assert len(rs) == 2
+    for root in rs:
         assert root.mod_lo <= 1.0 <= root.mod_hi
 
 
@@ -68,15 +67,15 @@ def test_root_order_does_not_follow_the_centres_noise():
 
 def test_find_roots_lehmer_against_oracle():
     rs = mahler_measure(LEHMER).roots
-    assert rs.total_multiplicity == 10
-    outside = [r for r in rs.roots if r.mod_lo > 1]
-    inside = [r for r in rs.roots if r.mod_hi < 1]
-    straddling = [r for r in rs.roots if r.mod_lo <= 1 <= r.mod_hi]
+    assert sum(r.multiplicity for r in rs) == 10
+    outside = [r for r in rs if r.mod_lo > 1]
+    inside = [r for r in rs if r.mod_hi < 1]
+    straddling = [r for r in rs if r.mod_lo <= 1 <= r.mod_hi]
     assert len(outside) == 1 and len(inside) == 1 and len(straddling) == 8
     assert outside[0].mod_lo <= LEHMER_TOP_MODULUS <= outside[0].mod_hi
     assert inside[0].mod_lo <= LEHMER_BOTTOM_MODULUS <= inside[0].mod_hi
     oracle_mods = eig_moduli(LEHMER.coeffs)
-    by_center = sorted(rs.roots, key=lambda r: (r.mod_lo + r.mod_hi) / 2)
+    by_center = sorted(rs, key=lambda r: (r.mod_lo + r.mod_hi) / 2)
     for r, m in zip(by_center, sorted(float(x) for x in oracle_mods)):
         assert r.mod_lo <= m <= r.mod_hi
 
@@ -85,14 +84,14 @@ def test_find_roots_multiplicities():
     cube = IntPoly([2, 1]) * IntPoly([2, 1]) * IntPoly([2, 1])
     poly = IntPoly([-1, 1]) * IntPoly([-1, 1]) * cube
     rs = mahler_measure(poly).roots
-    assert rs.total_multiplicity == 5
-    mults = sorted(r.multiplicity for r in rs.roots)
+    assert sum(r.multiplicity for r in rs) == 5
+    mults = sorted(r.multiplicity for r in rs)
     assert mults == [2, 3]
 
 
 def test_find_roots_zero_roots():
     rs = mahler_measure(IntPoly([0, 0, -3, 2])).roots
-    zero = [r for r in rs.roots if r.mod_hi == 0.0]
+    zero = [r for r in rs if r.mod_hi == 0.0]
     assert len(zero) == 1 and zero[0].multiplicity == 2
 
 
@@ -107,7 +106,7 @@ def test_find_roots_residual_consistency():
             continue
         rs = mahler_measure(poly).roots
         with mp.workprec(256):
-            for root in rs.roots:
+            for root in rs:
                 z = mpc(root.re, root.im)
                 value = abs(poly.evaluate(z))
                 dvalue = abs(poly.derivative().evaluate(z))
@@ -122,7 +121,7 @@ def test_find_roots_ill_conditioned_integer_roots():
     for j in range(1, 13):
         poly = poly * IntPoly([-j, 1])
     rs = mahler_measure(poly).roots
-    mods = sorted((r.mod_lo + r.mod_hi) / 2 for r in rs.roots)
+    mods = sorted((r.mod_lo + r.mod_hi) / 2 for r in rs)
     assert all(abs(m - j) < 1e-20 for m, j in zip(mods, range(1, 13)))
     got = mahler_measure(poly).value
     assert abs(got - sum(math.log(j) for j in range(2, 13))) < 1e-10
@@ -171,7 +170,7 @@ def test_mahler_examples():
     with pytest.raises(ValueError):
         mahler_measure(IntPoly([0]))
     r = mahler_measure(IntPoly([7]))  # a constant c measures log|c|
-    assert r.value == math.log(7) and r.roots.roots == ()
+    assert r.value == math.log(7) and r.roots == ()
 
 
 def test_mahler_lehmer():
@@ -215,7 +214,7 @@ def test_on_circle_non_cyclotomic_flagged():
     assert abs(r.value - math.log(5)) < 1e-12
     # both discs meet the circle; their log+ is proven within the budget
     assert r.assumed_roots == 0
-    touching = [root for root in r.roots.roots if root.mod_lo <= 1 <= root.mod_hi]
+    touching = [root for root in r.roots if root.mod_lo <= 1 <= root.mod_hi]
     assert len(touching) == 2
 
 
@@ -253,7 +252,7 @@ def test_cyclotomic_factors_all_lie_in_the_candidate():
 def test_conjugate_pairs_list_the_lower_member_first():
     # roots of unity (i and Phi_3's pair) order a pair as the numeric roots (2i) do
     for poly in (IntPoly([4, 0, 5, 0, 1]), cyclotomic(3) * cyclotomic(4)):
-        roots = mahler_measure(poly).roots.roots
+        roots = mahler_measure(poly).roots
         for i, upper in enumerate(roots):
             if upper.im > 1e-9:
                 lower = [
@@ -269,7 +268,7 @@ def test_roots_of_unity_are_exact_conjugate_pairs():
     poly = IntPoly([1])
     for n in (1, 2, 3, 4, 5, 6, 7, 8, 12):
         poly = poly * cyclotomic(n)
-    roots = list(mahler_measure(poly).roots.roots)
+    roots = mahler_measure(poly).roots
     assert (roots[0].re, roots[0].im) == (1.0, 0.0) and (roots[1].re, roots[1].im) == (-1.0, 0.0)
     pairs = roots[2:]
     assert len(pairs) == poly.degree - 2
@@ -401,8 +400,8 @@ def test_cap_raises_with_the_certified_roots(monkeypatch):
     with pytest.raises(CertificationError) as exc:
         mahler_measure(poly)
     partial = exc.value.partial
-    assert partial.total_multiplicity == 10
-    by_center = sorted(partial.roots, key=lambda r: (r.mod_lo + r.mod_hi) / 2)
+    assert sum(r.multiplicity for r in partial) == 10
+    by_center = sorted(partial, key=lambda r: (r.mod_lo + r.mod_hi) / 2)
     for root, m in zip(by_center, eig_moduli(LEHMER.coeffs)):
         assert root.mod_lo <= float(m) <= root.mod_hi
 
@@ -538,8 +537,9 @@ def test_float_start_falls_back_when_doubles_overflow(monkeypatch):
     r = mahler_measure(IntPoly([3, 0, 10**400, 1]))
     assert r.value == pytest.approx(400 * math.log(10), rel=1e-15)
     assert starts and all(s is None for s in starts)
-    # the Fujiwara circle is no root approximation: the cold rung's integer iteration runs from it
-    assert fixed[:1] == [64]
+    # Bini's circles, rounded to the scale with no double in between, start
+    # the Gaussian-integer iteration, and its one 64-bit run settles
+    assert fixed == [64]
     # every coefficient fits a double, but Horner at |z| ~ 1e200 overflows
     starts.clear()
     fixed.clear()
@@ -548,6 +548,35 @@ def test_float_start_falls_back_when_doubles_overflow(monkeypatch):
     assert r.value == pytest.approx(200 * math.log(10) + math.log(2), rel=1e-15)
     assert starts and all(s is None for s in starts)
     assert fixed[:1] == [64]
+
+
+def test_both_cold_starts_take_the_same_circles(monkeypatch):
+    # the float guesses and the Gaussian-integer fallback's centres are one
+    # start: each centre / 2^k is its float guess up to double rounding
+    seen = {}
+
+    def no_float_run(coeffs, guesses):  # None: the fallback runs
+        seen["floats"] = guesses
+
+    def fixed_start(coeffs, zs, k, prec):
+        seen["fixed"] = zs
+        return zs
+
+    monkeypatch.setattr(roots, "_float_aberth", no_float_run)
+    monkeypatch.setattr(roots, "_aberth_fixed", fixed_start)
+    rng = random.Random(16)
+    random_16 = IntPoly([rng.randint(-9, 9) for _ in range(16)] + [1])
+    with_zero = IntPoly([0, 5, -2, 0, 1])  # X (X^3 - 2X + 5)
+    for poly in (LEHMER, random_16, with_zero):
+        k = 64 + roots._GUARD_BITS + roots._small_root_bits(poly.coeffs)
+        assert roots._start(poly.coeffs, k, 64) is seen["fixed"]
+        assert len(seen["fixed"]) == len(seen["floats"]) == poly.degree
+        for (a, b), guess in zip(seen["fixed"], seen["floats"]):
+            if guess == 0:
+                assert (a, b) == (0, 0)
+            else:
+                assert abs(complex(a / 2**k, b / 2**k) - guess) <= 1e-14 * abs(guess)
+    assert sum(guess == 0 for guess in seen["floats"]) == 1
 
 
 def test_float_start_random_against_eig_oracle(monkeypatch):
@@ -570,8 +599,8 @@ def test_float_start_random_against_eig_oracle(monkeypatch):
     ]
     for poly in polys:
         rs = mahler_measure(poly).roots
-        assert rs.total_multiplicity == poly.degree
-        by_center = sorted(rs.roots, key=lambda r: (r.mod_lo + r.mod_hi) / 2)
+        assert sum(r.multiplicity for r in rs) == poly.degree
+        by_center = sorted(rs, key=lambda r: (r.mod_lo + r.mod_hi) / 2)
         for r, m in zip(by_center, eig_moduli(poly.coeffs, dps=60)):
             assert r.mod_lo <= float(m) <= r.mod_hi
     # every input, square-free, takes one float start and not the fallback
@@ -585,7 +614,7 @@ def test_degree_80_certifies_quickly():
     r = mahler_measure(poly)
     seconds = time.perf_counter() - start
     print(f"degree 80 random monic: {seconds:.2f} s")
-    assert r.roots.total_multiplicity == 80
+    assert sum(root.multiplicity for root in r.roots) == 80
     assert seconds < 10.0
 
 
@@ -629,7 +658,7 @@ def test_float_start_survives_its_noise_floor(monkeypatch):
 
     monkeypatch.setattr(roots, "_solve_squarefree", spy)
     r = mahler_measure(poly)
-    assert r.roots.total_multiplicity == 18
+    assert sum(root.multiplicity for root in r.roots) == 18
     assert abs(r.value - mahler_oracle(poly)) < 1e-9
     assert starts and all(s is not None for s in starts)
     # the float iterate's discs certify at 64 bits but are too wide to
