@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .entropy import algebraic_entropy, polynomial_entropy
 from .linalg import RationalMatrix
-from .mahler import mahler_measure
+from .mahler import DEFAULT_TOLERANCE, mahler_measure
 from .numtheory import FactorizationError
 from .padic import verify_place_identity
 from .ratpoly import IntPoly, InvariantError, parse_rational
@@ -76,7 +76,7 @@ class InputSpec:
     m: int = 1
     n_max: int = 10
     budget: int = DEFAULT_BUDGET
-    tolerance: float = 1e-12
+    tolerance: float = DEFAULT_TOLERANCE
 
 
 def _parse_entry(value) -> Fraction:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .linalg import RationalMatrix, char_poly
-from .mahler import is_cyclotomic_product, mahler_measure
+from .mahler import DEFAULT_TOLERANCE, is_cyclotomic_product, mahler_measure
 from .padic import verify_place_identity
 from .ratpoly import IntPoly, InvariantError
 from .roots import RootInterval
@@ -33,12 +33,12 @@ class EntropyReport:
     zero_entropy_exact: bool
 
 
-def algebraic_entropy(M: RationalMatrix, tolerance: float = 1e-12) -> EntropyReport:
+def algebraic_entropy(M: RationalMatrix, tolerance: float = DEFAULT_TOLERANCE) -> EntropyReport:
     """Entropy report for a rational matrix: total, places, certification."""
     return polynomial_entropy(char_poly(M), tolerance=tolerance)
 
 
-def polynomial_entropy(P: IntPoly, tolerance: float = 1e-12) -> EntropyReport:
+def polynomial_entropy(P: IntPoly, tolerance: float = DEFAULT_TOLERANCE) -> EntropyReport:
     """Entropy report for a nonzero integer polynomial, taken as its
     primitive part: s times the monic polynomial, s its positive lead."""
     if P.is_zero:

@@ -15,13 +15,14 @@ circle.  Protocol:
 3. the roots of both factors are refined on the precision ladder of
    `roots.climb` (64 bits first, up to a 4096-bit cap), and each disc's
    side of the unit circle is decided exactly;
-4. one proven error budget settles the measure.  With lo <= |z| <= hi the
-   disc's modulus bounds, a disc outside the circle adds log|centre|, off
-   by at most log(hi/lo) <= (hi - lo)/lo; a disc meeting the circle adds 0,
-   as log+|z| lies in [0, log hi] and log hi <= hi - 1; a disc inside adds
-   0.  A rung settles once the widths sum to at most tolerance/2, so no
-   root is ever assumed to lie on the circle; at the cap, climb raises
-   CertificationError with the roots that did certify.
+4. one proven error budget, which `climb` applies itself, settles the
+   measure.  With lo <= |z| <= hi the disc's modulus bounds, a disc outside
+   the circle adds log|centre|, off by at most log(hi/lo) <= (hi - lo)/lo; a
+   disc meeting the circle adds 0, as log+|z| lies in [0, log hi] and
+   log hi <= hi - 1; a disc inside adds 0.  A rung settles once the widths
+   sum to at most tolerance/2, so no root is ever assumed to lie on the
+   circle; at the cap, climb raises CertificationError with the roots that
+   did certify.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from dataclasses import dataclass
 from .numtheory import primes
 from .ratpoly import IntPoly, InvariantError, cyclotomic, poly_gcd
 from .roots import RootInterval, climb
+
+DEFAULT_TOLERANCE = 1e-12
 
 
 def split_unit_circle(P: IntPoly) -> tuple[IntPoly, IntPoly]:
@@ -150,7 +153,7 @@ class MahlerResult:
         return 0
 
 
-def mahler_measure(P: IntPoly, tolerance: float = 1e-12) -> MahlerResult:
+def mahler_measure(P: IntPoly, tolerance: float = DEFAULT_TOLERANCE) -> MahlerResult:
     """Logarithmic Mahler measure of a nonzero P within `tolerance`, log|c|
     for a constant c; its `roots` are every root of P with multiplicity."""
     if P.is_zero:
@@ -160,9 +163,8 @@ def mahler_measure(P: IntPoly, tolerance: float = 1e-12) -> MahlerResult:
     zeros = [RootInterval(0.0, 0.0, 0.0, 0.0, multiplicity=k)] if k else []
     candidate, cofactor = split_unit_circle(stripped)
     cyclo, candidate = extract_cyclotomic(candidate)
-    # one precision ladder over the candidate/cofactor split
-    settle = functools.partial(_settle, tolerance=tolerance)
-    arch, numeric = climb([candidate, cofactor], settle)
+    # one precision ladder over the split; the cofactor's roots are summed first
+    arch, numeric = climb([cofactor, candidate], tolerance)
     roots = (*zeros, *_cyclotomic_intervals(cyclo), *numeric)
     count = sum(r.multiplicity for r in roots)
     if count != P.degree:
@@ -174,20 +176,3 @@ def mahler_measure(P: IntPoly, tolerance: float = 1e-12) -> MahlerResult:
         roots=roots,
         roots_of_unity_only=candidate.degree == 0 and cofactor.degree == 0,
     )
-
-
-def _settle(root_lists, tolerance):
-    """The archimedean sum when the discs settle step 4's budget, else None.
-    Here lo <= 2^k |z| <= hi are integers; cofactor roots are summed first."""
-    width = total = 0.0
-    for root in root_lists[1] + root_lists[0]:  # cofactor, then candidate
-        side = root.side()
-        if side < 0:
-            continue
-        lo, hi = root.mod_bounds()
-        if side > 0:
-            total += root.multiplicity * root.log_modulus()
-        else:
-            lo = 1 << root.k  # log+|z| lies in [0, log(hi/2^k)]
-        width += root.multiplicity * (hi - lo) / lo
-    return None if width > tolerance / 2 else total

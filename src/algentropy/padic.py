@@ -9,6 +9,7 @@ literal.  Everything in this module is exact integer/rational arithmetic.
 
 The primes of the clearing integer s and their exponents come from one
 `factorize(s)`; a polygon reads each coefficient's exponent by division.
+`lower_hull` also draws Bini's archimedean polygon, of (i, -log|a_i|).
 """
 
 from __future__ import annotations
@@ -63,6 +64,21 @@ class PlaceIdentityReport:
         return self.reconstruction_ok and all(ok for *_, ok in self.per_prime)
 
 
+def lower_hull(points):
+    """The lower convex hull's vertices of `points`, given by strictly increasing
+    abscissa, by monotone chain: slopes strictly increase, as a vertex on or
+    above the chord from the one before it to the next point is dropped."""
+    hull = []
+    for x, y in points:
+        while len(hull) > 1:
+            (x0, y0), (x1, y1) = hull[-2:]
+            if (x1 - x0) * (y - y0) > (y1 - y0) * (x - x0):
+                break
+            hull.pop()
+        hull.append((x, y))
+    return hull
+
+
 def newton_polygon(P: IntPoly, p: int) -> NewtonPolygon:
     """Lower convex hull of (i, vp(b_i)) for a primitive polynomial; a
     constant, +/-1, has the one point (0, 0) and no segment."""
@@ -71,18 +87,7 @@ def newton_polygon(P: IntPoly, p: int) -> NewtonPolygon:
     if P.content() != 1:
         raise ValueError("polynomial must be primitive (content 1)")
     pts = [(i, valuation(c, p)) for i, c in enumerate(P.coeffs) if c != 0]
-    # monotone-chain lower hull over points already sorted by abscissa
-    hull: list[tuple[int, int]] = []
-    for pt in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # keep strictly increasing slopes: drop (x2, y2) when the turn
-            # is not strictly left, i.e. slope(h2, pt) <= slope(h1, h2)
-            if (pt[1] - y2) * (x2 - x1) <= (y2 - y1) * (pt[0] - x2):
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
+    hull = lower_hull(pts)
     segments = tuple(
         Segment(Fraction(y2 - y1, x2 - x1), x2 - x1)
         for (x1, y1), (x2, y2) in zip(hull, hull[1:])

@@ -26,10 +26,10 @@ unit circle a disc lies on is decided the same way.  Multiple roots are
 peeled off beforehand by Yun's square-free decomposition, which is exact.
 
 The rungs form one ladder, `climb`: 64 bits first, doubling up to a
-4096-bit cap, each rung warm-started from the last, until the caller's
-settle rule (the Mahler measure's error budget) accepts the discs; so a
-float iterate too noisy to settle at 64 bits climbs to the warm 128-bit rung.
-`climb` alone turns the discs into the `RootInterval`s it reports.
+4096-bit cap, each rung warm-started from the last, until the discs settle
+the Mahler measure's error budget (`_settle`) within the caller's tolerance;
+so a float iterate too noisy to settle at 64 bits climbs to the warm 128-bit
+rung.  No module but this one reads a disc.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from .padic import lower_hull
 from .ratpoly import IntPoly, squarefree_decomposition
 
 # bits of the fixed-point scale beyond the rung's precision
@@ -180,27 +181,18 @@ def _float_aberth(coeffs, guesses):
 
 def _bini_guesses(coeffs):
     """Bini's start as (log radius, angle) pairs: on each edge i -> j of the
-    upper convex hull of the points (i, log|a_i|), j - i points on the circle
-    of radius (|a_i|/|a_j|)^(1/(j - i)), rotated by 2 pi i/n.  A zero constant
+    archimedean Newton polygon, the lower hull of the points (i, -log|a_i|)
+    drawn by `padic.lower_hull`, j - i points on the circle of log radius
+    e = (y_j - y_i)/(j - i), rotated by 2 pi i/n.  A zero constant
     term puts its zero roots at log radius -inf.  Both iterations start from
     the circles pushed out by `_PUSH`: with 1, a reciprocal polynomial such as
     Lehmer's starts on the circle its roots lie near and takes about three
     times the sweeps."""
-    hull = []
-    for j, c in enumerate(coeffs):
-        if not c:
-            continue
-        y = math.log(abs(c))
-        while len(hull) > 1:  # drop the last vertex if it is on or below the chord to (j, y)
-            (i0, y0), (i1, y1) = hull[-2:]
-            if (i1 - i0) * (y - y0) < (y1 - y0) * (j - i0):
-                break
-            hull.pop()
-        hull.append((j, y))
+    hull = lower_hull([(j, -math.log(abs(c))) for j, c in enumerate(coeffs) if c])
     n = len(coeffs) - 1
     guesses = [(-math.inf, 0.0)] * hull[0][0]
     for (i, yi), (j, yj) in zip(hull, hull[1:]):
-        e = (yi - yj) / (j - i)
+        e = (yj - yi) / (j - i)
         guesses += [(e, 2 * math.pi * ((t + 0.3) / (j - i) + i / n)) for t in range(j - i)]
     return guesses
 
@@ -351,10 +343,11 @@ def solve_with_multiplicity(P: IntPoly, prec: int, warm=None):
     return (out if ok else None), warms
 
 
-def climb(polys, settle):
+def climb(polys, tolerance: float):
     """The precision ladder: solve every polynomial per rung, warm-started,
-    doubling the bits from `_START_BITS` to `_MAX_BITS`, until
-    `settle(root_lists)` returns something other than None.  Returns that and
+    doubling the bits from `_START_BITS` to `_MAX_BITS`, until the discs
+    settle the error budget of `_settle` within `tolerance`.  Returns the
+    archimedean sum, log+ of every root summed in the order of `polys`, and
     the roots of every polynomial, as from `_intervals`.  A rung at the cap
     that does not settle raises CertificationError, whose `partial` holds the
     roots of every polynomial that certified on that rung.
@@ -369,13 +362,30 @@ def climb(polys, settle):
                 roots, warm[i] = solve_with_multiplicity(P, prec, warm[i])
             root_lists.append(roots)
         if all(roots is not None for roots in root_lists):
-            result = settle(root_lists)
-            if result is not None:
-                return result, _intervals(root_lists)
+            total = _settle(root_lists, tolerance)
+            if total is not None:
+                return total, _intervals(root_lists)
         if prec >= _MAX_BITS:
             message = f"roots did not settle within {_MAX_BITS} bits"
             raise CertificationError(message, _intervals(root_lists))
         prec = min(2 * prec, _MAX_BITS)
+
+
+def _settle(root_lists, tolerance):
+    """The archimedean sum, the lists summed in order, when the discs settle
+    the budget proven in the `mahler` docstring's step 4, else None."""
+    width = total = 0.0
+    for root in (r for roots in root_lists for r in roots):
+        side = root.side()
+        if side < 0:
+            continue
+        lo, hi = root.mod_bounds()
+        if side > 0:
+            total += root.multiplicity * root.log_modulus()
+        else:
+            lo = 1 << root.k  # lo <= 2^k |z| <= hi; log+|z| lies in [0, log(hi/2^k)]
+        width += root.multiplicity * (hi - lo) / lo
+    return None if width > tolerance / 2 else total
 
 
 def _intervals(root_lists) -> tuple[RootInterval, ...]:

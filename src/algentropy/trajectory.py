@@ -567,11 +567,13 @@ def _table_union(keys: np.ndarray, tables: list, shifts: list) -> np.ndarray:
     return _merge_unique(buf)
 
 
-def _log_ratio(a: int, b: int) -> float:
-    """log(a/b) for exact big integers, exact when the ratio is integral."""
-    if a % b == 0:
-        return math.log(a // b)
-    return math.log(a) - math.log(b)
+def _increments(counts) -> tuple[float, ...]:
+    """log(tau(n) / tau(n - 1)) for exact big integers, with tau(0) = 1;
+    exact when the ratio is integral."""
+    return tuple(
+        math.log(t // b) if t % b == 0 else math.log(t) - math.log(b)
+        for t, b in zip(counts, (1, *counts))
+    )
 
 
 def trajectory_counts(
@@ -639,16 +641,12 @@ def trajectory_counts(
                 raise InvariantError(f"log tau must be subadditive: tau({a + b}) > tau({a}) tau({b})")
 
     h_cum = tuple(math.log(t) / n for n, t in enumerate(counts, start=1))
-    h_inc = tuple(
-        _log_ratio(t, counts[i - 1]) if i else math.log(t)
-        for i, t in enumerate(counts)
-    )
     return TrajectoryRun(
         dim=dim,
         m=m,
         counts=tuple(counts),
         h_cum=h_cum,
-        h_inc=h_inc,
+        h_inc=_increments(counts),
         budget=budget,
         budget_exhausted_at=exhausted,
         support_primes=support,
@@ -735,8 +733,4 @@ def bernoulli_counts(q: int, n_max: int) -> BernoulliRun:
             tuple((a + b) % q for a, b in zip(x, y)) for x in total for y in shifted
         }
         counts.append(len(total))
-    h_inc = tuple(
-        _log_ratio(t, counts[i - 1]) if i else math.log(t)
-        for i, t in enumerate(counts)
-    )
-    return BernoulliRun(q=q, counts=tuple(counts), h_inc=h_inc)
+    return BernoulliRun(q=q, counts=tuple(counts), h_inc=_increments(counts))

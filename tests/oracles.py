@@ -11,7 +11,9 @@ coefficients for the gcd; plain trial division for factorization, the
 totient sieve, the n-th cyclotomic polynomial as X^n - 1 divided by every
 smaller Phi_d with d | n, the admissible grid density as a product of p-adic norms, the p-adic
 valuation by testing p^(e+1) | n for e = 0, 1, ..., the root valuations
-as the negated slopes of a Newton polygon, and Miller-Rabin
+as the negated slopes of a Newton polygon, the valuation vp(s) at each
+prime of a matrix's denominators from two periodic-point counts
+det(A^n - I) (Bareiss determinants, no roots and no polygon), and Miller-Rabin
 with the first twelve primes as witnesses for primality.  The
 polynomial oracles use no package polynomial code: they return monic
 polynomials as ascending tuples of Fraction, and `monic` puts a package
@@ -211,6 +213,73 @@ def root_valuations(polygon) -> list[Fraction]:
     """The multiset of vp(root) = -slope read off a Newton polygon, one entry
     per root, segment by segment."""
     return [-s.slope for s in polygon.segments for _ in range(s.length)]
+
+
+def bareiss_det(rows) -> int:
+    """The determinant of a square integer matrix by fraction-free Bareiss
+    elimination: every division is exact."""
+    a = [list(row) for row in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def periodic_point_valuations(rows) -> dict[int, Fraction] | None:
+    """{p: vp(s)} at every prime p of d, the lcm of the denominators of the
+    N x N rational matrix A = `rows`, from counts of periodic points alone:
+    no root, no polygon and no package code.
+
+    x_n = det((dA)^n - d^n I) = d^(nN) prod (lambda^n - 1) over the
+    eigenvalues.  Let n be a prime > N + 1 that divides no p | d and no
+    p^f - 1, f <= N (the residue degrees of the eigenvalues).  At p, an
+    eigenvalue with |lambda|_p > 1 gives vp(lambda^n - 1) = n vp(lambda); any
+    other gives a value free of n, as lambda^n = 1 modulo the maximal ideal
+    only where lambda = 1 there, and then vp(1 + lambda + ... + lambda^(n-1))
+    = vp(n) = 0.  Two such primes n1 < n2 give
+    vp(s) = sum over |lambda|_p > 1 of -vp(lambda)
+          = (vp(x_n1) - vp(x_n2)) / (n2 - n1) + N vp(d).
+    None when some x_n is 0: no root of unity of prime order n > N + 1 has
+    degree <= N, so 1 is an eigenvalue.
+    """
+    rows = [[Fraction(e) for e in row] for row in rows]
+    N = len(rows)
+    d = math.lcm(*(e.denominator for row in rows for e in row))
+    primes = list(trial_division_factorize(d))
+    avoid = math.prod(p * math.prod(p**f - 1 for f in range(1, N + 1)) for p in primes)
+    ns, n = [], N + 2
+    while len(ns) < 2:
+        if all(n % q for q in range(2, math.isqrt(n) + 1)) and avoid % n:
+            ns.append(n)
+        n += 1
+    B = [[int(e * d) for e in row] for row in rows]
+
+    def times(X, Y):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*Y)] for row in X]
+
+    xs = []
+    for n in ns:
+        power, base, e = [[int(i == j) for j in range(N)] for i in range(N)], B, n
+        while e:
+            if e & 1:
+                power = times(power, base)
+            base, e = times(base, base), e >> 1
+        for i in range(N):
+            power[i][i] -= d**n
+        x = bareiss_det(power)
+        if x == 0:
+            return None
+        xs.append(x)
+    (n1, n2), ratio = ns, Fraction(*xs)  # vp(x_n1 / x_n2) = vp(x_n1) - vp(x_n2)
+    return {p: Fraction(vp(ratio, p), n2 - n1) + N * vp(d, p) for p in primes}
 
 
 def product_formula_admissible_m(M: RationalMatrix) -> int:

@@ -577,6 +577,12 @@ def test_both_cold_starts_take_the_same_circles(monkeypatch):
             else:
                 assert abs(complex(a / 2**k, b / 2**k) - guess) <= 1e-14 * abs(guess)
     assert sum(guess == 0 for guess in seen["floats"]) == 1
+    # the points (i, -log|a_i|) of 1 + 2X + 4X^2 are collinear: the middle one
+    # is no vertex of the hull, so one edge puts both guesses on the circle of
+    # radius 1/2, half a turn apart
+    assert roots._bini_guesses([1, 2, 4]) == [
+        (-math.log(2), 2 * math.pi * ((t + 0.3) / 2)) for t in range(2)
+    ]
 
 
 def test_float_start_random_against_eig_oracle(monkeypatch):

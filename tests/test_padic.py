@@ -8,10 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from algentropy import cli
+from algentropy.entropy import algebraic_entropy
+from algentropy.linalg import RationalMatrix
 from algentropy.padic import newton_polygon, verify_place_identity
 from algentropy.ratpoly import IntPoly
 
-from oracles import root_valuations, vp
+from oracles import periodic_point_valuations, root_valuations, vp
 
 
 def test_polygon_examples():
@@ -26,6 +28,10 @@ def test_polygon_examples():
 
     p = newton_polygon(IntPoly([1, 0, 1]), 2)
     assert [(s.slope, s.length) for s in p.segments] == [(0, 2)]
+
+    # three collinear points: the middle one is no vertex, one segment remains
+    p = newton_polygon(IntPoly([1, 2, 4]), 2)
+    assert [(s.slope, s.length) for s in p.segments] == [(1, 2)]
 
 
 def test_polygon_validation():
@@ -168,3 +174,25 @@ def test_place_identity_property(lower, lead):
     assert verify_place_identity(poly).all_ok
     for p in (2, 3, 5, 7, 11):
         assert newton_polygon(poly, p).positive_mass() == vp(s, p)
+
+
+_ENTRY = st.builds(Fraction, st.integers(-49, 49), st.integers(1, 49))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+)
+def test_periodic_points_give_every_finite_place(rows):
+    # vp(s) at each prime of the denominators, from det(A^n - I) alone,
+    # against the entropy report and the Newton polygon
+    expected = periodic_point_valuations(rows)
+    assume(expected is not None)  # 1 is an eigenvalue
+    report = algebraic_entropy(RationalMatrix(rows))
+    places = {p: v for p, v, _ in report.finite_places}
+    assert set(places) <= set(expected)
+    for p, v in expected.items():
+        polygon = newton_polygon(report.char_poly_primitive, p)
+        assert places.get(p, 0) == v == polygon.positive_mass(), p
