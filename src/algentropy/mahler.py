@@ -5,16 +5,15 @@ outside the unit circle.  The delicate part is the roots on or near the
 circle.  Protocol:
 
 1. powers of X are removed, and the rest is split into a *candidate*
-   factor (the primitive gcd with its own reciprocal, which carries every
-   unit-modulus root) and a *cofactor* whose roots are provably off the
-   circle;
+   factor, which carries every unit-modulus root, and a coprime *cofactor*
+   whose roots are provably off the circle;
 2. cyclotomic factors are removed from the candidate by exact division, so
    roots of unity contribute zero with an exact certificate (a root of unity
    has the same multiplicity in P and in its reciprocal, so the candidate
    holds all of them);
-3. the roots of both factors are refined on the precision ladder of
-   `roots.climb` (64 bits first, up to a 4096-bit cap), and each disc's
-   side of the unit circle is decided exactly;
+3. Yun once per factor, then the ladder: the square-free pieces' roots are
+   refined on `roots.climb` (64 bits first, up to a 4096-bit cap), and each
+   disc's side of the unit circle is decided exactly;
 4. one proven error budget, which `climb` applies itself, settles the
    measure.  With lo <= |z| <= hi the disc's modulus bounds, a disc outside
    the circle adds log|centre|, off by at most log(hi/lo) <= (hi - lo)/lo; a
@@ -32,25 +31,30 @@ import math
 from dataclasses import dataclass
 
 from .numtheory import primes
-from .ratpoly import IntPoly, InvariantError, cyclotomic, poly_gcd
+from .ratpoly import IntPoly, InvariantError, cyclotomic, poly_gcd, squarefree_decomposition
 from .roots import RootInterval, climb
 
 DEFAULT_TOLERANCE = 1e-12
 
 
 def split_unit_circle(P: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """Split P into (candidate, cofactor), both primitive with positive lead.
+    """Split P into coprime (candidate, cofactor), both primitive with positive lead.
 
-    Every unit-modulus root of P is a root of the candidate factor
-    gcd(P, reciprocal(P)) -- a root with |z| = 1 satisfies conj(z) = 1/z, so
-    it is shared with the reciprocal.  The cofactor has no unit roots.
+    A root with |z| = 1 satisfies conj(z) = 1/z, so it is a root of g = gcd(P,
+    reciprocal(P)).  A root more frequent in P than its mirror is left in P/g
+    too, so while h = gcd(cofactor, g) is not constant, h moves to g.  The
+    cofactor has no unit roots, and the candidate's radical is reciprocal.
     """
     if P.coeffs[0] == 0:
         raise ValueError("constant term must be nonzero (factor out X first)")
-    g = poly_gcd(P, P.reciprocal())
-    cofactor = P.primitive_part().divide(g)
-    if cofactor is None:
-        raise InvariantError(f"gcd {g} of P and its reciprocal does not divide P = {P}")
+    g = h = poly_gcd(P, P.reciprocal())
+    cofactor = P.primitive_part()
+    while h.degree > 0:
+        cofactor = cofactor.divide(h)
+        if cofactor is None:
+            raise InvariantError(f"gcd {h} does not divide the cofactor of P = {P}")
+        h = poly_gcd(cofactor, g)
+        g = g * h
     return g, cofactor
 
 
@@ -163,8 +167,9 @@ def mahler_measure(P: IntPoly, tolerance: float = DEFAULT_TOLERANCE) -> MahlerRe
     zeros = [RootInterval(0.0, 0.0, 0.0, 0.0, multiplicity=k)] if k else []
     candidate, cofactor = split_unit_circle(stripped)
     cyclo, candidate = extract_cyclotomic(candidate)
-    # one precision ladder over the split; the cofactor's roots are summed first
-    arch, numeric = climb([cofactor, candidate], tolerance)
+    # one precision ladder over Yun's pieces of the split; the cofactor's roots are summed first
+    pieces = squarefree_decomposition(cofactor) + squarefree_decomposition(candidate)
+    arch, numeric = climb(pieces, tolerance)
     roots = (*zeros, *_cyclotomic_intervals(cyclo), *numeric)
     count = sum(r.multiplicity for r in roots)
     if count != P.degree:

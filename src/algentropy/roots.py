@@ -22,8 +22,8 @@ P'(z) = B / 2^((n-1)K) from one Gaussian-integer Horner pass, the radius
 bounds the classical inclusion radius min_i |z - root_i| <= n |P(z)/P'(z)|.
 When the n discs are pairwise disjoint (compared as squared integers), each
 holds exactly one root of the square-free polynomial; which side of the
-unit circle a disc lies on is decided the same way.  Multiple roots are
-peeled off beforehand by Yun's square-free decomposition, which is exact.
+unit circle a disc lies on is decided the same way.  The caller passes
+square-free factors, each with its multiplicity.
 
 The rungs form one ladder, `climb`: 64 bits first, doubling up to a
 4096-bit cap, each rung warm-started from the last, until the discs settle
@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 
 from .padic import lower_hull
-from .ratpoly import IntPoly, squarefree_decomposition
+from .ratpoly import IntPoly
 
 # bits of the fixed-point scale beyond the rung's precision
 _GUARD_BITS = 16
@@ -309,11 +309,13 @@ def _certify(coeffs, zs, k: int):
     return certs
 
 
-def _solve_squarefree(coeffs, prec: int, warm=None):
-    """One rung for a square-free polynomial: (k, centres at scale 2^k, which
-    warm-start the next rung, their discs from `_certify` or None).  The
-    centres: a degree-1 factor's exact floor root, the integer iteration
-    from the warm start, or else the cold centres of `_start`."""
+def solve_with_multiplicity(factor: tuple[IntPoly, int], prec: int, warm=None):
+    """One rung for a (square-free factor, m) pair: (its roots, each of
+    multiplicity m, or None when `_certify` fails; (k, centres at scale 2^k),
+    which warm-start the next rung).  The centres: a degree-1 factor's exact
+    floor root, the integer iteration from the warm start, or else `_start`'s."""
+    poly, mult = factor
+    coeffs = poly.coeffs
     k = prec + _GUARD_BITS + _small_root_bits(coeffs)
     if len(coeffs) == 2:
         zs = [((-coeffs[0] << k) // coeffs[1], 0)]
@@ -322,44 +324,27 @@ def _solve_squarefree(coeffs, prec: int, warm=None):
         zs = _aberth_fixed(coeffs, [(a << (k - k0), b << (k - k0)) for a, b in zs], k, prec)
     else:
         zs = _start(coeffs, k, prec)
-    return k, zs, _certify(coeffs, zs, k)
+    certs = _certify(coeffs, zs, k)
+    roots = None if certs is None else [_CertRoot(a, b, r, k, mult) for a, b, r in certs]
+    return roots, (k, zs)
 
 
-def solve_with_multiplicity(P: IntPoly, prec: int, warm=None):
-    """Square-free split + one rung at the given precision.
-
-    Returns (list[_CertRoot], warm_starts) or (None, warm_starts) when the
-    rung did not certify; warm starts seed the next ladder rung.
-    """
-    factors = squarefree_decomposition(P)
-    out: list[_CertRoot] = []
-    warms: dict[int, tuple] = {}
-    ok = True
-    for idx, (factor, mult) in enumerate(factors):
-        k, zs, certs = _solve_squarefree(factor.coeffs, prec, warm.get(idx) if warm else None)
-        warms[idx] = (k, zs)
-        ok = ok and certs is not None
-        out.extend(_CertRoot(a, b, r, k, mult) for a, b, r in certs or ())
-    return (out if ok else None), warms
-
-
-def climb(polys, tolerance: float):
-    """The precision ladder: solve every polynomial per rung, warm-started,
-    doubling the bits from `_START_BITS` to `_MAX_BITS`, until the discs
-    settle the error budget of `_settle` within `tolerance`.  Returns the
-    archimedean sum, log+ of every root summed in the order of `polys`, and
-    the roots of every polynomial, as from `_intervals`.  A rung at the cap
-    that does not settle raises CertificationError, whose `partial` holds the
-    roots of every polynomial that certified on that rung.
+def climb(factors, tolerance: float):
+    """The precision ladder over (square-free factor, multiplicity) pairs of
+    positive degree: solve every factor per rung, warm-started, doubling the
+    bits from `_START_BITS` to `_MAX_BITS`, until the discs settle the error
+    budget of `_settle` within `tolerance`.  Returns the archimedean sum, log+
+    of every root summed in the order of `factors`, and the roots of every
+    factor, as from `_intervals`.  A rung at the cap that does not settle
+    raises CertificationError, whose `partial` holds the roots of every
+    factor that certified on that rung.
     """
     prec = _START_BITS
-    warm = [None] * len(polys)
+    warm = [None] * len(factors)
     while True:
         root_lists = []
-        for i, P in enumerate(polys):
-            roots = []
-            if P.degree >= 1:
-                roots, warm[i] = solve_with_multiplicity(P, prec, warm[i])
+        for i, factor in enumerate(factors):
+            roots, warm[i] = solve_with_multiplicity(factor, prec, warm[i])
             root_lists.append(roots)
         if all(roots is not None for roots in root_lists):
             total = _settle(root_lists, tolerance)

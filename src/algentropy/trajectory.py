@@ -268,10 +268,11 @@ def _progression_union(keys: np.ndarray, delta: int, span: int, budget: int) -> 
     keys *= q
     keys += quo
     del quo
-    # timsort runs on Python ints as a level leaves them, ordered in long
-    # stretches, in about 3/4 of the quicksort's time; on int64 keys it
-    # takes several times as long
-    keys.sort(kind="stable" if keys.dtype == object else None)
+    # sorted compares Python ints natively, numpy's object sort by rich compares
+    if keys.dtype == object:
+        keys[:] = sorted(keys)
+    else:
+        keys.sort()
     # cuts[i]: keys[i] starts a progression; cuts[i + 1]: keys[i] is its last c
     cuts = np.empty(len(keys) + 1, dtype=bool)
     cuts[0] = cuts[-1] = True

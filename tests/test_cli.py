@@ -374,19 +374,23 @@ LEHMER = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
 
 def test_exit_3_emits_the_certified_roots(capsys):
     # cofactor roots 1 + 2^-5000 and 1 + 2^-4999 stay unresolved at the
-    # 4096-bit cap; Lehmer's 10 roots certify, and the document lists them
+    # 4096-bit cap; Lehmer's 10 roots certify, and so does the square-free
+    # piece X - 3 of the cofactor: the document lists every certified factor
     big = 2**5000
-    poly = IntPoly(LEHMER) * IntPoly([-big - 1, big]) * IntPoly([-big - 2, big])
-    code, out, _ = run_cli(capsys, "mahler", "--poly", json.dumps([str(c) for c in poly.coeffs]))
-    assert code == 3
-    doc = json.loads(out)
-    assert doc["certified"] is False and "4096 bits" in doc["error"]
-    roots = doc["roots"]
-    assert len(roots) == 10 and sum(r["multiplicity"] for r in roots) == 10
-    for r in roots:
-        assert abs(IntPoly(LEHMER).evaluate(complex(r["re"], r["im"]))) < 1e-9
-    assert sum(r["mod_lo"] > 1 for r in roots) == 1
-    assert sum(r["mod_lo"] <= 1 <= r["mod_hi"] for r in roots) == 8
+    unresolved = IntPoly(LEHMER) * IntPoly([-big - 1, big]) * IntPoly([-big - 2, big])
+    for extra, count, outside in ((IntPoly([1]), 10, 1), (IntPoly([9, -6, 1]), 11, 2)):
+        poly = unresolved * extra
+        code, out, _ = run_cli(capsys, "mahler", "--poly", json.dumps([str(c) for c in poly.coeffs]))
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["certified"] is False and "4096 bits" in doc["error"]
+        roots = doc["roots"]
+        assert len(roots) == count and sum(r["multiplicity"] for r in roots) == extra.degree + 10
+        for r in roots:
+            z = complex(r["re"], r["im"])
+            assert abs(IntPoly(LEHMER).evaluate(z)) < 1e-9 or (abs(z - 3) < 1e-9 and r["multiplicity"] == 2)
+        assert sum(r["mod_lo"] > 1 for r in roots) == outside
+        assert sum(r["mod_lo"] <= 1 <= r["mod_hi"] for r in roots) == 8
 
 
 def test_cofactor_root_next_to_the_circle_is_certified(capsys):

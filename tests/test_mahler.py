@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc
 
-from algentropy import mahler, roots
+from algentropy import mahler, ratpoly, roots
 from algentropy.mahler import (
     extract_cyclotomic,
     is_cyclotomic_product,
@@ -87,6 +87,42 @@ def test_find_roots_multiplicities():
     assert sum(r.multiplicity for r in rs) == 5
     mults = sorted(r.multiplicity for r in rs)
     assert mults == [2, 3]
+    # -2 and its mirror -1/2 go to the candidate, the third -2 too: the split
+    # is coprime, so -2 is one root of multiplicity 3, not 1 + 2
+    poly = cube * IntPoly([1, 2]) * IntPoly([1, 1])
+    rs = mahler_measure(poly).roots
+    assert sorted((round(r.re, 9), r.multiplicity) for r in rs) == [(-2.0, 3), (-1.0, 1), (-0.5, 1)]
+
+
+def _distinct_discs(rs) -> bool:
+    """No two roots' discs meet: each disc has radius at most half its modulus width."""
+    for i, a in enumerate(rs):
+        for b in rs[i + 1 :]:
+            reach = (a.mod_hi - a.mod_lo + b.mod_hi - b.mod_lo) / 2
+            if abs(complex(a.re - b.re, a.im - b.im)) <= reach:
+                return False
+    return True
+
+
+def test_mirrored_linear_factors_report_each_root_once():
+    # (b + aX)^m (a + bX)^m' at random multiplicities, half of them times
+    # Lehmer: each root is reported once, with its full multiplicity, and the
+    # measure is exact, as M(b + aX) = log max(|a|, |b|)
+    rng = random.Random(33)
+    for case in range(40):
+        poly, expected = IntPoly([1]), 0.0
+        for _ in range(rng.randint(1, 2)):
+            a, b = rng.randint(1, 5), rng.choice([-1, 1]) * rng.randint(1, 5)
+            for lin, m in ((IntPoly([b, a]), rng.randint(1, 3)), (IntPoly([a, b]), rng.randint(0, 3))):
+                for _ in range(m):
+                    poly = poly * lin
+                expected += m * math.log(max(a, abs(b)))
+        if case % 2:
+            poly, expected = poly * LEHMER, expected + LEHMER_MEASURE
+        r = mahler_measure(poly)
+        assert sum(root.multiplicity for root in r.roots) == poly.degree, poly
+        assert _distinct_discs(r.roots), poly
+        assert abs(r.value - expected) < 1e-9, poly
 
 
 def test_find_roots_zero_roots():
@@ -638,7 +674,7 @@ def test_wilkinson_discs_contain_their_roots():
             for j in range(1, n + 1):
                 poly = poly * IntPoly([-s * j, 1])
             for bits in (64, 96, 128, 192, 256):
-                certified, _ = roots.solve_with_multiplicity(poly, bits)
+                certified, _ = roots.solve_with_multiplicity((poly, 1), bits)
                 if certified is None:
                     assert bits < 256, (n, s)
                     continue
@@ -656,13 +692,24 @@ def test_float_start_survives_its_noise_floor(monkeypatch):
          50806, -13260, -5765, 6172, -2042, 180, 57, -15, 1]
     )
     rungs = []
-    real = roots._solve_squarefree
+    real = roots.solve_with_multiplicity
 
-    def spy(coeffs, prec, warm=None):
+    def spy(factor, prec, warm=None):
         rungs.append((prec, warm is not None))
-        return real(coeffs, prec, warm)
+        return real(factor, prec, warm)
 
-    monkeypatch.setattr(roots, "_solve_squarefree", spy)
+    monkeypatch.setattr(roots, "solve_with_multiplicity", spy)
+    # Yun's decomposition runs once per polynomial of the measure, not per rung
+    decomposed = []
+    yun = ratpoly.squarefree_decomposition
+
+    def yun_spy(poly):
+        decomposed.append(poly.coeffs)
+        return yun(poly)
+
+    for module in (ratpoly, mahler, roots):
+        if getattr(module, "squarefree_decomposition", None) is yun:
+            monkeypatch.setattr(module, "squarefree_decomposition", yun_spy)
     r = mahler_measure(poly)
     assert sum(root.multiplicity for root in r.roots) == 18
     assert abs(r.value - mahler_oracle(poly)) < 1e-9
@@ -670,6 +717,7 @@ def test_float_start_survives_its_noise_floor(monkeypatch):
     # the float iterate's discs certify at 64 bits but are too wide to
     # settle; the 128-bit rung starts from those centres, not afresh
     assert rungs == [(64, False), (128, True)]
+    assert poly.coeffs in decomposed and len(set(decomposed)) == len(decomposed)
 
 
 def test_cold_rung_certifies_the_float_iterate(monkeypatch):
@@ -683,7 +731,7 @@ def test_cold_rung_certifies_the_float_iterate(monkeypatch):
     rng = random.Random(16)
     random_16 = IntPoly([rng.randint(-9, 9) for _ in range(16)] + [1])
     for poly in (LEHMER, random_16):
-        certified, _ = roots.solve_with_multiplicity(poly, 64)
+        certified, _ = roots.solve_with_multiplicity((poly, 1), 64)
         assert certified is not None and len(certified) == poly.degree
         assert abs(mahler_measure(poly).value - mahler_oracle(poly)) < 1e-9
 
