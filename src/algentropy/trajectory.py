@@ -21,7 +21,8 @@ four layouts, the narrowest that holds the level's box:
   ends.  A level is then E + T, a union of translates of the grid box
   {-m..m}^N, so each of its points lies in a row segment of 2m+1
   consecutive keys and every run is at least 2m+1 long.  The move cuts
-  the runs where `_Level.rekey`'s carries change and rekeys their starts,
+  the runs that cross a row, where `_Level.rekey`'s carries change, and
+  rekeys their starts,
   and an axis is stepped as unions of up to three shifted copies (offsets
   {0, 1, 2}, then {0, 3, 6}, ..., whose sums cover 0..2m): each shifts
   the starts and the ends, sorts each, and keeps a start exactly where the
@@ -48,6 +49,10 @@ is in (runs of keys and unordered keys straight to value tables, the
 latter after one sort), so every layout computes the same sets and the
 counts are exact.  The layout is read from d, a property of the input, and
 is no option.  Every step runs on the calling thread.
+
+A run reads only the size of its last level, so on the layouts whose axis
+step is a progression union (int64 and Python-int keys) that level's last
+step only counts its keys and writes none.
 
 numpy is imported inside the functions that build key arrays, so importing
 this module (and with it the CLI) does not load it; the first
@@ -220,10 +225,11 @@ def _merge_unique(buf: np.ndarray) -> np.ndarray:
     return buf.compress(keep)
 
 
-def _offset_steps(self, chunks: list, delta, span: int, budget: int) -> list | None:
+def _offset_steps(self, chunks: list, delta, span: int, budget: int, count_only: bool) -> list | None:
     """chunks + {0, 1, ..., span} * delta as unions of up to three shifted
     copies, one per offset set, or None once a union holds more than budget
-    points: the axis step of the layouts that keep their points sorted."""
+    points: the axis step of the layouts that keep their points sorted.
+    They write the last step's points too, so count_only is not read."""
     for offsets in _offset_sets(span):
         chunks = self._union(chunks, [o * delta for o in offsets])
         if self._count(chunks) > budget:
@@ -231,9 +237,12 @@ def _offset_steps(self, chunks: list, delta, span: int, budget: int) -> list | N
     return chunks
 
 
-def _progression_union(keys: np.ndarray, delta: int, span: int, budget: int) -> np.ndarray | None:
-    """The distinct keys of S + {0, 1, ..., span} * delta in no set order, or
-    None when they number more than budget.
+def _progression_union(
+    keys: np.ndarray, delta: int, span: int, budget: int, count_only: bool
+) -> np.ndarray | int | None:
+    """The distinct keys of S + {0, 1, ..., span} * delta in no set order,
+    or with count_only only their number, or None when they number more
+    than budget.
 
     keys holds S: distinct, nonempty, in any order, as int64 or Python ints,
     and is overwritten.  With a = |delta|, each key adds the progression
@@ -245,8 +254,9 @@ def _progression_union(keys: np.ndarray, delta: int, span: int, budget: int) -> 
     quotients in order and two residues more than span + 1 apart, and a
     progression of the union starts wherever c[i] > c[i-1] + span + 1 and
     ends span past the last c before the next start.  The lengths are known
-    before any output key, so the budget is checked first, and the keys are
-    one cumsum of a's with a jump to each progression's first key.
+    before any output key, so the budget is checked first, and the number
+    is returned before anything is allocated; the keys are one cumsum of
+    a's with a jump to each progression's first key.
 
     No int64 value wraps.  Every b + c*a, 0 <= c <= span, is a key of the
     next level, so it lies in [0, size) for that level's box size size <
@@ -284,6 +294,8 @@ def _progression_union(keys: np.ndarray, delta: int, span: int, budget: int) -> 
     total = int(counts.sum())
     if total > budget:
         return None
+    if count_only:
+        return total
     res = firsts // q
     firsts = (firsts - res * q) * a + res
     jumps = firsts.copy()
@@ -295,11 +307,13 @@ def _progression_union(keys: np.ndarray, delta: int, span: int, budget: int) -> 
 
 class _PackedState:
     """Point set as distinct int64 keys in the exact box lo..hi, in no set
-    order: chunks = [keys].
+    order: chunks = [keys], or [count] for a run's last level, whose keys
+    are counted and not written.
 
     `expand` is written once for every layout: a layout supplies how a level
     overflows it, how its points move to the next box, the shift of one unit
-    along each axis and the step along one axis.
+    along each axis and the step along one axis, which on the last level
+    (last) may return the number of points in place of the points.
     """
 
     limit = _INT64_LIMIT  # a box with this many keys or more overflows the dtype
@@ -312,7 +326,7 @@ class _PackedState:
     def __len__(self) -> int:
         return self._count(self.chunks)
 
-    def expand(self, d: int, axes, m: int, budget: int):
+    def expand(self, d: int, axes, m: int, budget: int, last: bool):
         level = _Level(self.lo, self.hi, d, axes, m)
         if self._overflows(level):
             return None, "overflow"
@@ -320,14 +334,16 @@ class _PackedState:
         # keys outlive the step that reads them
         chunks, self.chunks = self.chunks, None
         chunks = self._move(level, chunks)
-        for delta in self._deltas(level):
-            chunks = self._axis(chunks, delta, level.span, budget)
+        deltas = self._deltas(level)
+        for i, delta in enumerate(deltas, start=1):
+            chunks = self._axis(chunks, delta, level.span, budget, last and i == len(deltas))
             if chunks is None:
                 return None, "budget"
         return type(self)(chunks, level.lo, level.hi), "ok"
 
     def _count(self, chunks: list) -> int:
-        return len(chunks[0])
+        keys = chunks[0]
+        return keys if isinstance(keys, int) else len(keys)
 
     def _overflows(self, level: _Level) -> bool:
         return level.size >= self.limit
@@ -339,9 +355,9 @@ class _PackedState:
     def _deltas(self, level: _Level):
         return level.deltas
 
-    def _axis(self, chunks: list, delta: int, span: int, budget: int) -> list | None:
+    def _axis(self, chunks: list, delta: int, span: int, budget: int, count_only: bool) -> list | None:
         # popped, so the union holds the only reference to the keys it frees
-        keys = _progression_union(chunks.pop(), delta, span, budget)
+        keys = _progression_union(chunks.pop(), delta, span, budget, count_only)
         return None if keys is None else [keys]
 
     def widen(self) -> "_TableState":
@@ -379,15 +395,17 @@ class _RunState(_PackedState):
 
         starts, ends = chunks
         # with d = 1 rekey adds one constant between multiples of the least
-        # carry weight; runs cut there stay maximal, as every carry is > 0
+        # carry weight; runs cut there stay maximal, as every carry is > 0.
+        # Only a run that crosses such a row is cut: most moves cut none
         width = min((w for w, _ in level.carries), default=None)
         if width is not None:
             first = starts // width
             pieces = (ends - 1) // width - first + 1
-            run = np.repeat(np.arange(len(starts)), pieces)
-            row = np.arange(len(run)) + np.repeat(first - (np.cumsum(pieces) - pieces), pieces)
-            starts = np.maximum(row * width, starts[run])
-            ends = np.minimum((row + 1) * width, ends[run])
+            if pieces.max() > 1:
+                run = np.repeat(np.arange(len(starts)), pieces)
+                row = np.arange(len(run)) + np.repeat(first - (np.cumsum(pieces) - pieces), pieces)
+                starts = np.maximum(row * width, starts[run])
+                ends = np.minimum((row + 1) * width, ends[run])
         lengths = ends - starts
         level.rekey(starts)
         return [starts, starts + lengths]
@@ -622,10 +640,11 @@ def trajectory_counts(
         # each layout checks the new box before any int64 arithmetic
         # (numpy wraps silently) and widens the level it holds on overflow:
         # int64 keys -> value tables and int64 keys -> Python-int keys
-        new_state, reason = state.expand(d, axes, m, budget)
+        last = level == n_max - 1  # the run reads only its size
+        new_state, reason = state.expand(d, axes, m, budget, last)
         while reason == "overflow":
             state = state.widen()
-            new_state, reason = state.expand(d, axes, m, budget)
+            new_state, reason = state.expand(d, axes, m, budget, last)
         if reason == "budget":
             exhausted = level + 1
             break

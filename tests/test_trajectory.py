@@ -130,7 +130,10 @@ def test_int64_overflow_falls_back_to_exact():
 
 
 def _expanded_levels(monkeypatch, *args):
-    """Run trajectory_counts; also return the state of every expanded level."""
+    """Run trajectory_counts; also return the state of every expanded level.
+
+    A run's last level on int64 or Python-int keys is only counted: its
+    state holds no keys, and is returned as it is (see `_counted`)."""
     levels = []
     for cls in (trajectory._PackedState, trajectory._TableState, trajectory._ExactState):
 
@@ -139,11 +142,22 @@ def _expanded_levels(monkeypatch, *args):
             if state is not None:
                 # the next level's expand takes the chunks over and moves
                 # them in place, so keep a copy
-                levels.append(type(state)([c.copy() for c in state.chunks], state.lo, state.hi))
+                chunks = state.chunks if _counted(state) else [c.copy() for c in state.chunks]
+                levels.append(type(state)(chunks, state.lo, state.hi))
             return state, reason
 
         monkeypatch.setattr(cls, "expand", expand)
     return trajectory_counts(*args), levels
+
+
+def _counted(state):
+    """Whether the level holds its number of points, chunks = [count], in
+    place of its points."""
+    return isinstance(state.chunks[0], int)
+
+
+def _stored(levels):
+    return [state for state in levels if not _counted(state)]
 
 
 def _stored_points(state):
@@ -218,18 +232,27 @@ def test_carried_box_is_exact(monkeypatch, python_ints):
         if limits is not None:
             monkeypatch.setattr(trajectory._PackedState, "limit", limits[0])
             monkeypatch.setattr(trajectory._TableState, "limit", limits[1])
+        # level n is stored in this run, and the last level, only counted, in the other
+        longer = trajectory_counts(M, m, n + 1)
         run, levels = _expanded_levels(monkeypatch, M, m, n)
+        assert run.counts == longer.counts[:n]
         assert len(levels) == n - 1
         d = M.denominator_lcm()
         expected_layout = trajectory._RunState if layout is trajectory._PackedState and d == 1 else layout
         assert {type(s) for s in levels} == {expected_layout}
+        # keys are counted on their last level, runs and value tables stored
+        counts_last = expected_layout in (trajectory._PackedState, trajectory._ExactState)
+        assert [_counted(s) for s in levels] == [False] * (n - 2) + [counts_last]
         for level, state in enumerate(levels, start=2):
+            _, expected = naive_trajectory_counts(M, m, level)
+            if _counted(state):
+                assert len(state) == run.counts[level - 1] == len(expected)
+                continue
             points = _stored_points(state)
             assert len(points) == len(state) == run.counts[level - 1]
             if isinstance(state, trajectory._RunState):
                 assert len(_runs(state)) <= len(state) / (2 * m + 1)
             scale = m * d ** (level - 1)
-            _, expected = naive_trajectory_counts(M, m, level)
             assert {tuple(Fraction(c, scale) for c in p) for p in points} == expected
         monkeypatch.undo()
 
@@ -272,6 +295,9 @@ def test_int64_to_columns_mid_run(monkeypatch):
         (RationalMatrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]]), 2, 5),
         (RationalMatrix([[-2]]), 4, 6),
         (RationalMatrix([[0, 0], [1, 0]]), 2, 4),
+        # each level is one full box, one run that crosses every row: every
+        # move cuts it
+        (RationalMatrix.identity(2), 1, 8),
     ],
 )
 def test_integer_levels_are_runs_of_at_least_2m_plus_1(monkeypatch, M, m, n):
@@ -280,6 +306,9 @@ def test_integer_levels_are_runs_of_at_least_2m_plus_1(monkeypatch, M, m, n):
     exact = python_int_counts(M, m, n)
     run, levels = _expanded_levels(monkeypatch, M, m, n)
     assert run.counts == exact.counts
+    if M == RationalMatrix.identity(2):
+        assert run.counts == tuple((2 * k + 1) ** 2 for k in range(1, n + 1))
+        assert all(len(_runs(s)) == 1 for s in levels)
     assert len(levels) == n - 1 and all(isinstance(s, trajectory._RunState) for s in levels)
     for state in levels:
         assert len(_stored_points(state)) == len(state)
@@ -288,15 +317,17 @@ def test_integer_levels_are_runs_of_at_least_2m_plus_1(monkeypatch, M, m, n):
 
 def test_axis_past_int64_reaches_python_ints(monkeypatch):
     # 1/(2^31 - 1): level 2's box has about 2^64 keys on two 2^32-wide axes,
-    # and level 3's axes are about 2^63 wide, past what a table holds
+    # and level 3's axes are about 2^63 wide, past what a table holds; level
+    # 4, the last, is only counted
     p = 2**31 - 1
     swap = RationalMatrix([[0, f"1/{p}"], [f"1/{p}", 0]])
-    run, levels = _expanded_levels(monkeypatch, swap, 1, 3)
-    assert run.counts == (9, 81, 729)
-    assert [type(s).__name__ for s in levels] == ["_TableState", "_ExactState"]
+    run, levels = _expanded_levels(monkeypatch, swap, 1, 4)
+    assert run.counts == (9, 81, 729, 6561)
+    assert [type(s).__name__ for s in levels] == ["_TableState", "_ExactState", "_ExactState"]
     assert 2**62 <= max(h - l + 1 for l, h in zip(levels[1].lo, levels[1].hi)) < 2**63
     assert isinstance(levels[1].chunks[0][0], int)
-    for state in levels:
+    assert [_counted(s) for s in levels] == [False, False, True]
+    for state in _stored(levels):
         assert len(_stored_points(state)) == len(state)
 
 
@@ -315,7 +346,9 @@ def test_table_product_at_the_limit_widens_to_python_ints(monkeypatch):
     points = _stored_points(levels[1])
     extents = [h - l + 1 for l, h in zip(levels[1].lo, levels[1].hi)]
     assert max(extents) < limit <= math.prod(len({p[j] for p in points}) for j in range(2))
-    for state in levels:
+    # the last level, on Python-int keys, is counted against python_int_counts above
+    assert [_counted(s) for s in levels] == [False] * 3 + [True]
+    for state in _stored(levels):
         assert len(_stored_points(state)) == len(state)
 
 
@@ -402,6 +435,13 @@ def test_budget_truncation():
     run = trajectory_counts(THREE_HALVES, 1, 12, budget=1000)
     assert run.budget_exhausted_at == 7  # tau(7) = 2187 > 1000
     assert run.counts == tuple(3**n for n in range(1, 7))
+    # tau(4) = 1,779,697 on a last level that is only counted: a budget of
+    # exactly that passes, one less stops the run there
+    pinned = (1369, 24049, 234001, 1779697)
+    run = trajectory_counts(NONARCH, 18, 4, budget=1_779_697)
+    assert run.counts == pinned and run.budget_exhausted_at is None
+    run = trajectory_counts(NONARCH, 18, 4, budget=1_779_696)
+    assert run.counts == pinned[:3] and run.budget_exhausted_at == 4
     with pytest.raises(ValueError):
         trajectory_counts(THREE_HALVES, 1, 5, budget=2)
 
@@ -487,8 +527,10 @@ def test_progression_union_is_the_union(case):
     # at the union's size
     keys, delta, span = case
     expected = functools.reduce(np.union1d, [keys + c * delta for c in range(span + 1)])
-    assert trajectory._progression_union(keys.copy(), delta, span, len(expected) - 1) is None
-    result = trajectory._progression_union(keys.copy(), delta, span, len(expected))
+    for count_only in (False, True):
+        assert trajectory._progression_union(keys.copy(), delta, span, len(expected) - 1, count_only) is None
+    assert trajectory._progression_union(keys.copy(), delta, span, len(expected), True) == len(expected)
+    result = trajectory._progression_union(keys.copy(), delta, span, len(expected), False)
     assert result.dtype == keys.dtype
     assert len(result) == len(expected) and sorted(result.tolist()) == expected.tolist()
 
@@ -508,7 +550,7 @@ def test_progression_union_next_to_the_int64_limit(span, sign):
         keys = [k + span * a for k in keys]
     expected = {k + c * sign * a for k in keys for c in range(span + 1)}
     assert max(expected) < size
-    result = trajectory._progression_union(np.array(keys, dtype=np.int64), sign * a, span, len(expected))
+    result = trajectory._progression_union(np.array(keys, dtype=np.int64), sign * a, span, len(expected), False)
     assert len(result) == len(expected) and set(result.tolist()) == expected
 
 
@@ -649,6 +691,7 @@ def test_worker_threads_start_only_for_split_steps(mode, past_a_million_keys):
 
 
 _SHRINKING_LEVEL = """
+import numpy as np
 from algentropy import trajectory
 from algentropy.linalg import RationalMatrix
 from algentropy.ratpoly import InvariantError
@@ -656,8 +699,9 @@ from algentropy.ratpoly import InvariantError
 real_expand = trajectory._PackedState.expand
 
 def shrinking(self, *args):
+    # each level, the counted last one too, becomes the one key 0
     state, reason = real_expand(self, *args)
-    return (None if state is None else trajectory._PackedState([state.chunks[0][:1]], state.lo, state.hi)), reason
+    return (None if state is None else trajectory._PackedState([np.zeros(1, dtype=np.int64)], state.lo, state.hi)), reason
 
 trajectory._PackedState.expand = shrinking
 assert False, "python -O strips this"
