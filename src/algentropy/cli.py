@@ -11,6 +11,9 @@ or its flag (`--max-n` for `n_max`): entropy matrix or poly, tolerance;
 mahler poly, tolerance; polygon poly; trajectory and classify matrix, m,
 n_max, budget, tolerance.  Any other flag exits 2 (argparse), and any other
 key, `precision` among them, is ignored (the root ladder starts at 64 bits).
+Each computing subcommand is a builder in `_BUILDERS`, from its input spec
+to its document and exit code; `main` parses the spec, builds, prints the
+document and returns the code, and verify prints its checks line by line.
 
 Exit codes: 0 success, 2 input error (also an integer to factor that Pollard
 rho cannot split within its budget), 3 certification failure (partial
@@ -41,6 +44,7 @@ from .trajectory import (
     MIN_LEVELS,
     admissible_m,
     classify_growth,
+    prime_support,
     trajectory_counts,
 )
 from .verify import SUITES, run_suite
@@ -188,13 +192,12 @@ def _emit(doc: dict, pretty: bool) -> None:
     print(json.dumps(doc, indent=2 if pretty else None))
 
 
-def _cmd_entropy(args) -> int:
-    spec = _spec_from_args(args)
+def _entropy(spec: InputSpec) -> tuple[dict, int]:
     if spec.matrix is not None:
         report = algebraic_entropy(spec.matrix, tolerance=spec.tolerance)
     else:
         report = polynomial_entropy(spec.poly, tolerance=spec.tolerance)
-    doc = {
+    return {
         "entropy": report.total,
         "log_s": report.log_s,
         "archimedean": report.archimedean,
@@ -205,9 +208,7 @@ def _cmd_entropy(args) -> int:
         "char_poly_primitive": [str(Decimal(c)) for c in report.char_poly_primitive.coeffs],
         "zero_entropy_exact": report.zero_entropy_exact,
         "certified": True,  # an uncertified entropy raises: exit 3
-    }
-    _emit(doc, args.pretty)
-    return 0
+    }, 0
 
 
 def _root_docs(roots) -> list[dict]:
@@ -219,53 +220,45 @@ def _root_docs(roots) -> list[dict]:
     ]
 
 
-def _cmd_mahler(args) -> int:
-    spec = _spec_from_args(args)
+def _mahler(spec: InputSpec) -> tuple[dict, int]:
     measured = mahler_measure(spec.poly, tolerance=spec.tolerance)
-    doc = {
+    return {
         "value": measured.value,
         "certified": True,  # an uncertified measure raises: exit 3
         "archimedean": measured.archimedean,
         "log_lead": measured.log_lead,
         "roots": _root_docs(measured.roots),
-    }
-    _emit(doc, args.pretty)
-    return 0
+    }, 0
 
 
-def _cmd_polygon(args) -> int:
-    spec = _spec_from_args(args)
+def _polygon(spec: InputSpec) -> tuple[dict, int]:
     poly = spec.poly
-    content = poly.content()
     primitive = poly.primitive_part()
     identity = verify_place_identity(primitive)
-    primes = []
-    for (p, v_s, mass, _), polygon in zip(identity.per_prime, identity.polygons):
-        primes.append(
-            {
-                "p": p,
-                "points": [[i, v] for i, v in polygon.points],
-                "segments": [
-                    {"slope": str(s.slope), "length": s.length} for s in polygon.segments
-                ],
-                "contribution_exact": str(mass),
-                "contribution": float(mass) * math.log(p),
-                "v_s": v_s,
-            }
-        )
-    doc = {
+    primes = [
+        {
+            "p": p,
+            "points": [[i, v] for i, v in polygon.points],
+            "segments": [{"slope": str(s.slope), "length": s.length} for s in polygon.segments],
+            "contribution_exact": str(mass),
+            "contribution": float(mass) * math.log(p),
+            "v_s": v_s,
+        }
+        for (p, v_s, mass, _), polygon in zip(identity.per_prime, identity.polygons)
+    ]
+    return {
         "poly": [str(c) for c in poly.coeffs],
-        "content": str(content),
+        "content": str(poly.content()),
         "primitive": [str(c) for c in primitive.coeffs],
         "s": str(identity.s),
         "primes": primes,
         "identity": {"pass": identity.all_ok, "log_gap": identity.log_gap},
-    }
-    _emit(doc, args.pretty)
-    return 0 if identity.all_ok else 4
+    }, 0 if identity.all_ok else 4
 
 
-def _trajectory_payload(spec: InputSpec) -> dict:
+def _trajectory(spec: InputSpec) -> tuple[dict, int]:
+    # factored before the run: a support rho cannot split exits 2 before any level is counted
+    support = prime_support(spec.matrix, spec.m)
     run = trajectory_counts(spec.matrix, spec.m, spec.n_max, budget=spec.budget)
     formula = algebraic_entropy(spec.matrix, tolerance=spec.tolerance).total
     assessment = (
@@ -283,34 +276,37 @@ def _trajectory_payload(spec: InputSpec) -> dict:
         "formula_entropy": formula,
         "gap": abs(run.h_inc[-1] - formula),
         "discrepancy": assessment.discrepancy if assessment else False,
-        "support_primes": list(run.support_primes),
-    }
+        "support_primes": list(support),
+    }, 0
 
 
-def _cmd_trajectory(args) -> int:
-    spec = _spec_from_args(args)
-    _emit(_trajectory_payload(spec), args.pretty)
-    return 0
-
-
-def _cmd_classify(args) -> int:
-    spec = _spec_from_args(args)
-    payload = _trajectory_payload(spec)
-    if len(payload["counts"]) < MIN_LEVELS:
+def _classify(spec: InputSpec) -> tuple[dict, int]:
+    trajectory, _ = _trajectory(spec)
+    levels = len(trajectory["counts"])
+    if levels < MIN_LEVELS:
         raise InputError(
-            f"classify needs at least {MIN_LEVELS} computed levels, got {len(payload['counts'])}: "
+            f"classify needs at least {MIN_LEVELS} computed levels, got {levels}: "
             "raise --max-n or --budget"
         )
-    doc = {
-        "classification": payload["classification"],
-        "formula_entropy": payload["formula_entropy"],
-        "discrepancy": payload["discrepancy"],
-        "levels": len(payload["counts"]),
-        "h_inc_final": payload["h_inc"][-1],
-        "gap": payload["gap"],
-    }
-    _emit(doc, args.pretty)
-    return 0
+    return {
+        "classification": trajectory["classification"],
+        "formula_entropy": trajectory["formula_entropy"],
+        "discrepancy": trajectory["discrepancy"],
+        "levels": levels,
+        "h_inc_final": trajectory["h_inc"][-1],
+        "gap": trajectory["gap"],
+    }, 0
+
+
+# the computing subcommands in --help order: each builds its document and
+# exit code from the spec of the keys it reads (`_READS`)
+_BUILDERS = {
+    "entropy": _entropy,
+    "mahler": _mahler,
+    "polygon": _polygon,
+    "trajectory": _trajectory,
+    "classify": _classify,
+}
 
 
 def _cmd_verify(args) -> int:
@@ -337,26 +333,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn in (
-        ("entropy", _cmd_entropy),
-        ("mahler", _cmd_mahler),
-        ("polygon", _cmd_polygon),
-        ("trajectory", _cmd_trajectory),
-        ("classify", _cmd_classify),
-    ):
+    for name in _BUILDERS:
         p = sub.add_parser(name, allow_abbrev=False)  # else entropy's --m is --matrix
         p.add_argument("--input", help="JSON input document")
         for key in _READS[name]:
             flag, text = _FLAGS[key]
             p.add_argument(flag, dest=key, help=text)
         p.add_argument("--pretty", action="store_true", help="indent the JSON output")
-        p.set_defaults(func=fn)
 
     v = sub.add_parser("verify", allow_abbrev=False)
     v.add_argument("--suite", required=True, choices=["all", *sorted(SUITES)])
     v.add_argument("--count", type=int, default=None, help="number of random checks")
     v.add_argument("--seed", type=int, default=0, help="RNG seed")
-    v.set_defaults(func=_cmd_verify)
     return parser
 
 
@@ -369,7 +357,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "verify":
+            return _cmd_verify(args)
+        doc, code = _BUILDERS[args.command](_spec_from_args(args))
+        _emit(doc, args.pretty)
+        return code
     except (InputError, FactorizationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -93,7 +93,6 @@ class TrajectoryRun:
     h_inc: tuple[float, ...]  # log(tau(n) / tau(n-1)), with tau(0) = 1
     budget: int
     budget_exhausted_at: int | None
-    support_primes: tuple[int, ...]
 
     @property
     def levels(self) -> int:
@@ -618,7 +617,6 @@ def trajectory_counts(
     dim = M.n
     d = M.denominator_lcm()
     m_int = [[int(e * d) for e in row] for row in M.rows]
-    support = prime_support(M, m)
 
     counts = [grid_size]
     # the grid fills its box, so its keys are all of range(grid_size)
@@ -669,7 +667,6 @@ def trajectory_counts(
         h_inc=_increments(counts),
         budget=budget,
         budget_exhausted_at=exhausted,
-        support_primes=support,
     )
 
 

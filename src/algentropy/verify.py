@@ -1,7 +1,7 @@
 """Seeded verification suites over the package's exact identities.
 
 Each suite draws its inputs from a seeded RNG, so a (suite, seed, count)
-triple is fully reproducible.  Suites return per-check results; the CLI
+triple is fully reproducible.  Suites yield per-check results; the CLI
 prints them and exits nonzero on any failure.  The exact suites (place
 identities, Kronecker, conjugation) admit no tolerance at all: a failure
 there is an implementation bug, not noise.
@@ -53,13 +53,10 @@ class SuiteResult:
 def random_primitive_poly(
     rng: random.Random, max_deg: int = 8, max_coeff: int = 1000
 ) -> IntPoly:
-    deg = rng.randint(1, max_deg)
-    while True:
-        coeffs = [rng.randint(-max_coeff, max_coeff) for _ in range(deg)]
-        coeffs.append(rng.choice([-1, 1]) * rng.randint(1, max_coeff))
-        poly = IntPoly(coeffs).primitive_part()
-        if poly.degree == deg:
-            return poly
+    # the lead is drawn nonzero, so the primitive part keeps the degree
+    coeffs = [rng.randint(-max_coeff, max_coeff) for _ in range(rng.randint(1, max_deg))]
+    coeffs.append(rng.choice([-1, 1]) * rng.randint(1, max_coeff))
+    return IntPoly(coeffs).primitive_part()
 
 
 def random_rational_matrix(rng: random.Random, max_n: int = 4, bound: int = 20) -> RationalMatrix:
@@ -127,63 +124,47 @@ def non_cyclotomic_corpus(rng: random.Random, count: int) -> list[IntPoly]:
     return out[:count]
 
 
+def _gap_check(name: str, gap: float, bound: float) -> Check:
+    return Check(name, gap <= bound, f"gap={gap:.2e}")
+
+
 def _suite_place_identity(rng, count):
-    checks = []
     for i in range(count):
-        poly = random_primitive_poly(rng)
-        rep = verify_place_identity(poly)
-        checks.append(
-            Check(
-                name=f"place-identity/{i}",
-                passed=rep.all_ok and rep.log_gap < 1e-9,
-                detail=f"s={rep.s} primes={[p for p, *_ in rep.per_prime]}",
-            )
+        rep = verify_place_identity(random_primitive_poly(rng))
+        yield Check(
+            f"place-identity/{i}",
+            rep.all_ok and rep.log_gap < 1e-9,
+            f"s={rep.s} primes={[p for p, *_ in rep.per_prime]}",
         )
-    return checks
 
 
 def _suite_multiplicativity(rng, count):
-    checks = []
     for i in range(count):
         f = random_primitive_poly(rng, max_deg=6, max_coeff=50)
         g = random_primitive_poly(rng, max_deg=6, max_coeff=50)
         mf = mahler_measure(f).value
         mg = mahler_measure(g).value
-        mfg = mahler_measure(f * g).value
-        gap = abs(mfg - mf - mg)
-        checks.append(
-            Check(name=f"multiplicativity/{i}", passed=gap <= 2e-12, detail=f"gap={gap:.2e}")
-        )
-    return checks
+        gap = abs(mahler_measure(f * g).value - mf - mg)
+        yield _gap_check(f"multiplicativity/{i}", gap, 2e-12)
 
 
 def _suite_reciprocal(rng, count):
-    checks = []
     for i in range(count):
         poly, _ = random_primitive_poly(rng).strip_x()
         gap = abs(mahler_measure(poly).value - mahler_measure(poly.reciprocal()).value)
-        checks.append(
-            Check(name=f"reciprocal/{i}", passed=gap <= 1e-10, detail=f"gap={gap:.2e}")
-        )
-    return checks
+        yield _gap_check(f"reciprocal/{i}", gap, 1e-10)
 
 
 def _suite_block_additivity(rng, count):
-    checks = []
     for i in range(count):
         A = random_rational_matrix(rng, max_n=3)
         B = random_rational_matrix(rng, max_n=3)
         total = algebraic_entropy(block_diag(A, B)).total
         parts = algebraic_entropy(A).total + algebraic_entropy(B).total
-        gap = abs(total - parts)
-        checks.append(
-            Check(name=f"block-additivity/{i}", passed=gap <= 2e-12, detail=f"gap={gap:.2e}")
-        )
-    return checks
+        yield _gap_check(f"block-additivity/{i}", abs(total - parts), 2e-12)
 
 
 def _suite_inverse(rng, count):
-    checks = []
     done = 0
     while done < count:
         M = random_rational_matrix(rng)
@@ -192,45 +173,31 @@ def _suite_inverse(rng, count):
         except SingularMatrixError:
             continue
         gap = abs(algebraic_entropy(M).total - algebraic_entropy(Minv).total)
-        checks.append(
-            Check(name=f"inverse/{done}", passed=gap <= 1e-10, detail=f"gap={gap:.2e}")
-        )
+        yield _gap_check(f"inverse/{done}", gap, 1e-10)
         done += 1
-    return checks
 
 
 def _suite_conjugation(rng, count):
-    checks = []
     for i in range(count):
         M = random_rational_matrix(rng)
         P = random_invertible_int(rng, M.n)
         conjugated = inverse(P) * M * P
-        checks.append(
-            Check(
-                name=f"conjugation/{i}",
-                passed=char_poly(conjugated) == char_poly(M),
-                detail="char polys equal exactly",
-            )
+        yield Check(
+            f"conjugation/{i}", char_poly(conjugated) == char_poly(M), "char polys equal exactly"
         )
-    return checks
 
 
 def _suite_power_law(rng, count):
-    checks = []
     for i in range(count):
         M = random_rational_matrix(rng, max_n=3, bound=6)
         base = algebraic_entropy(M).total
         for k in (2, 3):
             gap = abs(algebraic_entropy(M**k).total - k * base)
-            checks.append(
-                Check(name=f"power-law/{i}/k={k}", passed=gap <= 1e-9, detail=f"gap={gap:.2e}")
-            )
-    return checks
+            yield _gap_check(f"power-law/{i}/k={k}", gap, 1e-9)
 
 
 def _suite_kronecker(rng, count):
     half = max(1, count // 2)
-    checks = []
     for label, corpus, expect in (
         ("cyclotomic", cyclotomic_product_corpus(rng, half), True),
         ("other", non_cyclotomic_corpus(rng, half), False),
@@ -239,115 +206,85 @@ def _suite_kronecker(rng, count):
             claimed = is_cyclotomic_product(poly)
             measure = mahler_measure(poly).value
             decisions = (claimed, abs(measure) <= 1e-12, is_zero_entropy(companion(poly)))
-            ok = all(decision == expect for decision in decisions)
-            checks.append(
-                Check(
-                    name=f"kronecker/{label}/{i}",
-                    passed=ok,
-                    detail=f"claimed={claimed} measure={measure:.3e}",
-                )
+            yield Check(
+                f"kronecker/{label}/{i}",
+                all(decision == expect for decision in decisions),
+                f"claimed={claimed} measure={measure:.3e}",
             )
-    return checks
 
 
 def _suite_oracle(rng, count):
     del rng, count  # fixed desk-scale corpus
-    checks = []
     run = trajectory_counts(RationalMatrix([["3/2"]]), 1, 12)
-    checks.append(
-        Check(
-            "oracle/3-2-counts",
-            run.counts == tuple(3**n for n in range(1, 13)),
-            "tau(n) = 3^n",
-        )
+    yield Check(
+        "oracle/3-2-counts", run.counts == tuple(3**n for n in range(1, 13)), "tau(n) = 3^n"
     )
     formula = algebraic_entropy(RationalMatrix([["3/2"]])).total
-    checks.append(
-        Check(
-            "oracle/3-2-estimate",
-            abs(run.h_inc[-1] - formula) <= 1e-12,
-            f"H_inc={run.h_inc[-1]:.12f} formula={formula:.12f}",
-        )
+    yield Check(
+        "oracle/3-2-estimate",
+        abs(run.h_inc[-1] - formula) <= 1e-12,
+        f"H_inc={run.h_inc[-1]:.12f} formula={formula:.12f}",
     )
     run = trajectory_counts(RationalMatrix([[2]]), 1, 12)
-    checks.append(
-        Check(
-            "oracle/doubling-counts",
-            run.counts == tuple(2 ** (n + 1) - 1 for n in range(1, 13)),
-            "tau(n) = 2^(n+1) - 1",
-        )
+    yield Check(
+        "oracle/doubling-counts",
+        run.counts == tuple(2 ** (n + 1) - 1 for n in range(1, 13)),
+        "tau(n) = 2^(n+1) - 1",
     )
     # admissible grid density: estimate approaches the formula value
-    M = RationalMatrix([["3/2"]])
-    run = trajectory_counts(M, 6, 8)
-    checks.append(
-        Check(
-            "oracle/3-2-admissible-m",
-            abs(run.h_inc[-1] - formula) <= 0.05,
-            f"m=6 H_inc={run.h_inc[-1]:.6f}",
-        )
+    run = trajectory_counts(RationalMatrix([["3/2"]]), 6, 8)
+    yield Check(
+        "oracle/3-2-admissible-m",
+        abs(run.h_inc[-1] - formula) <= 0.05,
+        f"m=6 H_inc={run.h_inc[-1]:.6f}",
     )
-    return checks
 
 
 def _suite_bernoulli(rng, count):
     del rng, count
-    checks = []
     for q in (2, 3, 5):
         run = bernoulli_counts(q, 8)
-        checks.append(
-            Check(
-                f"bernoulli/q={q}",
-                run.counts == tuple(q**n for n in range(1, 9))
-                and run.estimate == math.log(q),
-                f"counts={run.counts[:4]}... estimate={run.estimate:.12f}",
-            )
+        yield Check(
+            f"bernoulli/q={q}",
+            run.counts == tuple(q**n for n in range(1, 9)) and run.estimate == math.log(q),
+            f"counts={run.counts[:4]}... estimate={run.estimate:.12f}",
         )
-    return checks
-
-
-def _dichotomy_fixtures():
-    return [
-        ("doubling", RationalMatrix([[2]]), 12, None),
-        ("three-halves", RationalMatrix([["3/2"]]), 12, None),
-        ("rotation", RationalMatrix([[0, -1], [1, 0]]), 50, None),
-        ("identity", RationalMatrix.identity(2), 12, None),
-        ("unipotent", RationalMatrix([[1, 1], [0, 1]]), 12, None),
-        ("sixth-root", companion(cyclotomic(6)), 12, None),
-        ("fibonacci", RationalMatrix([[0, 1], [1, 1]]), 14, 1_000_000),
-        ("nonarch", RationalMatrix([[0, "-1/6"], [1, "5/6"]]), 10, None),
-    ]
 
 
 def _suite_dichotomy(rng, count):
-    checks = []
-    for name, M, n_max, budget in _dichotomy_fixtures():
-        run = trajectory_counts(M, 1, n_max, budget=budget or DEFAULT_BUDGET)
-        formula = algebraic_entropy(M).total
-        verdict = classify_growth(run, formula_entropy=formula)
-        checks.append(
-            Check(
+    fixtures = (
+        ("doubling", RationalMatrix([[2]]), 12, DEFAULT_BUDGET),
+        ("three-halves", RationalMatrix([["3/2"]]), 12, DEFAULT_BUDGET),
+        ("rotation", RationalMatrix([[0, -1], [1, 0]]), 50, DEFAULT_BUDGET),
+        ("identity", RationalMatrix.identity(2), 12, DEFAULT_BUDGET),
+        ("unipotent", RationalMatrix([[1, 1], [0, 1]]), 12, DEFAULT_BUDGET),
+        ("sixth-root", companion(cyclotomic(6)), 12, DEFAULT_BUDGET),
+        ("fibonacci", RationalMatrix([[0, 1], [1, 1]]), 14, 1_000_000),
+        ("nonarch", RationalMatrix([[0, "-1/6"], [1, "5/6"]]), 10, DEFAULT_BUDGET),
+    )
+    # each random matrix is drawn when the loop reaches it
+    drawn = (
+        (
+            f"random-{i}",
+            RationalMatrix([[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]),
+            12,
+            1_000_000,
+        )
+        for i in range(count)
+    )
+    for systems in (fixtures, drawn):
+        for name, M, n_max, budget in systems:
+            run = trajectory_counts(M, 1, n_max, budget=budget)
+            if run.levels < MIN_LEVELS:
+                yield Check(f"dichotomy/{name}", False, "too few levels")
+                continue
+            formula = algebraic_entropy(M).total
+            verdict = classify_growth(run, formula_entropy=formula)
+            yield Check(
                 f"dichotomy/{name}",
                 not verdict.discrepancy,
                 f"{verdict.classification} formula={formula:.4f}",
             )
-        )
-    for i in range(count):
-        M = RationalMatrix([[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)])
-        run = trajectory_counts(M, 1, 12, budget=1_000_000)
-        if run.levels < MIN_LEVELS:
-            checks.append(Check(f"dichotomy/random-{i}", False, "too few levels"))
-            continue
-        formula = algebraic_entropy(M).total
-        verdict = classify_growth(run, formula_entropy=formula)
-        checks.append(
-            Check(
-                f"dichotomy/random-{i}",
-                not verdict.discrepancy,
-                f"{verdict.classification} formula={formula:.4f}",
-            )
-        )
-    return checks
 
 
 SUITES = {
@@ -369,6 +306,5 @@ def run_suite(name: str, seed: int = 0, count: int | None = None) -> SuiteResult
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     fn, default_count = SUITES[name]
-    rng = random.Random(seed)
-    checks = fn(rng, count if count is not None else default_count)
+    checks = fn(random.Random(seed), count if count is not None else default_count)
     return SuiteResult(suite=name, checks=tuple(checks))

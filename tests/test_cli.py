@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -132,6 +133,15 @@ def test_classify_command(capsys):
     assert code == 0
     assert doc["classification"] == "Polynomial"
     assert doc["formula_entropy"] == 0.0 and doc["discrepancy"] is False
+
+
+def test_classify_refuses_a_truncated_run_after_it(capsys):
+    # the budget of 10 points stops the run at level 3: two levels, too few to classify
+    code, out, err = run_cli(
+        capsys, "classify", "--matrix", '[["2"]]', "--max-n", "6", "--budget", "10"
+    )
+    assert code == 2 and out == ""
+    assert "needs at least 6 computed levels, got 2" in err
 
 
 def test_input_file_and_flag_override(tmp_path, capsys):
@@ -602,6 +612,38 @@ def test_verify_command(capsys):
         assert exc.value.code == 2 and f"invalid choice: '{suite}'" in capsys.readouterr().err
 
 
+# frozen from the suites' output: a (suite, seed, count) triple prints the
+# same checks, so the RNG draws keep their order
+VERIFY_PLACE_IDENTITY_7_5 = """\
+ok  place-identity/0 s=375 primes=[3, 5]
+ok  place-identity/1 s=39 primes=[3, 13]
+ok  place-identity/2 s=247 primes=[13, 19]
+ok  place-identity/3 s=847 primes=[7, 11]
+ok  place-identity/4 s=591 primes=[3, 197]
+SUITE place-identity: 5/5 passed
+"""
+VERIFY_KRONECKER_8_6 = """\
+ok  kronecker/cyclotomic/0 claimed=True measure=0.000e+00
+ok  kronecker/cyclotomic/1 claimed=True measure=0.000e+00
+ok  kronecker/cyclotomic/2 claimed=True measure=0.000e+00
+ok  kronecker/other/0 claimed=False measure=1.624e-01
+ok  kronecker/other/1 claimed=False measure=2.197e+00
+ok  kronecker/other/2 claimed=False measure=1.609e+00
+SUITE kronecker: 6/6 passed
+"""
+
+
+def test_verify_suites_are_reproducible(capsys):
+    for suite, seed, count, expected in (
+        ("place-identity", "7", "5", VERIFY_PLACE_IDENTITY_7_5),
+        ("kronecker", "8", "6", VERIFY_KRONECKER_8_6),
+    ):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", suite, "--seed", seed, "--count", count
+        )
+        assert (code, out, err) == (0, expected, ""), suite
+
+
 def test_verify_failure_exit_4(capsys, monkeypatch):
     from algentropy import verify as verify_mod
 
@@ -752,7 +794,11 @@ def test_unfactorable_clearing_integer_exits_2():
 
 
 def test_every_factorizing_subcommand_maps_an_exhausted_rho_to_exit_2(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the trajectory ran before its support was factored")
+
     monkeypatch.setattr(numtheory, "_RHO_BUDGET", 2**10)
+    monkeypatch.setattr(cli, "trajectory_counts", unreachable)
     n = (2**31 - 1) * (2**61 - 1)
     for argv in (
         ("polygon", "--poly", f"[1, {n}]"),
@@ -761,6 +807,18 @@ def test_every_factorizing_subcommand_maps_an_exhausted_rho_to_exit_2(capsys, mo
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and "cannot factor a 28-digit integer" in err, argv
+
+
+def test_package_has_no_assert_statement():
+    # python -O strips assert: the package's invariants raise named errors
+    package = Path(cli.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_prime_power_clearing_integer(capsys):

@@ -586,6 +586,31 @@ def test_float_start_falls_back_when_doubles_overflow(monkeypatch):
     assert fixed[:1] == [64]
 
 
+def test_float_start_refuses_a_guess_past_the_doubles(monkeypatch):
+    # every coefficient of 1 + 10^305 X + X^2 fits a double, but Bini's circle
+    # of the root near -10^305 has log radius ~702, past 700: its float guess
+    # is infinite, so the Gaussian-integer iteration starts and settles
+    starts = _spy_float_starts(monkeypatch)
+    r = mahler_measure(IntPoly([1, 10**305, 1]))
+    assert r.value == pytest.approx(305 * math.log(10), rel=1e-15)
+    assert starts and all(s is None for s in starts)
+
+
+def test_fixed_point_iteration_nudges_coinciding_and_critical_starts():
+    # X^2 - 2 at scale 2^80: two equal starts make the Aberth sum divide by
+    # zero, and a start at 0 is the critical point, where P' = 0; the
+    # iteration nudges each off and settles on -sqrt 2 and sqrt 2
+    coeffs, k, one = [-2, 0, 1], 80, 1 << 80
+    for zs in ([(one, 0), (one, 0)], [(0, 0), (3 << 79, 0)]):
+        found = roots._aberth_fixed(coeffs, zs, k, 64)
+        assert roots._certify(coeffs, found, k) is not None
+        assert sorted(a / one for a, _ in found) == pytest.approx(
+            [-math.sqrt(2), math.sqrt(2)], abs=1e-15
+        )
+    # no inclusion disc has its centre at a critical point
+    assert roots._certify(coeffs, [(0, 0), (3 << 79, 0)], k) is None
+
+
 def test_both_cold_starts_take_the_same_circles(monkeypatch):
     # the float guesses and the Gaussian-integer fallback's centres are one
     # start: each centre / 2^k is its float guess up to double rounding

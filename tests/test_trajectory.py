@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import algentropy
-from algentropy import trajectory
+from algentropy import numtheory, trajectory
 from algentropy.entropy import algebraic_entropy
 from algentropy.linalg import RationalMatrix
 from algentropy.trajectory import (
@@ -100,6 +100,14 @@ def test_matches_naive_enumeration():
                 continue
             for vec in points:
                 assert all(vp(c, p) >= 0 for c in vec if c != 0)
+
+
+def test_trajectory_counts_do_not_factor(monkeypatch):
+    # only the CLI's support_primes needs the primes of m * d: the counts of
+    # 1/n need no factor of n, so an exhausted rho budget does not stop them
+    monkeypatch.setattr(numtheory, "_RHO_BUDGET", 2**10)
+    n = (2**31 - 1) * (2**61 - 1)
+    assert trajectory_counts(RationalMatrix([[Fraction(1, n)]]), 1, 3).counts == (3, 9, 27)
 
 
 def test_exact_path_matches_packed_path():
