@@ -30,7 +30,6 @@ import math
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
-from fractions import Fraction
 
 from .entropy import algebraic_entropy, polynomial_entropy
 from .linalg import RationalMatrix
@@ -83,28 +82,24 @@ class InputSpec:
     tolerance: float = DEFAULT_TOLERANCE
 
 
-def _parse_entry(value) -> Fraction:
+def _parse_entry(value) -> tuple[int, int]:
     if isinstance(value, float):
         raise InputError(f"floating-point entry {value!r}: use exact strings like \"a/b\"")
     try:
-        entry = parse_rational(value)
-    except (ValueError, ZeroDivisionError) as exc:
+        a, b = parse_rational(value)
+    except ValueError as exc:
         raise InputError(f"bad rational entry {value!r}: {exc}") from exc
-    if max(abs(entry.numerator), entry.denominator) >= _ENTRY_LIMIT:
+    if max(abs(a), b) >= _ENTRY_LIMIT:
         raise InputError("a matrix entry's numerator and denominator must have at most 1000 digits")
-    return entry
+    return a, b
 
 
 def _parse_int(value, what: str) -> int:
     """An int, or a string of ASCII digits with an optional sign, as for a
     matrix entry but with no slash; a bool or a float is an input error."""
-    if isinstance(value, bool) or isinstance(value, float):
-        raise InputError(f"{what} must be an integer, got {value!r}")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str) and "/" not in value:
-        try:
-            return parse_rational(value).numerator
+    if isinstance(value, int) or isinstance(value, str) and "/" not in value:
+        try:  # parse_rational refuses a bool
+            return parse_rational(value)[0]
         except ValueError as exc:
             raise InputError(f"bad {what}: {value!r}") from exc
     raise InputError(f"bad {what}: {value!r}")
@@ -124,7 +119,7 @@ def parse_spec(doc: dict, command: str) -> InputSpec:
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise InputError("'matrix' must be an array of rows")
         try:
-            spec.matrix = RationalMatrix([[_parse_entry(e) for e in row] for row in rows])
+            spec.matrix = RationalMatrix.from_ratios([[_parse_entry(e) for e in row] for row in rows])
         except ValueError as exc:
             raise InputError(str(exc)) from exc
     else:

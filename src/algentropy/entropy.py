@@ -2,9 +2,9 @@
 
 One core, `polynomial_entropy`, serves matrix and polynomial input: a
 matrix enters through its cleared characteristic polynomial.  The total is
-(archimedean part from certified complex roots) + (finite part from Newton
-polygons), where the finite side is exact integer arithmetic: the
-contribution at a prime p dividing the clearing integer s is vp(s) * log p.
+(archimedean part from certified complex roots) + (finite part log s, s the
+primitive polynomial's lead): exact integer arithmetic gives the contribution
+vp(s) * log p of each prime p dividing s, from one `factorize(s)`.
 The only floating point in the headline number is the archimedean sum and
 the final log multiplications.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .linalg import RationalMatrix, char_poly
 from .mahler import DEFAULT_TOLERANCE, is_cyclotomic_product, mahler_measure
-from .padic import verify_place_identity
+from .numtheory import factorize
 from .ratpoly import IntPoly, InvariantError
 from .roots import RootInterval
 
@@ -44,16 +44,14 @@ def polynomial_entropy(P: IntPoly, tolerance: float = DEFAULT_TOLERANCE) -> Entr
     if P.is_zero:
         raise ValueError("zero polynomial")
     P = P.primitive_part()
-    identity = verify_place_identity(P)
-    if not identity.all_ok:
-        raise InvariantError(f"Newton polygon masses do not match v_p(s) for {P}")
-    finite = tuple((p, v, v * math.log(p)) for p, v, *_ in identity.per_prime)
+    s = P.lead
+    # vp(s) is P's Newton-polygon mass at p, a theorem (`NewtonPolygon.positive_mass`)
+    finite = tuple((p, v, v * math.log(p)) for p, v in factorize(s).items())
     measured = mahler_measure(P, tolerance=tolerance)
     total = measured.archimedean + sum(c for *_, c in finite)
     # redundant cross-check against the all-floating-point route
     if abs(total - measured.value) > 1e-9 * max(1.0, abs(total)):
         raise InvariantError(f"place sum {total} != Mahler measure {measured.value}")
-    s = identity.s
     return EntropyReport(
         total=total,
         log_s=math.log(s),

@@ -1,6 +1,7 @@
 """Exact linear algebra over Q.
 
-Matrices are immutable tuples of Fraction rows.  `char_poly` runs the
+A matrix is held as row denominators D_i and integer rows B = diag(D) M,
+which `char_poly` and the trajectory read.  `char_poly` runs the
 Hessenberg method modulo products of 61-bit primes, none of them unlucky,
 and recombines by Garner's CRT under a proven Hadamard bound (proof in its
 docstring).  The method is exact over the ring Z/q for any such product q:
@@ -30,36 +31,48 @@ class SingularMatrixError(ZeroDivisionError):
 
 
 class RationalMatrix:
-    """Immutable square matrix with Fraction entries."""
+    """Immutable square matrix over Q: row i is B[i] / dens[i], dens[i] the
+    lcm of its entries' denominators.  Entries are Fractions in `rows`."""
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "dens", "B")
 
     def __init__(self, rows: Iterable[Iterable]):
-        parsed = tuple(
-            tuple(e if isinstance(e, Fraction) else parse_rational(e) for e in row)
-            for row in rows
-        )
-        n = len(parsed)
-        if any(len(row) != n for row in parsed):
+        """From rows of Fractions, ints or strings "a/b" (`parse_rational`)."""
+        self._store([[parse_rational(e) for e in row] for row in rows])
+
+    @classmethod
+    def from_ratios(cls, rows: list) -> "RationalMatrix":
+        """From rows of reduced pairs (a, b), b > 0, as `parse_rational` returns."""
+        M = cls.__new__(cls)
+        M._store(rows)
+        return M
+
+    def _store(self, rows: list) -> None:
+        self.n = len(rows)
+        if any(len(row) != self.n for row in rows):
             raise ValueError("matrix must be square")
-        self.n = n
-        self.rows = parsed
+        self.dens = tuple(math.lcm(*(b for _, b in row)) for row in rows)
+        self.B = tuple(tuple(a * (d // b) for a, b in row) for d, row in zip(self.dens, rows))
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(b, d) for b in row) for d, row in zip(self.dens, self.B))
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RationalMatrix) and self.rows == other.rows
+        return isinstance(other, RationalMatrix) and (self.dens, self.B) == (other.dens, other.B)
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash((self.dens, self.B))
 
     def __repr__(self) -> str:
         return f"RationalMatrix({[[str(e) for e in row] for row in self.rows]})"
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        return self.rows[ij[0]][ij[1]]
+        return Fraction(self.B[ij[0]][ij[1]], self.dens[ij[0]])
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         return RationalMatrix(
@@ -92,7 +105,7 @@ class RationalMatrix:
         return out
 
     def denominator_lcm(self) -> int:
-        return math.lcm(*(e.denominator for row in self.rows for e in row))
+        return math.lcm(*self.dens)
 
 
 # Word primes per modulus of one Hessenberg pass.  Fewer, wider passes pay the
@@ -176,8 +189,7 @@ def char_poly(M: RationalMatrix) -> IntPoly:
     symmetric residues give Delta * det(X*I - M), whose primitive part is
     returned (IntPoly([1]) for the 0x0 matrix).
     """
-    dens = [math.lcm(*(e.denominator for e in row)) for row in M.rows]
-    B = [[e.numerator * (d // e.denominator) for e in row] for d, row in zip(dens, M.rows)]
+    dens, B = M.dens, M.B
     delta, bound = math.prod(dens), [1]
     for d, row in zip(dens, B):
         rho = math.isqrt(sum(b * b for b in row) - 1) + 1 if any(row) else 0
@@ -200,24 +212,17 @@ def companion(f: IntPoly) -> RationalMatrix:
     """Companion of f/lead(f), 0x0 for a constant: char_poly(companion(f)) == f.primitive_part()."""
     if f.is_zero:
         raise ValueError("zero polynomial")
-    n = f.degree
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(1, n):
-        rows[i][i - 1] = Fraction(1)
-    for i in range(n):
-        rows[i][n - 1] = Fraction(-f.coeffs[i], f.lead)
-    return RationalMatrix(rows)
+    return RationalMatrix(
+        [[int(j == i - 1) for j in range(f.degree - 1)] + [Fraction(-c, f.lead)]
+         for i, c in enumerate(f.coeffs[:-1])]
+    )
 
 
 def block_diag(A: RationalMatrix, B: RationalMatrix) -> RationalMatrix:
     """Block-diagonal composition; char poly multiplies across blocks."""
-    n, m = A.n, B.n
-    rows = []
-    for i in range(n):
-        rows.append(list(A.rows[i]) + [Fraction(0)] * m)
-    for i in range(m):
-        rows.append([Fraction(0)] * n + list(B.rows[i]))
-    return RationalMatrix(rows)
+    return RationalMatrix(
+        [list(row) + [0] * B.n for row in A.rows] + [[0] * A.n + list(row) for row in B.rows]
+    )
 
 
 def inverse(M: RationalMatrix) -> RationalMatrix:

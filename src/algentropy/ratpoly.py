@@ -1,9 +1,7 @@
 """Exact rational scalars and integer polynomial arithmetic.
 
-Rational scalars are plain ``fractions.Fraction`` values: the stdlib class
-already keeps gcd(|num|, den) = 1 with den >= 1, is immutable and hashable,
-which is exactly the canonical form the rest of the package relies on for
-set membership of vectors.
+A rational scalar is parsed to its reduced integer pair (a, b), b > 0, by
+`parse_rational`; the library hands rationals out as ``fractions.Fraction``.
 
 Polynomials are `IntPoly`s: integer coefficient tuples in ascending degree
 order; the same ascending convention is used in every file format of the
@@ -46,20 +44,22 @@ def valuation(n: int, p: int) -> int:
     return v
 
 
-def parse_rational(text) -> Fraction:
-    """Parse "a/b" or "a" (ASCII digits, optional sign) or an int into a canonical Fraction.
-
-    Any other string, such as "0.5", "1e9" or "1_000", is a ValueError: an
-    exponent would let a few bytes ask for a number of any size.
-    """
+def parse_rational(text) -> tuple[int, int]:
+    """The reduced pair (a, b), b > 0, of a/b given as "a/b" or "a" (ASCII
+    digits, optional sign), an int or a Fraction.  Any other string, such as
+    "0.5", "1e9", "1_000" or "1/0", is a ValueError: an exponent would let a
+    few bytes ask for a number of any size."""
     if isinstance(text, bool):
         raise ValueError(f"not a rational: {text!r}")
-    if isinstance(text, int):
-        return Fraction(text)
+    if isinstance(text, (int, Fraction)):
+        return text.numerator, text.denominator
     if isinstance(text, str):
         num, slash, den = text.strip().partition("/")
         if _digits(num[1:] if num[:1] in ("+", "-") else num) and (not slash or _digits(den)):
-            return Fraction(int(num), int(den or 1))
+            a, b = int(num), int(den or 1)
+            if b:
+                g = math.gcd(a, b)
+                return a // g, b // g
     raise ValueError(f"not a rational: {text!r}")
 
 

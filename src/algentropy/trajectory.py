@@ -122,8 +122,8 @@ def admissible_m(M: RationalMatrix) -> int:
     entry denominators.  Any multiple of a valid density is valid, so rounding
     up is safe.
     """
-    norm = max((sum(abs(e) for e in row) for row in M.rows), default=0)  # ||M||_inf
-    c = max(math.ceil(norm) + 1, 3)
+    ceil_norm = max((-(-sum(map(abs, row)) // d) for d, row in zip(M.dens, M.B)), default=0)
+    c = max(ceil_norm + 1, 3)
     return c * M.denominator_lcm()
 
 
@@ -616,7 +616,7 @@ def trajectory_counts(
 
     dim = M.n
     d = M.denominator_lcm()
-    m_int = [[int(e * d) for e in row] for row in M.rows]
+    m_int = [[b * (d // D) for b in row] for D, row in zip(M.dens, M.B)]
 
     counts = [grid_size]
     # the grid fills its box, so its keys are all of range(grid_size)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .entropy import algebraic_entropy, is_zero_entropy
 from .linalg import (
@@ -63,7 +62,7 @@ def random_rational_matrix(rng: random.Random, max_n: int = 4, bound: int = 20) 
     n = rng.randint(1, max_n)
     return RationalMatrix(
         [
-            [Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(n)]
+            [f"{rng.randint(-bound, bound)}/{rng.randint(1, bound)}" for _ in range(n)]
             for _ in range(n)
         ]
     )

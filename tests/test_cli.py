@@ -827,3 +827,65 @@ def test_prime_power_clearing_integer(capsys):
     doc = json.loads(out)
     assert code == 0 and doc["s"] == str(q**2)
     assert [(f["p"], f["v_s"]) for f in doc["finite_places"]] == [(q, 2)]
+
+
+_NINES = "9" * 1000  # 10^1000 - 1, the largest numerator an entry may have
+
+
+@pytest.mark.parametrize(
+    "entry, pair",
+    [
+        ("4/6", (2, 3)),
+        ("-0", (0, 1)),
+        ("+3", (3, 1)),
+        (" 1", (1, 1)),
+        pytest.param(_NINES, (10**1000 - 1, 1), id="10^1000-1"),
+        # 1001 digits, reduced below the limit
+        pytest.param(f"{3 * (10**1000 - 1)}/3", (10**1000 - 1, 1), id="3(10^1000-1)/3"),
+        pytest.param("1" + "0" * 1000, None, id="10^1000"),
+        ("1/0", None),
+        ("0.5", None),
+        ("1e9", None),
+        ("1_000", None),
+        ("\u0663", None),  # ARABIC-INDIC DIGIT THREE, which int() reads as 3
+        ("3/-2", None),
+        ("", None),
+        (True, None),
+        (1.5, None),
+    ],
+)
+def test_matrix_entries_parse_to_reduced_pairs(capsys, entry, pair):
+    # an entry parses to the reduced pair (a, b), b > 0, of the Fraction it
+    # gave before, under the same 1000-digit limit; anything else exits 2
+    code, out, _ = run_cli(capsys, "entropy", "--matrix", json.dumps([[entry]]))
+    if pair is None:
+        assert code == 2 and out == ""
+        with pytest.raises(cli.InputError):
+            cli._parse_entry(entry)
+    else:
+        a, b = pair
+        assert cli._parse_entry(entry) == pair
+        assert code == 0 and json.loads(out)["char_poly_primitive"] == [str(-a), str(b)]
+
+
+def test_no_fraction_from_parse_to_char_poly():
+    built = []
+    new = Fraction.__new__.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is new:
+            built.append(frame)
+
+    def run():
+        sys.setprofile(profile)
+        try:
+            spec = cli.parse_spec({"matrix": [["4/6", "-1/3"], ["0", "7/2"]]}, "entropy")
+            return char_poly(spec.matrix)
+        finally:
+            sys.setprofile(None)
+
+    assert run() == IntPoly([14, -25, 6]) and built == []
+    sys.setprofile(profile)
+    Fraction(4, 6)  # the profile sees a Fraction built
+    sys.setprofile(None)
+    assert len(built) == 1

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import random
@@ -142,8 +143,7 @@ def test_each_prime_of_s_is_proven_once(monkeypatch):
     real.cache_clear()
     report = algebraic_entropy(RationalMatrix(rows))
     assert [q for q, *_ in report.finite_places] == [p]
-    # proven once, by factorize(s): newton_polygon's input check reads the
-    # answer is_prime kept; and never tested as p^k
+    # proven once, by factorize(s), and never tested as p^k
     assert proven.count(p) == 1
     assert [m for m in tested if m % p == 0 and m != p] == []
 
@@ -261,8 +261,7 @@ def test_zero_entropy_exact_is_the_cyclotomic_decision():
 _SKEWED_POLYGON = """
 import dataclasses
 from fractions import Fraction
-from algentropy import entropy, padic
-from algentropy.ratpoly import IntPoly, InvariantError
+from algentropy import cli, padic
 
 real_newton_polygon = padic.newton_polygon
 
@@ -273,14 +272,14 @@ def skewed(P, p):
 
 padic.newton_polygon = skewed
 assert False, "python -O strips this"
-try:
-    entropy.polynomial_entropy(IntPoly([1, -5, 6]))
-except InvariantError as exc:
-    print("InvariantError:", exc)
+print("exit", cli.main(["polygon", "--poly", "[1,-5,6]"]))
 """
 
 
 def test_polygon_mass_check_survives_python_O():
+    # the place identity is checked where it is the product, the polygon
+    # subcommand (the entropy path reads v_p(s) from factorize(s) instead):
+    # under -O, with no assert to decide it, a skewed polygon fails it
     src = str(Path(algentropy.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run(
@@ -288,4 +287,16 @@ def test_polygon_mass_check_survives_python_O():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.startswith("InvariantError: Newton polygon masses")
+    doc, code = run.stdout.splitlines()
+    assert json.loads(doc)["identity"]["pass"] is False
+    assert code == "exit 4"
+
+
+def test_entropy_builds_no_newton_polygon(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a Newton polygon was built")
+
+    monkeypatch.setattr(padic, "newton_polygon", unreachable)
+    report = algebraic_entropy(RationalMatrix([[0, "-1/6"], [1, "5/6"]]))
+    assert [(p, v) for p, v, _ in report.finite_places] == [(2, 1), (3, 1)]
+    assert polynomial_entropy(IntPoly([-8, 0, 0, 9])).finite_places[0][:2] == (3, 2)

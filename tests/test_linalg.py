@@ -355,3 +355,21 @@ def test_matrix_power_and_validation():
     assert M**0 == RationalMatrix.identity(2)
     with pytest.raises(ValueError):
         RationalMatrix([[1, 2]])
+
+
+# a/b times a common factor k, so that most entries arrive unreduced
+_REDUCIBLE = st.tuples(st.integers(-(10**6), 10**6), st.integers(1, 10**6), st.integers(1, 12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4).flatmap(
+    lambda n: st.lists(st.lists(_REDUCIBLE, min_size=n, max_size=n), min_size=n, max_size=n)
+))
+def test_entries_read_back_as_fractions(rows):
+    # strings "ka/kb" are stored as row denominators and integer rows, and
+    # read back as Fraction(a, b); their reduced pairs give the same matrix
+    M = RationalMatrix([[f"{k * a}/{k * b}" for a, b, k in row] for row in rows])
+    fractions = [[Fraction(a, b) for a, b, _ in row] for row in rows]
+    assert [[M[i, j] for j in range(M.n)] for i in range(M.n)] == fractions
+    assert M.dens == tuple(math.lcm(*(q.denominator for q in row)) for row in fractions)
+    assert M == RationalMatrix.from_ratios([[(q.numerator, q.denominator) for q in row] for row in fractions])

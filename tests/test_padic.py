@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from algentropy import cli
-from algentropy.entropy import algebraic_entropy
-from algentropy.linalg import RationalMatrix
+from algentropy.entropy import algebraic_entropy, polynomial_entropy
+from algentropy.linalg import RationalMatrix, char_poly
 from algentropy.padic import newton_polygon, verify_place_identity
 from algentropy.ratpoly import IntPoly
 
@@ -196,3 +196,31 @@ def test_periodic_points_give_every_finite_place(rows):
     for p, v in expected.items():
         polygon = newton_polygon(report.char_poly_primitive, p)
         assert places.get(p, 0) == v == polygon.positive_mass(), p
+
+
+def _assert_places_are_polygon_masses(P):
+    # the entropy path reads its finite places from factorize(s); the place
+    # identity proves that they are the polygon masses
+    identity = verify_place_identity(P.primitive_part())
+    places = polynomial_entropy(P).finite_places
+    assert [(p, v) for p, v, _ in places] == [(p, v) for p, v, *_ in identity.per_prime]
+    assert identity.all_ok
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(-200, 200), min_size=1, max_size=8),
+    st.integers(-400, 400).filter(bool),
+)
+def test_entropy_finite_places_are_the_polygon_masses(lower, lead):
+    _assert_places_are_polygon_masses(IntPoly(lower + [lead]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+)
+def test_matrix_finite_places_are_the_polygon_masses(rows):
+    _assert_places_are_polygon_masses(char_poly(RationalMatrix(rows)))

@@ -388,8 +388,10 @@ def test_cyclotomic_division_check_raises(monkeypatch):
 
 
 def test_parse_rational():
-    assert parse_rational("3/2") == Fraction(3, 2)
-    assert parse_rational("-7") == -7
-    assert parse_rational(4) == 4
-    with pytest.raises(ValueError):
-        parse_rational("a/b")
+    assert parse_rational("3/2") == (3, 2)
+    assert parse_rational("-7") == (-7, 1)
+    assert parse_rational(4) == (4, 1)
+    assert parse_rational(" -12/8 ") == parse_rational(Fraction(-3, 2)) == (-3, 2)
+    for bad in ("a/b", "1/0", True, 1.5):
+        with pytest.raises(ValueError):
+            parse_rational(bad)

@@ -729,3 +729,40 @@ def test_monotone_count_check_survives_python_O():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("InvariantError: trajectory counts must be nondecreasing")
+
+
+_INTEGER_ROW_ENTRY = st.builds(Fraction, st.integers(-60, 60))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.lists(
+        st.lists(_SMALL_ENTRY, min_size=n, max_size=n)
+        | st.lists(_INTEGER_ROW_ENTRY, min_size=n, max_size=n)  # no denominator
+        | st.just([Fraction(0)] * n),
+        min_size=n, max_size=n,
+    )
+))
+def test_integer_inputs_are_the_fraction_formulas(rows):
+    # admissible_m and the scaled matrix d*M that the first level moves the
+    # grid by, both read from the row denominators and integer rows, against
+    # ceil(max row sum of |e|) and int(e * d) over Fractions
+    M = RationalMatrix(rows)
+    d = math.lcm(*(e.denominator for row in rows for e in row))
+    c = max(math.ceil(max(sum(abs(e) for e in row) for row in rows)) + 1, 3)
+    assert admissible_m(M) == c * d
+    seen = []
+    real = trajectory._PackedState.expand
+
+    def recording(self, d, axes, *args):
+        seen.append((d, axes))
+        return real(self, d, axes, *args)
+
+    trajectory._PackedState.expand = recording
+    try:
+        trajectory_counts(M, 1, 2)
+    finally:
+        trajectory._PackedState.expand = real
+    [(scale, axes)] = seen
+    assert scale == d
+    assert [list(col) for col in zip(*axes)] == [[int(e * d) for e in row] for row in rows]
